@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 from ial.cli import main
+from ial.config import config_hash, load_run_config
 from ial.net import Dense
 
 
@@ -174,3 +175,9 @@ def test_seed_flag_changes_config_hash(tmp_path):
     assert main(["--config", str(cfg), "--seed", "99", "synth"]) == 0
     h2 = json.loads((tmp_path / "out" / "manifest.json").read_text())["config_hash"]
     assert h1 != h2
+
+
+def test_config_hash_is_stable():
+    # every output file embeds this hash; validating the config must not move it
+    assert config_hash(load_run_config()) == "86733bd0b5c7"
+    assert config_hash(load_run_config(overrides={"feature_kind": "vector"})) == "088ce0ff1bb1"

@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .data import (  # noqa: F401
     ActionClass,
     GroundTruthEvent,
-    InertialSample,
     Stream,
     SyntheticConfig,
     generate_synthetic_stream,

@@ -178,14 +178,10 @@ def cmd_detect(cfg: RunConfig, stream_path: str, dump_features: str | None) -> i
     det.write_events_tsv(events, out / f"{stem}.events.tsv", [f"config_hash={chash}"])
     det.write_events_json(events, out / f"{stem}.events.json", chash)
     if dump_features:
-        from .features import image_feature, vector_feature, write_vector_csv
-        from .signal import slide_windows
+        from .features import write_vector_csv
 
-        feats = [
-            vector_feature(image_feature(w))
-            for w in slide_windows(stream, cfg.detector.stride_frames)
-        ]
-        write_vector_csv(feats, dump_features, [f"config_hash={chash}"])
+        starts, vectors = det.featurize_stream(stream, det.VECTOR_KIND, cfg.detector.stride_frames)
+        write_vector_csv(stream.t[starts], vectors, dump_features, [f"config_hash={chash}"])
     print(f"{len(events)} events -> {out / (stem + '.events.tsv')} (config {chash})")
     return EXIT_OK
 

@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import INTEREST_CLASSES, ActionClass, SyntheticConfig
-from .detector import IMAGE_KIND, VECTOR_KIND, DetectorConfig
+from .detector import IMAGE_KIND, MODEL_FOR_FEATURE, DetectorConfig
 from .errors import ConfigConflictError, ConfigError, MissingFileError
 from .net import CNN_KIND, FC_KIND, TrainConfig
-
-FEATURE_TO_MODEL = {IMAGE_KIND: CNN_KIND, VECTOR_KIND: FC_KIND}
 
 
 @dataclass(frozen=True)
@@ -47,14 +45,14 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        if self.feature_kind not in FEATURE_TO_MODEL:
+        if self.feature_kind not in MODEL_FOR_FEATURE:
             raise ConfigError(f"unknown feature_kind {self.feature_kind!r}")
         if self.model not in (CNN_KIND, FC_KIND):
             raise ConfigError(f"unknown model {self.model!r}")
-        if FEATURE_TO_MODEL[self.feature_kind] != self.model:
+        if MODEL_FOR_FEATURE[self.feature_kind] != self.model:
             raise ConfigConflictError(
                 f"{self.feature_kind} features pair with the "
-                f"{FEATURE_TO_MODEL[self.feature_kind]} model, not {self.model}"
+                f"{MODEL_FOR_FEATURE[self.feature_kind]} model, not {self.model}"
             )
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
@@ -171,7 +169,7 @@ def _build(doc: dict) -> RunConfig:
         manifest=doc.get("manifest"),
         out_dir=doc.get("out_dir", "out"),
         feature_kind=feature_kind,
-        model=doc.get("model", FEATURE_TO_MODEL.get(feature_kind, CNN_KIND)),
+        model=doc.get("model", MODEL_FOR_FEATURE.get(feature_kind, CNN_KIND)),
         seed=seed,
         threads=int(doc.get("threads", 1)),
         schema=schema,

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -69,19 +69,6 @@ def action_from_label_id(label_id: int) -> ActionClass:
     return INTEREST_CLASSES[label_id - 1]
 
 
-@dataclass(frozen=True)
-class InertialSample:
-    """One timestamped 6-axis reading."""
-
-    t: float
-    ax: float
-    ay: float
-    az: float
-    gx: float
-    gy: float
-    gz: float
-
-
 @dataclass(frozen=True, eq=False)
 class Stream:
     """A continuous recording backed by numpy arrays.
@@ -105,13 +92,6 @@ class Stream:
     @property
     def duration_s(self) -> float:
         return float(self.t[-1] - self.t[0]) if len(self) else 0.0
-
-    def sample(self, i: int) -> InertialSample:
-        return InertialSample(float(self.t[i]), *(float(v) for v in self.values[i]))
-
-    def samples(self) -> Iterator[InertialSample]:
-        for i in range(len(self)):
-            yield self.sample(i)
 
 
 @dataclass(frozen=True)

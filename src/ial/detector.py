@@ -1,8 +1,9 @@
 """Two-phase continuous detection.
 
-Phase one scores every sliding window with a binary interest model; runs of
-positive windows become candidate intervals.  Phase two classifies each
-interval with a 5-class model.  This module also assembles the per-window
+Each stream is windowed and featurized once.  Phase one scores every
+sliding window with a binary interest model; runs of positive windows become
+candidate intervals.  Phase two classifies each interval with a 5-class model
+on the same window features.  This module also assembles the per-window
 training sets for both phases from labeled streams.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -22,9 +23,9 @@ from .errors import (
     IntervalOutsideStreamError,
     ModelFeatureMismatchError,
 )
-from .features import image_feature, vector_feature
+from .features import vector_batch
 from .net import CNN_KIND, FC_KIND, Network
-from .signal import WINDOW_FRAMES, SignalWindow, make_window, slide_windows, window_starts
+from .signal import WINDOW_FRAMES, window_images, window_starts
 
 IMAGE_KIND = "image"
 VECTOR_KIND = "vector"
@@ -38,9 +39,11 @@ INTEREST_IDX = 1
 
 @dataclass(frozen=True)
 class WindowScore:
+    """One scored window; ``features`` is its model input row, which phase two reuses."""
+
     start_t: float
     interest_prob: float
-    class_probs: np.ndarray | None = None
+    features: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -76,13 +79,17 @@ class DetectorConfig:
             raise ConfigError(f"unknown classification_mode {self.classification_mode!r}")
 
 
-def featurize_windows(windows: Sequence[SignalWindow], feature_kind: str) -> np.ndarray:
-    """Stack windows into a model input batch: (n, 50, 8, 1) or (n, 16)."""
+def featurize_stream(
+    stream: Stream, feature_kind: str, stride_frames: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every window of the stream as one model input batch: ``(start_frames, x)``
+    with x of shape (n, 50, 8, 1) or (n, 16)."""
+    if feature_kind not in MODEL_FOR_FEATURE:
+        raise ConfigError(f"unknown feature kind {feature_kind!r}")
+    starts, images = window_images(stream, stride_frames)
     if feature_kind == IMAGE_KIND:
-        return np.stack([image_feature(w).pixels for w in windows])[..., None]
-    if feature_kind == VECTOR_KIND:
-        return np.stack([vector_feature(image_feature(w)).values for w in windows])
-    raise ConfigError(f"unknown feature kind {feature_kind!r}")
+        return starts, images[..., None]
+    return starts, vector_batch(images)
 
 
 def _check_model(model: Network, feature_kind: str, n_classes: int) -> None:
@@ -118,11 +125,11 @@ def score_windows(
 ) -> list[WindowScore]:
     """One interest probability per sliding window."""
     _check_model(phase1_model, feature_kind, 2)
-    windows = slide_windows(stream, cfg.stride_frames)
-    x = featurize_windows(windows, feature_kind)
+    starts, x = featurize_stream(stream, feature_kind, cfg.stride_frames)
     probs = _batched_proba(phase1_model, x, threads)
     return [
-        WindowScore(w.start_t, float(p[INTEREST_IDX])) for w, p in zip(windows, probs)
+        WindowScore(float(stream.t[start]), float(p[INTEREST_IDX]), row)
+        for start, p, row in zip(starts, probs, x)
     ]
 
 
@@ -157,33 +164,34 @@ def segment_events(
 
 def classify_event(
     stream: Stream,
+    scores: Sequence[WindowScore],
     interval: tuple[float, float],
     phase2_model: Network,
     cfg: DetectorConfig,
     feature_kind: str,
-    _windows: list[SignalWindow] | None = None,
 ) -> tuple[ActionClass, float]:
     """Assign one of the 5 classes to a candidate interval.
 
-    center-window mode classifies the single window whose center is nearest
-    the interval midpoint; mean-probability mode averages the softmax vectors
-    of all windows whose center falls inside the interval (falling back to the
-    center window when none does).  Argmax ties go to the lowest class index.
+    ``scores`` are the stream's phase-one window scores; phase two classifies
+    their feature rows.  center-window mode classifies the single window whose
+    center is nearest the interval midpoint; mean-probability mode averages
+    the softmax vectors of all windows whose center falls inside the interval
+    (falling back to the center window when none does).  Argmax ties go to the
+    lowest class index.
     """
     _check_model(phase2_model, feature_kind, len(INTEREST_CLASSES))
     start, end = interval
     if end <= float(stream.t[0]) or start >= float(stream.t[-1]):
         raise IntervalOutsideStreamError(f"[{start}, {end}] outside stream span")
-    windows = slide_windows(stream, cfg.stride_frames) if _windows is None else _windows
     half_span = 0.5 * WINDOW_FRAMES / stream.sample_rate_hz
-    centers = np.array([w.start_t + half_span for w in windows])
+    centers = np.array([s.start_t + half_span for s in scores])
     if cfg.classification_mode == "center-window":
         chosen = [int(np.argmin(np.abs(centers - 0.5 * (start + end))))]
     else:
         chosen = [i for i, c in enumerate(centers) if start <= c <= end]
         if not chosen:
             chosen = [int(np.argmin(np.abs(centers - 0.5 * (start + end))))]
-    x = featurize_windows([windows[i] for i in chosen], feature_kind)
+    x = np.stack([scores[i].features for i in chosen])
     mean_probs = phase2_model.predict_proba(x).mean(axis=0)
     idx = int(np.argmax(mean_probs))
     return INTEREST_CLASSES[idx], float(mean_probs[idx])
@@ -215,12 +223,9 @@ def _events_from_scores(
     intervals = [
         (s, min(e, stream_end)) for s, e in segment_events(scores, cfg, window_seconds)
     ]
-    windows = slide_windows(stream, cfg.stride_frames) if intervals else []
     events = []
     for interval in intervals:
-        label, confidence = classify_event(
-            stream, interval, phase2_model, cfg, feature_kind, _windows=windows
-        )
+        label, confidence = classify_event(stream, scores, interval, phase2_model, cfg, feature_kind)
         events.append(DetectedEvent(label, interval[0], interval[1], confidence))
     return events
 
@@ -234,14 +239,20 @@ def overlap_seconds(a_start: float, a_end: float, b_start: float, b_end: float) 
     return max(0.0, min(a_end, b_end) - max(a_start, b_start))
 
 
-def window_is_positive(
-    window: SignalWindow, truth: Sequence[GroundTruthEvent], window_seconds: float
-) -> bool:
-    """Positive iff at least half the window span overlaps one truth interval."""
-    end_t = window.start_t + window_seconds
-    return any(
-        overlap_seconds(window.start_t, end_t, ev.start, ev.end) >= 0.5 * window_seconds
-        for ev in truth
+def window_labels(
+    start_t: Sequence[float], window_seconds: float, truth: Sequence[GroundTruthEvent]
+) -> np.ndarray:
+    """Interest label per window: True iff at least half of the window span
+    [start_t, start_t + window_seconds] overlaps one truth interval."""
+    return np.array(
+        [
+            any(
+                overlap_seconds(t, t + window_seconds, ev.start, ev.end) >= 0.5 * window_seconds
+                for ev in truth
+            )
+            for t in start_t
+        ],
+        dtype=bool,
     )
 
 
@@ -254,27 +265,36 @@ def build_phase1_dataset(
     """Window features labeled interest (1) / non-interest (0).
 
     Positives are windows whose span overlaps a truth interval by >= 50%; the
-    remaining windows are undersampled (seeded) to the positive count.
+    remaining windows are undersampled (seeded) to the positive count.  Rows
+    are all positives, then the kept negatives, each in stream order.
     """
-    pos_refs: list[tuple[int, int]] = []
-    neg_refs: list[tuple[int, int]] = []
-    for pi, (stream, truth) in enumerate(pairs):
-        window_seconds = WINDOW_FRAMES / stream.sample_rate_hz
-        for start in window_starts(len(stream), cfg.stride_frames):
-            start_t = float(stream.t[start])
-            positive = any(
-                overlap_seconds(start_t, start_t + window_seconds, ev.start, ev.end)
-                >= 0.5 * window_seconds
-                for ev in truth
-            )
-            (pos_refs if positive else neg_refs).append((pi, start))
+    labels = [
+        window_labels(
+            stream.t[list(window_starts(len(stream), cfg.stride_frames))],
+            WINDOW_FRAMES / stream.sample_rate_hz,
+            truth,
+        )
+        for stream, truth in pairs
+    ]
+    positive = np.concatenate(labels) if labels else np.zeros(0, dtype=bool)
+    negative = ~positive
+    n_pos, n_neg = int(positive.sum()), int(negative.sum())
     rng = np.random.default_rng([seed, 4])
-    if len(neg_refs) > len(pos_refs):
-        keep = rng.choice(len(neg_refs), size=len(pos_refs), replace=False)
-        neg_refs = [neg_refs[i] for i in sorted(keep)]
-    chosen = [make_window(pairs[pi][0], start) for pi, start in pos_refs + neg_refs]
-    x = featurize_windows(chosen, feature_kind) if chosen else np.empty((0,))
-    y = np.array([INTEREST_IDX] * len(pos_refs) + [NON_INTEREST_IDX] * len(neg_refs))
+    if n_neg > n_pos:
+        neg_idx = np.flatnonzero(negative)
+        negative[:] = False
+        negative[neg_idx[rng.choice(n_neg, size=n_pos, replace=False)]] = True
+        n_neg = n_pos
+    # featurize one stream at a time and keep only its chosen rows
+    bounds = np.cumsum([len(lab) for lab in labels])[:-1]
+    pos_rows, neg_rows = [], []
+    for (stream, _), pos, neg in zip(pairs, np.split(positive, bounds), np.split(negative, bounds)):
+        if pos.any() or neg.any():
+            _, x = featurize_stream(stream, feature_kind, cfg.stride_frames)
+            pos_rows.append(x[pos])
+            neg_rows.append(x[neg])
+    x = np.concatenate(pos_rows + neg_rows) if pos_rows else np.empty((0,))
+    y = np.array([INTEREST_IDX] * n_pos + [NON_INTEREST_IDX] * n_neg)
     return x, y
 
 
@@ -288,15 +308,16 @@ def build_phase2_dataset(
     for stream, truth in pairs:
         half_span = 0.5 * WINDOW_FRAMES / stream.sample_rate_hz
         chosen, chosen_labels = [], []
-        for start in window_starts(len(stream), cfg.stride_frames):
+        for i, start in enumerate(window_starts(len(stream), cfg.stride_frames)):
             center = float(stream.t[start]) + half_span
             for ev in truth:
                 if ev.start <= center <= ev.end:
-                    chosen.append(make_window(stream, start))
+                    chosen.append(i)
                     chosen_labels.append(INTEREST_CLASSES.index(ev.label))
                     break
         if chosen:
-            feats.append(featurize_windows(chosen, feature_kind))
+            _, x = featurize_stream(stream, feature_kind, cfg.stride_frames)
+            feats.append(x[chosen])
             labels.extend(chosen_labels)
     x = np.concatenate(feats) if feats else np.empty((0,))
     return x, np.array(labels)

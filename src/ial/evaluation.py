@@ -21,6 +21,7 @@ from .detector import (
     _events_from_scores,
     overlap_seconds,
     score_windows,
+    window_labels,
 )
 from .errors import ConfigError, UnsortedInputError
 from .net import Network
@@ -205,13 +206,9 @@ def _window_diagnostics(
     """Window-level confusion (including TN) of thresholded interest scores
     against the >= 50%-overlap window labeling; diagnostic only."""
     window_seconds = WINDOW_FRAMES / stream.sample_rate_hz
+    labels = window_labels([s.start_t for s in scores], window_seconds, truth)
     counts = ConfusionCounts()
-    for s in scores:
-        actual = any(
-            overlap_seconds(s.start_t, s.start_t + window_seconds, ev.start, ev.end)
-            >= 0.5 * window_seconds
-            for ev in truth
-        )
+    for s, actual in zip(scores, labels):
         predicted = s.interest_prob >= cfg.interest_threshold
         if actual and predicted:
             counts.n_tp += 1

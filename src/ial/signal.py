@@ -3,7 +3,8 @@
 A window covers 150 consecutive frames (3 s at 50 Hz).  Channel order is
 ax, ay, az, |a|, gx, gy, gz, |g|; each channel is min-max normalized over the
 window, so a later median downsample by 3 gives the 50x8 image fed to the
-models.
+models.  ``window_images`` computes every window of a stream in one pass;
+``make_window`` cuts a single window and is its per-window reference.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Stream
 from .errors import (
@@ -23,19 +25,6 @@ from .errors import (
 WINDOW_FRAMES = 150
 DOWNSAMPLE_FACTOR = 3
 CHANNEL_NAMES = ("ax", "ay", "az", "a_mag", "gx", "gy", "gz", "g_mag")
-DEFAULT_STRIDE_FRAMES = 15
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizationStats:
-    """Per-channel extrema used for min-max scaling."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.lo > self.hi):
-            raise ValueError("per-channel min must not exceed max")
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,31 +33,14 @@ class SignalWindow:
 
     frames: np.ndarray
     start_t: float
-    frame_period: float
-
-    @property
-    def span_s(self) -> float:
-        return self.frames.shape[0] * self.frame_period
 
 
-def magnitude(x) -> float:
-    """Euclidean norm of a 3-vector."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteInputError("magnitude of non-finite vector")
-    return float(np.sqrt(v @ v))
-
-
-def minmax_normalize(channel, lo: float, hi: float) -> np.ndarray:
-    """Scale values to [0, 1] given channel extrema; constant channels map to 0.5."""
-    x = np.asarray(channel, dtype=np.float64)
-    if lo > hi:
-        raise ValueError("lo must not exceed hi")
-    if hi > lo:
-        return (x - lo) / (hi - lo)
-    return np.full_like(x, 0.5)
+def _unit_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Min-max scale ``x`` by per-channel extrema (broadcast against it); a
+    channel with hi == lo is constant and maps to 0.5."""
+    span = hi - lo
+    shifted = x - lo
+    return np.divide(shifted, span, out=np.full_like(shifted, 0.5), where=span > 0)
 
 
 def median_downsample(matrix: np.ndarray, factor: int = DOWNSAMPLE_FACTOR) -> np.ndarray:
@@ -93,22 +65,18 @@ def eight_channels(values: np.ndarray) -> np.ndarray:
     return np.column_stack([a, a_mag, g, g_mag])
 
 
-def window_stats(channels: np.ndarray) -> NormalizationStats:
-    return NormalizationStats(channels.min(axis=0), channels.max(axis=0))
-
-
 def make_window(stream: Stream, start_frame: int) -> SignalWindow:
-    """Cut 150 frames at ``start_frame``, add magnitudes, min-max normalize per channel."""
+    """Cut 150 frames at ``start_frame``, add magnitudes, min-max normalize per channel.
+
+    The per-window reference for ``window_images``.
+    """
     if start_frame < 0 or start_frame + WINDOW_FRAMES > len(stream):
         raise OutOfRangeError(
             f"window [{start_frame}, {start_frame + WINDOW_FRAMES}) outside stream of {len(stream)}"
         )
     raw = eight_channels(stream.values[start_frame : start_frame + WINDOW_FRAMES])
-    stats = window_stats(raw)
-    frames = np.empty_like(raw)
-    for c in range(raw.shape[1]):
-        frames[:, c] = minmax_normalize(raw[:, c], float(stats.lo[c]), float(stats.hi[c]))
-    return SignalWindow(frames, float(stream.t[start_frame]), 1.0 / stream.sample_rate_hz)
+    frames = _unit_scale(raw, raw.min(axis=0), raw.max(axis=0))
+    return SignalWindow(frames, float(stream.t[start_frame]))
 
 
 def window_starts(n_frames: int, stride_frames: int) -> range:
@@ -119,6 +87,32 @@ def window_starts(n_frames: int, stride_frames: int) -> range:
     return range(0, n_frames - WINDOW_FRAMES + 1, stride_frames)
 
 
-def slide_windows(stream: Stream, stride_frames: int = DEFAULT_STRIDE_FRAMES) -> list[SignalWindow]:
-    """All windows at start frames 0, s, 2s, ...; count = floor((L-150)/s) + 1."""
-    return [make_window(stream, start) for start in window_starts(len(stream), stride_frames)]
+def window_images(stream: Stream, stride_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every window's start frame and its normalized 50x8 image, in one pass.
+
+    Windows start at frames 0, s, 2s, ...; count = floor((L-150)/s) + 1.
+    Returns ``(start_frames, images)`` with images of shape (count, 50, 8),
+    equal to ``image_feature(make_window(stream, start))`` for every start.
+
+    The median of each frame triple is taken once on the raw channels and
+    normalized afterwards.  That is exact: subtracting ``lo`` and dividing by
+    a positive span are both monotone under IEEE rounding, so the middle of
+    three values stays the middle, and a median of 3 commutes with the
+    per-window min-max.
+    """
+    starts = np.asarray(window_starts(len(stream), stride_frames))
+    channels = eight_channels(stream.values[: starts[-1] + WINDOW_FRAMES])
+    # (count, 8, 150) view: one strided slice per window, nothing copied
+    spans = sliding_window_view(channels, WINDOW_FRAMES, axis=0)[::stride_frames]
+    lo = spans.min(axis=2)[:, None, :]
+    hi = spans.max(axis=2)[:, None, :]
+    rows = WINDOW_FRAMES // DOWNSAMPLE_FACTOR
+    medians = np.empty((len(starts), rows, channels.shape[1]))
+    phases = starts % DOWNSAMPLE_FACTOR
+    for phase in np.unique(phases):
+        # medians of the triples starting at frames phase, phase + 3, ...
+        n_triples = (len(channels) - phase) // DOWNSAMPLE_FACTOR
+        triples = median_downsample(channels[phase : phase + DOWNSAMPLE_FACTOR * n_triples])
+        first = starts[phases == phase] // DOWNSAMPLE_FACTOR
+        medians[phases == phase] = triples[first[:, None] + np.arange(rows)]
+    return starts, _unit_scale(medians, lo, hi)

@@ -4,6 +4,9 @@ from pathlib import Path
 
 from ial.cli import main
 from ial.config import config_hash, load_run_config
+from ial.data import ingest_stream
+from ial.features import image_feature, vector_feature
+from ial.signal import make_window, window_starts
 from ial.net import Dense
 
 
@@ -109,7 +112,12 @@ def test_full_pipeline_train_detect_eval(tmp_path, capsys):
     assert main(["--config", str(cfg), "detect", str(stream_path), "--dump-features", str(dump)]) == 0
     tsv = out / "s01_r10.events.tsv"
     assert tsv.is_file() and (out / "s01_r10.events.json").is_file()
-    assert dump.read_text().splitlines()[0].startswith("# config_hash=")
+    dump_lines = dump.read_text().splitlines()
+    assert dump_lines[0].startswith("# config_hash=")
+    stream = ingest_stream(stream_path)
+    for line, start in zip(dump_lines[2:], window_starts(len(stream), 15), strict=True):
+        vector = vector_feature(image_feature(make_window(stream, start))).values
+        assert line == ",".join(repr(float(v)) for v in [stream.t[start], *vector])
     starts = [float(line.split("\t")[1]) for line in tsv.read_text().splitlines()[1:]]
     assert starts == sorted(starts)
 

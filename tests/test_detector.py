@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import ial.detector
 from ial.data import ActionClass, GroundTruthEvent, Stream, SyntheticConfig, generate_synthetic_stream
 from ial.detector import (
     DetectorConfig,
@@ -11,7 +12,7 @@ from ial.detector import (
     build_phase2_dataset,
     classify_event,
     detect,
-    featurize_windows,
+    featurize_stream,
     score_windows,
     segment_events,
     write_events_json,
@@ -23,6 +24,7 @@ from ial.errors import (
     ModelFeatureMismatchError,
     StreamTooShortError,
 )
+from ial.evaluation import evaluate_run
 from ial.net import TrainConfig, build_network, image_model_spec, train, vector_model_spec
 
 
@@ -164,10 +166,16 @@ def test_segment_threshold_monotonicity():
 # ---------------------------------------------------------------------------
 
 
+def classify(stream, interval, phase2, cfg):
+    """classify_event on the window rows of a phase-one pass over the stream."""
+    scores = score_windows(stream, constant_model("fc", 2, [0.0, 1.0]), "vector", cfg)
+    return classify_event(stream, scores, interval, phase2, cfg, "vector")
+
+
 def test_classify_constant_one_hot():
     stream = make_stream(n=400)
     model = constant_model("fc", 5, [0.0, 0.0, 1.0, 0.0, 0.0])
-    label, conf = classify_event(stream, (1.0, 4.0), model, DetectorConfig(), "vector")
+    label, conf = classify(stream, (1.0, 4.0), model, DetectorConfig())
     assert label is ActionClass.WAVE  # class index 2
     assert conf == 1.0
 
@@ -177,8 +185,8 @@ def test_classify_center_equals_mean_for_constant_probs():
     model = constant_model("fc", 5, [0.1, 0.2, 0.3, 0.25, 0.15])
     mean_cfg = DetectorConfig(classification_mode="mean-probability")
     center_cfg = DetectorConfig(classification_mode="center-window")
-    assert classify_event(stream, (1.0, 4.0), model, mean_cfg, "vector") == classify_event(
-        stream, (1.0, 4.0), model, center_cfg, "vector"
+    assert classify(stream, (1.0, 4.0), model, mean_cfg) == classify(
+        stream, (1.0, 4.0), model, center_cfg
     )
 
 
@@ -186,7 +194,7 @@ def test_classify_tie_breaks_to_lowest_index():
     stream = make_stream(n=400)
     # interval [1.4, 2.0] contains exactly the window centers 1.5 and 1.8
     model = scripted_model(5, [[0.6, 0.4, 0.0, 0.0, 0.0], [0.4, 0.6, 0.0, 0.0, 0.0]])
-    label, conf = classify_event(stream, (1.4, 2.0), model, DetectorConfig(), "vector")
+    label, conf = classify(stream, (1.4, 2.0), model, DetectorConfig())
     assert label is ActionClass.SWIPE_LEFT
     assert conf == pytest.approx(0.5)
 
@@ -195,7 +203,7 @@ def test_classify_interval_outside_stream():
     stream = make_stream(n=400)
     model = constant_model("fc", 5, [1.0, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(IntervalOutsideStreamError):
-        classify_event(stream, (100.0, 102.0), model, DetectorConfig(), "vector")
+        classify(stream, (100.0, 102.0), model, DetectorConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +309,44 @@ def test_phase2_dataset_image_kind_shape():
 
 def test_featurize_unknown_kind():
     with pytest.raises(ConfigError):
-        featurize_windows([], "spectrogram")
+        featurize_stream(make_stream(n=200), "spectrogram", 15)
+
+
+# ---------------------------------------------------------------------------
+# one featurizing pass per stream
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def featurized(monkeypatch):
+    """Records the stream of every featurize_stream call."""
+    calls = []
+    real = ial.detector.featurize_stream
+
+    def counting(stream, *args):
+        calls.append(stream)
+        return real(stream, *args)
+
+    monkeypatch.setattr(ial.detector, "featurize_stream", counting)
+    return calls
+
+
+def test_detect_featurizes_the_stream_once(featurized):
+    stream, _ = stream_with_event()
+    phase1 = constant_model("fc", 2, [0.0, 1.0])  # every window positive: one event
+    phase2 = constant_model("fc", 5, [0.0, 0.0, 1.0, 0.0, 0.0])
+    events = detect(stream, phase1, phase2, DetectorConfig(), "vector")
+    assert len(events) == 1
+    assert featurized == [stream]
+
+
+def test_evaluate_run_featurizes_each_stream_once(featurized):
+    pairs = [stream_with_event(seed=1), stream_with_event(seed=2)]
+    phase1 = constant_model("fc", 2, [0.0, 1.0])
+    phase2 = constant_model("fc", 5, [0.0, 0.0, 1.0, 0.0, 0.0])
+    report1, _ = evaluate_run(pairs, phase1, phase2, DetectorConfig(), "vector")
+    assert report1.counts.n_tp == 2
+    assert featurized == [stream for stream, _ in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from ial.data import Stream
 
 
 def window_from(frames):
-    return SignalWindow(np.asarray(frames, dtype=np.float64), 0.0, 0.02)
+    return SignalWindow(np.asarray(frames, dtype=np.float64), 0.0)
 
 
 def random_window(rng):
@@ -92,18 +92,19 @@ def test_pipeline_shape_contract():
     t = np.arange(200) / 50.0
     stream = Stream(1, 1, t, rng.normal(0, 2, (200, 6)), 50.0)
     w = make_window(stream, 25)
-    img = image_feature(w, source=(1, 1))
+    img = image_feature(w)
     assert img.pixels.shape == (50, 8)
-    assert img.source == (1, 1)
+    assert img.start_t == 0.5
     assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0
 
 
 def test_write_vector_csv(tmp_path):
     rng = np.random.default_rng(2)
-    feats = [vector_feature(image_feature(random_window(rng))) for _ in range(3)]
+    vectors = np.stack([vector_feature(image_feature(random_window(rng))).values for _ in range(3)])
     path = tmp_path / "f.csv"
-    write_vector_csv(feats, path, ["config_hash=abc"])
+    write_vector_csv([0.0, 0.3, 0.6], vectors, path, ["config_hash=abc"])
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_hash=abc"
     assert lines[1].startswith("start_t,mean_0")
     assert len(lines) == 5
+    assert lines[3].split(",") == ["0.3"] + [repr(float(v)) for v in vectors[1]]

@@ -8,13 +8,13 @@ from ial.errors import (
     OutOfRangeError,
     StreamTooShortError,
 )
+from ial.features import image_feature, vector_batch, vector_feature
 from ial.signal import (
     WINDOW_FRAMES,
-    magnitude,
+    eight_channels,
     make_window,
     median_downsample,
-    minmax_normalize,
-    slide_windows,
+    window_images,
     window_starts,
 )
 
@@ -30,8 +30,16 @@ def random_stream(rng, n=200):
 
 
 # ---------------------------------------------------------------------------
-# magnitude
+# magnitudes (eight_channels columns 3 and 7)
 # ---------------------------------------------------------------------------
+
+
+def magnitude(v):
+    """|v| as eight_channels computes it, checked equal in the accel and gyro columns."""
+    v = np.asarray(v, dtype=np.float64)
+    row = eight_channels(np.concatenate([v, v])[None, :])[0]
+    assert row[3] == row[7]
+    return row[3]
 
 
 def test_magnitude_pythagorean():
@@ -62,20 +70,36 @@ def test_magnitude_sign_and_permutation_invariant():
 
 
 # ---------------------------------------------------------------------------
-# minmax_normalize
+# per-window min-max, on both window paths
 # ---------------------------------------------------------------------------
 
 
+def ax_stream(column):
+    """150 frames whose ax channel is ``column`` (tiled) and every other axis 0."""
+    values = np.zeros((WINDOW_FRAMES, 6))
+    values[:, 0] = np.resize(np.asarray(column, dtype=np.float64), WINDOW_FRAMES)
+    return make_stream(values)
+
+
 def test_minmax_basic():
-    assert list(minmax_normalize([2.0, 4.0, 6.0], 2.0, 6.0)) == [0.0, 0.5, 1.0]
+    stream = ax_stream([2.0, 4.0, 6.0])
+    assert list(make_window(stream, 0).frames[:3, 0]) == [0.0, 0.5, 1.0]
+    _, images = window_images(stream, 1)
+    assert np.all(images[0, :, 0] == 0.5)  # the median of each (2, 4, 6) triple
 
 
 def test_minmax_constant_channel():
-    assert list(minmax_normalize([5.0, 5.0, 5.0], 5.0, 5.0)) == [0.5, 0.5, 0.5]
+    stream = ax_stream([5.0])
+    assert np.all(make_window(stream, 0).frames == 0.5)
+    _, images = window_images(stream, 1)
+    assert np.all(images == 0.5)
 
 
 def test_minmax_full_span():
-    assert list(minmax_normalize([0.0, 10.0], 0.0, 10.0)) == [0.0, 1.0]
+    stream = ax_stream([0.0, 10.0, 10.0])
+    assert list(make_window(stream, 0).frames[:3, 0]) == [0.0, 1.0, 1.0]
+    _, images = window_images(stream, 1)
+    assert np.all(images[0, :, 0] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +191,14 @@ def test_make_window_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# slide_windows
+# window_images
 # ---------------------------------------------------------------------------
 
 
 def test_slide_single_window():
     stream = make_stream(np.zeros((150, 6)))
-    assert len(slide_windows(stream, 40)) == 1
+    starts, images = window_images(stream, 40)
+    assert list(starts) == [0] and images.shape == (1, 50, 8)
 
 
 def test_slide_count_6000_stride_15():
@@ -183,12 +208,39 @@ def test_slide_count_6000_stride_15():
 def test_slide_too_short():
     stream = make_stream(np.zeros((149, 6)))
     with pytest.raises(StreamTooShortError):
-        slide_windows(stream, 15)
+        window_images(stream, 15)
 
 
 def test_slide_start_times():
     rng = np.random.default_rng(2)
     stream = random_stream(rng, n=320)
-    windows = slide_windows(stream, 50)
-    assert [w.start_t for w in windows] == [0.0, 1.0, 2.0, 3.0]
-    assert all(w.frames.shape == (WINDOW_FRAMES, 8) for w in windows)
+    starts, images = window_images(stream, 50)
+    assert list(stream.t[starts]) == [0.0, 1.0, 2.0, 3.0]
+    assert images.shape == (4, WINDOW_FRAMES // 3, 8)
+
+
+def equivalence_streams():
+    """Seeded streams with a channel constant over the whole stream and one
+    constant inside some windows only."""
+    rng = np.random.default_rng(2112)
+    streams = []
+    for n in (150, 151, 437, 1000):
+        values = rng.normal(0, 3, (n, 6))
+        values[:, 2] = 9.81  # az constant everywhere
+        values[100:400, 4] = -1.5  # gx constant inside some windows
+        streams.append(make_stream(values))
+    gx_a_zero = np.zeros((600, 6))
+    gx_a_zero[:, 3:6] = rng.normal(0, 1, (600, 3))  # accel and |a| constant 0
+    streams.append(make_stream(gx_a_zero))
+    return streams
+
+
+@pytest.mark.parametrize("stride", [1, 7, 15, 40])
+def test_window_images_equal_the_per_window_reference(stride):
+    for stream in equivalence_streams():
+        starts, images = window_images(stream, stride)
+        assert list(starts) == list(window_starts(len(stream), stride))
+        reference = [image_feature(make_window(stream, int(s))) for s in starts]
+        assert np.array_equal(images, np.stack([img.pixels for img in reference]))
+        vectors = [vector_feature(img).values for img in reference]
+        assert np.array_equal(vector_batch(images), np.stack(vectors))

@@ -143,7 +143,7 @@ def _write_loss_csv(path: Path, losses: list, chash: str) -> None:
 
 def cmd_train(cfg: RunConfig) -> int:
     chash = config_hash(cfg)
-    pairs = dat.load_dataset(_manifest_path(cfg))
+    pairs = dat.load_dataset(_manifest_path(cfg), cfg.schema)
     streams = [s for s, _ in pairs]
     train_streams, _ = dat.split_dataset(streams)
     train_ids = {(s.subject_id, s.stream_id) for s in train_streams}
@@ -170,7 +170,7 @@ def _load_models(cfg: RunConfig) -> tuple[net.Network, net.Network]:
 def cmd_detect(cfg: RunConfig, stream_path: str, dump_features: str | None) -> int:
     chash = config_hash(cfg)
     phase1, phase2 = _load_models(cfg)
-    stream = dat.ingest_stream(stream_path, sample_rate_hz=cfg.synthetic.sample_rate_hz)
+    stream = dat.ingest_stream(stream_path, cfg.schema, sample_rate_hz=cfg.synthetic.sample_rate_hz)
     events = det.detect(stream, phase1, phase2, cfg.detector, cfg.feature_kind, cfg.threads)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,7 +189,7 @@ def cmd_detect(cfg: RunConfig, stream_path: str, dump_features: str | None) -> i
 def cmd_eval(cfg: RunConfig) -> int:
     chash = config_hash(cfg)
     phase1, phase2 = _load_models(cfg)
-    pairs = dat.load_dataset(_manifest_path(cfg))
+    pairs = dat.load_dataset(_manifest_path(cfg), cfg.schema)
     _, test_streams = dat.split_dataset([s for s, _ in pairs])
     test_ids = {(s.subject_id, s.stream_id) for s in test_streams}
     test_pairs = [(s, t) for s, t in pairs if (s.subject_id, s.stream_id) in test_ids]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import INTEREST_CLASSES, ActionClass, SyntheticConfig
@@ -60,48 +60,14 @@ class RunConfig:
             raise ConfigError("seed must be non-negative")
 
     def to_dict(self) -> dict:
-        amp = {cls.name.lower(): list(self.synthetic.amplitude_range[cls]) for cls in INTEREST_CLASSES}
-        return {
-            "manifest": self.manifest,
-            "out_dir": self.out_dir,
-            "feature_kind": self.feature_kind,
-            "model": self.model,
-            "seed": self.seed,
-            "threads": self.threads,
-            "schema": self.schema,
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "momentum": self.train.momentum,
-                "batch_size": self.train.batch_size,
-                "epochs": self.train.epochs,
-                "dropout_rate": self.train.dropout_rate,
-                "seed": self.train.seed,
-                "bn_eps": self.train.bn_eps,
-            },
-            "detector": {
-                "interest_threshold": self.detector.interest_threshold,
-                "min_event_windows": self.detector.min_event_windows,
-                "merge_gap_windows": self.detector.merge_gap_windows,
-                "stride_frames": self.detector.stride_frames,
-                "classification_mode": self.detector.classification_mode,
-            },
-            "synthetic": {
-                "seed": self.synthetic.seed,
-                "stream_duration_s": self.synthetic.stream_duration_s,
-                "events_per_stream": self.synthetic.events_per_stream,
-                "noise_std": self.synthetic.noise_std,
-                "amplitude_range": amp,
-                "event_duration_range": list(self.synthetic.event_duration_range),
-                "min_gap_s": self.synthetic.min_gap_s,
-                "sample_rate_hz": self.synthetic.sample_rate_hz,
-                "n_subjects": self.synthetic.n_subjects,
-                "n_streams": self.synthetic.n_streams,
-            },
-            "eval": {
-                "match_rule": self.eval.match_rule,
-                "iou_threshold": self.eval.iou_threshold,
-            },
+        """The resolved configuration as JSON types, in field order."""
+        doc = asdict(self)
+        sy = self.synthetic
+        doc["synthetic"]["amplitude_range"] = {
+            cls.name.lower(): list(sy.amplitude_range[cls]) for cls in INTEREST_CLASSES
         }
+        doc["synthetic"]["event_duration_range"] = list(sy.event_duration_range)
+        return doc
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -109,8 +75,9 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
-def _take(section: dict, allowed: set[str], where: str) -> dict:
-    unknown = set(section) - allowed
+def _take(section: dict, cls, where: str) -> dict:
+    """``section`` after checking that every key names a field of dataclass ``cls``."""
+    unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     return section
@@ -127,29 +94,17 @@ def _amplitude_map(raw: dict) -> dict[ActionClass, tuple[float, float]]:
 
 
 def _build(doc: dict) -> RunConfig:
-    top_allowed = {
-        "manifest", "out_dir", "feature_kind", "model", "seed", "threads", "schema",
-        "train", "detector", "synthetic", "eval",
-    }
-    _take(doc, top_allowed, "config")
+    _take(doc, RunConfig, "config")
     seed = int(doc.get("seed", 0))
 
-    tr = dict(_take(doc.get("train", {}), {
-        "learning_rate", "momentum", "batch_size", "epochs", "dropout_rate", "seed", "bn_eps",
-    }, "train"))
+    tr = dict(_take(doc.get("train", {}), TrainConfig, "train"))
     tr.setdefault("seed", seed)
     train = TrainConfig(**tr)
 
-    det = _take(doc.get("detector", {}), {
-        "interest_threshold", "min_event_windows", "merge_gap_windows",
-        "stride_frames", "classification_mode",
-    }, "detector")
+    det = _take(doc.get("detector", {}), DetectorConfig, "detector")
     detector = DetectorConfig(**det)
 
-    sy = dict(_take(doc.get("synthetic", {}), {
-        "seed", "stream_duration_s", "events_per_stream", "noise_std", "amplitude_range",
-        "event_duration_range", "min_gap_s", "sample_rate_hz", "n_subjects", "n_streams",
-    }, "synthetic"))
+    sy = dict(_take(doc.get("synthetic", {}), SyntheticConfig, "synthetic"))
     sy.setdefault("seed", seed)
     if "amplitude_range" in sy:
         sy["amplitude_range"] = _amplitude_map(sy["amplitude_range"])
@@ -157,7 +112,7 @@ def _build(doc: dict) -> RunConfig:
         sy["event_duration_range"] = tuple(sy["event_duration_range"])
     synthetic = SyntheticConfig(**sy)
 
-    ev = _take(doc.get("eval", {}), {"match_rule", "iou_threshold"}, "eval")
+    ev = _take(doc.get("eval", {}), EvalConfig, "eval")
     eval_cfg = EvalConfig(**ev)
 
     schema = doc.get("schema")

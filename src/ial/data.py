@@ -26,9 +26,11 @@ from .errors import (
     ConfigError,
     InfeasiblePackingError,
     InvertedIntervalError,
+    MalformedManifestError,
     MalformedRowError,
     MissingFileError,
     NonMonotoneTimestampsError,
+    OutOfRangeError,
     OverlappingEventsError,
     UnknownLabelError,
 )
@@ -275,7 +277,7 @@ def split_dataset(streams: Sequence[Stream]) -> tuple[list[Stream], list[Stream]
     """Partition streams into train (ids 1..9) and test (id 10), per subject."""
     for s in streams:
         if not 1 <= s.stream_id <= 10:
-            raise ValueError(f"stream_id {s.stream_id} outside 1..10")
+            raise OutOfRangeError(f"stream_id {s.stream_id} outside 1..10")
     train = [s for s in streams if s.stream_id <= 9]
     test = [s for s in streams if s.stream_id == 10]
     return train, test
@@ -382,12 +384,20 @@ def load_manifest(path) -> tuple[list[ManifestEntry], float]:
     p = Path(path)
     if not p.is_file():
         raise MissingFileError(str(p))
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    entries = [
-        ManifestEntry(e["subject_id"], e["stream_id"], e["stream_path"], e["labels_path"])
-        for e in doc["streams"]
-    ]
-    return entries, float(doc.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ))
+    try:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise MalformedManifestError(f"{p}: invalid JSON ({exc})") from None
+    try:
+        entries = [
+            ManifestEntry(e["subject_id"], e["stream_id"], e["stream_path"], e["labels_path"])
+            for e in doc["streams"]
+        ]
+        return entries, float(doc.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ))
+    except KeyError as exc:
+        raise MalformedManifestError(f"{p}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedManifestError(f"{p}: {exc}") from None
 
 
 def load_dataset(

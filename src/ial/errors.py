@@ -29,6 +29,10 @@ class MissingFileError(DataError):
     pass
 
 
+class MalformedManifestError(DataError):
+    """A manifest that is not valid JSON or lacks a required field."""
+
+
 class MalformedRowError(DataError):
     """A data row that cannot be parsed; ``line_no`` is 1-based over data rows."""
 

@@ -1,17 +1,17 @@
 """Minimal double-precision neural network stack with manual backpropagation.
 
 Two architectures are supported: a 3-block CNN (16/32/64 same-padded 3x3
-convolutions, each with batchnorm, ReLU and 2x2 max-pooling, then dropout and
-a single dense output layer) for 50x8x1 image inputs, and a 4-layer dense
-network (three 128-unit hidden layers with ReLU, dropout, dense output) for
-16-dim vector inputs.  Every layer's backward pass is verified against
-central finite differences by ``gradient_check``.
+convolutions without bias, each with batchnorm, ReLU and 2x2 max-pooling, then
+dropout and a single dense output layer) for 50x8x1 image inputs, and a
+4-layer dense network (three 128-unit hidden layers with ReLU, dropout, dense
+output) for 16-dim vector inputs.  Every layer's backward pass is verified
+against central finite differences by ``gradient_check``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +51,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, one_hot: np.ndarray) -> float:
-    """-ln p_true with probabilities clamped at 1e-12."""
-    p_true = float(np.sum(np.asarray(probs) * np.asarray(one_hot)))
-    return -float(np.log(max(p_true, 1e-12)))
-
-
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch plus the gradient w.r.t. the logits.
 
@@ -72,7 +66,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 cross-correlation.
+    """Same-padded stride-1 cross-correlation plus a per-output-channel bias.
 
     ``x`` is (H, W, C_in) or (N, H, W, C_in); ``kernels`` is
     (C_out, kh, kw, C_in) with odd kh/kw; output keeps the spatial size.
@@ -80,7 +74,7 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 3
     xb = x[None] if single else x
-    y = _conv_forward(xb, np.asarray(kernels, dtype=np.float64), np.asarray(bias, dtype=np.float64))[0]
+    y = _conv_forward(xb, np.asarray(kernels, dtype=np.float64))[0] + np.asarray(bias, dtype=np.float64)
     return y[0] if single else y
 
 
@@ -93,70 +87,12 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     return y[0] if single else y
 
 
-def batchnorm(
-    batch: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    eps: float = 1e-5,
-    mode: str = "train",
-    running_mean: np.ndarray | None = None,
-    running_var: np.ndarray | None = None,
-) -> np.ndarray:
-    """Normalize per channel (last axis); train mode uses batch statistics."""
-    x = np.asarray(batch, dtype=np.float64)
-    axes = tuple(range(x.ndim - 1))
-    if mode == "train":
-        if x.shape[0] < 2:
-            raise BatchTooSmallError(f"batch of {x.shape[0]} in train mode")
-        mean, var = x.mean(axes), x.var(axes)
-    elif mode == "infer":
-        if running_mean is None or running_var is None:
-            raise ValueError("infer mode needs running statistics")
-        mean, var = running_mean, running_var
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return gamma * (x - mean) / np.sqrt(var + eps) + beta
-
-
-def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map y = W x + b; W has one row per output unit."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != w.shape[1]:
-        raise ShapeMismatchError(f"input width {x.shape[-1]} != {w.shape[1]}")
-    return x @ w.T + b
-
-
-def dropout(x: np.ndarray, rate: float, train: bool, seed: int = 0) -> np.ndarray:
-    """Inverted dropout: zero units with probability ``rate`` and rescale survivors."""
-    if not 0.0 <= rate < 1.0:
-        raise InvalidRateError(f"dropout rate {rate} outside [0, 1)")
-    x = np.asarray(x, dtype=np.float64)
-    if not train or rate == 0.0:
-        return x.copy()
-    mask = np.random.default_rng(seed).random(x.shape) >= rate
-    return x * mask / (1.0 - rate)
-
-
-def sgd_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    velocities: list[np.ndarray],
-    learning_rate: float,
-    momentum: float,
-) -> None:
-    """Momentum SGD, in place: v <- mu v - lr g; theta <- theta + v."""
-    for p, g, v in zip(params, grads, velocities):
-        v *= momentum
-        v -= learning_rate * g
-        p += v
-
-
 # ---------------------------------------------------------------------------
 # batched layer internals
 # ---------------------------------------------------------------------------
 
 
-def _conv_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
+def _conv_forward(x: np.ndarray, kernels: np.ndarray):
     n, h, w, c_in = x.shape
     c_out, kh, kw, kc = kernels.shape
     if kc != c_in:
@@ -169,7 +105,7 @@ def _conv_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
     # view: (N, H, W, C_in, kh, kw) -> columns (N*H*W, kh*kw*C_in)
     cols = view.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, kh * kw * c_in)
     wmat = kernels.transpose(1, 2, 3, 0).reshape(kh * kw * c_in, c_out)
-    y = (cols @ wmat + bias).reshape(n, h, w, c_out)
+    y = (cols @ wmat).reshape(n, h, w, c_out)
     return y, cols
 
 
@@ -178,7 +114,6 @@ def _conv_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernels: np.ndarra
     c_out, kh, kw, _ = kernels.shape
     ph, pw = kh // 2, kw // 2
     dy_flat = dy.reshape(n * h * w, c_out)
-    db = dy_flat.sum(axis=0)
     dwmat = cols.T @ dy_flat
     dkernels = dwmat.reshape(kh, kw, c_in, c_out).transpose(3, 0, 1, 2)
     wmat = kernels.transpose(1, 2, 3, 0).reshape(kh * kw * c_in, c_out)
@@ -188,7 +123,7 @@ def _conv_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernels: np.ndarra
         for j in range(kw):
             dpad[:, i : i + h, j : j + w, :] += dcols[:, :, :, i, j, :]
     dx = dpad[:, ph : ph + h, pw : pw + w, :]
-    return dx, dkernels, db
+    return dx, dkernels
 
 
 def _pool_forward(x: np.ndarray):
@@ -222,29 +157,31 @@ def _pool_backward(dy: np.ndarray, idx: np.ndarray, x_shape):
 
 
 class Conv2D:
+    """Same-padded convolution without a bias: every conv here feeds a
+    BatchNorm, whose batch-mean subtraction cancels any per-channel constant."""
+
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
         fan_in = kernel * kernel * c_in
         fan_out = kernel * kernel * c_out
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         self.kernels = rng.uniform(-limit, limit, (c_out, kernel, kernel, c_in))
-        self.bias = np.zeros(c_out)
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        y, cols = _conv_forward(x, self.kernels, self.bias)
+        y, cols = _conv_forward(x, self.kernels)
         self._cache = (cols, x.shape)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         cols, x_shape = self._cache
-        dx, self.d_kernels, self.d_bias = _conv_backward(dy, cols, x_shape, self.kernels)
+        dx, self.d_kernels = _conv_backward(dy, cols, x_shape, self.kernels)
         return dx
 
     def params(self):
-        return {"kernels": self.kernels, "bias": self.bias}
+        return {"kernels": self.kernels}
 
     def grads(self):
-        return {"kernels": self.d_kernels, "bias": self.d_bias}
+        return {"kernels": self.d_kernels}
 
 
 class Dense:
@@ -430,35 +367,6 @@ class ModelSpec:
         if self.kind == FC_KIND and len(self.input_shape) != 1:
             raise ConfigError("fc input must be (D,)")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_classes": self.n_classes,
-            "input_shape": list(self.input_shape),
-            "conv_filters": list(self.conv_filters),
-            "kernel": self.kernel,
-            "hidden_units": self.hidden_units,
-            "hidden_layers": self.hidden_layers,
-            "dropout_rate": self.dropout_rate,
-            "bn_eps": self.bn_eps,
-            "bn_momentum": self.bn_momentum,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(
-            kind=d["kind"],
-            n_classes=d["n_classes"],
-            input_shape=tuple(d["input_shape"]),
-            conv_filters=tuple(d["conv_filters"]),
-            kernel=d["kernel"],
-            hidden_units=d["hidden_units"],
-            hidden_layers=d["hidden_layers"],
-            dropout_rate=d["dropout_rate"],
-            bn_eps=d["bn_eps"],
-            bn_momentum=d["bn_momentum"],
-        )
-
 
 def image_model_spec(n_classes: int, dropout_rate: float = 0.5) -> ModelSpec:
     return ModelSpec(CNN_KIND, n_classes, (50, 8, 1), dropout_rate=dropout_rate)
@@ -589,9 +497,11 @@ class SGD:
         self.velocities = [np.zeros_like(arr) for _, arr in net.parameters()]
 
     def step(self, net: Network) -> None:
-        params = [arr for _, arr in net.parameters()]
-        grads = [arr for _, arr in net.gradients()]
-        sgd_step(params, grads, self.velocities, self.learning_rate, self.momentum)
+        """In place: v <- mu v - lr g; theta <- theta + v."""
+        for (_, p), (_, g), v in zip(net.parameters(), net.gradients(), self.velocities):
+            v *= self.momentum
+            v -= self.learning_rate * g
+            p += v
 
 
 def train(
@@ -719,7 +629,7 @@ def gradient_check(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(net: Network, path, *, config_hash: str | None = None, meta: dict | None = None) -> None:
@@ -734,24 +644,53 @@ def save_checkpoint(net: Network, path, *, config_hash: str | None = None, meta:
     doc = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
-        "spec": net.spec.to_dict(),
+        "spec": asdict(net.spec),
         "state": state,
         "meta": meta or {},
     }
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
+def _fold_conv_biases(net: Network, state: dict[str, np.ndarray]) -> None:
+    """Turn a version-1 state, which has a bias per convolution, into version 2.
+
+    Each convolution feeds a BatchNorm, so a bias b only shifts that layer's
+    input; at inference ``(y + b) - rm == y - (rm - b)``, so the bias moves
+    into the running mean (rm' = rm - b), equal up to rounding.
+    """
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, Conv2D):
+            bias = state.pop(f"{i}.bias", None)
+            mean = state.get(f"{i + 1}.running_mean")
+            if bias is None or mean is None or bias.shape != mean.shape:
+                raise CheckpointMismatchError(f"{i}.bias does not fit the spec")
+            state[f"{i + 1}.running_mean"] = mean - bias
+
+
 def load_checkpoint(path) -> Network:
-    """Rebuild a network from a checkpoint, validating every array shape."""
+    """Rebuild a network from a checkpoint, validating every array shape.
+
+    Reads version 2 and, by folding each conv bias into its BatchNorm,
+    version 1.
+    """
     p = Path(path)
     if not p.is_file():
         raise MissingCheckpointError(str(p))
-    doc = json.loads(p.read_text(encoding="utf-8"))
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointMismatchError(f"unsupported checkpoint version {doc.get('version')}")
-    spec = ModelSpec.from_dict(doc["spec"])
+    try:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CheckpointMismatchError(f"{p}: invalid JSON ({exc})") from None
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointMismatchError(f"unsupported checkpoint version {version}")
+    try:
+        spec = ModelSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc["spec"].items()})
+        state = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc["state"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        raise CheckpointMismatchError(f"{p}: unreadable spec or state ({exc})") from None
     net = build_network(spec, seed=0)
-    state = doc["state"]
+    if version == 1:
+        _fold_conv_biases(net, state)
     expected = dict(net.parameters())
     for i, layer in enumerate(net.layers):
         if isinstance(layer, BatchNorm):
@@ -760,8 +699,7 @@ def load_checkpoint(path) -> Network:
     if sorted(expected) != sorted(state):
         raise CheckpointMismatchError("checkpoint layer names do not match the spec")
     for name, target in expected.items():
-        arr = np.asarray(state[name], dtype=np.float64)
-        if arr.shape != target.shape:
-            raise CheckpointMismatchError(f"{name}: shape {arr.shape} != {target.shape}")
-        target[...] = arr
+        if state[name].shape != target.shape:
+            raise CheckpointMismatchError(f"{name}: shape {state[name].shape} != {target.shape}")
+        target[...] = state[name]
     return net

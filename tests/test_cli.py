@@ -1,6 +1,9 @@
 import hashlib
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from ial.cli import main
 from ial.config import config_hash, load_run_config
@@ -140,6 +143,57 @@ def test_detect_missing_checkpoint_exits_two(tmp_path):
     assert main(["--config", str(cfg), "detect", str(stream_path)]) == 2
 
 
+def test_detect_corrupt_checkpoint_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "synth"]) == 0
+    (tmp_path / "out" / "phase1_fc.json").write_text("{broken")
+    stream_path = tmp_path / "out" / "data" / "s01_r01.csv"
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "detect", str(stream_path)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_detect_reads_columns_through_the_schema(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "synth"]) == 0
+    assert main(["--config", str(cfg), "train"]) == 0
+    stream_path = out / "data" / "s01_r10.csv"
+    assert main(["--config", str(cfg), "detect", str(stream_path)]) == 0
+    expected = json.loads((out / "s01_r10.events.json").read_text())["events"]
+    assert expected
+
+    # the same stream with the t and gz columns swapped
+    rows = [line.split(",") for line in stream_path.read_text().splitlines() if not line.startswith("#")]
+    swapped = tmp_path / "s01_r10.csv"
+    swapped.write_text("".join(",".join([r[6], *r[1:6], r[0]]) + "\n" for r in rows))
+    schema = {"gz": 0, "ax": 1, "ay": 2, "az": 3, "gx": 4, "gy": 5, "t": 6}
+    code = main(["--config", str(cfg), "--set", f"schema={json.dumps(schema)}", "detect", str(swapped)])
+    assert code == 0
+    assert json.loads((out / "s01_r10.events.json").read_text())["events"] == expected
+
+
+def malformed_manifests(out):
+    doc = json.loads((out / "manifest.json").read_text())
+    no_labels = json.loads(json.dumps(doc))
+    del no_labels["streams"][0]["labels_path"]
+    bad_id = json.loads(json.dumps(doc))
+    bad_id["streams"][0]["stream_id"] = 11
+    return {"invalid-json": "{not json", "no-labels-path": json.dumps(no_labels), "stream-id-11": json.dumps(bad_id)}
+
+
+@pytest.mark.parametrize("case", ["invalid-json", "no-labels-path", "stream-id-11"])
+def test_malformed_manifest_exits_two(tmp_path, capsys, case):
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "synth"]) == 0
+    manifest = tmp_path / "out" / "bad_manifest.json"
+    manifest.write_text(malformed_manifests(tmp_path / "out")[case])
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--set", f"manifest={manifest}", "train"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_detect_short_stream_exits_two(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["--config", str(cfg), "synth"]) == 0
@@ -154,6 +208,13 @@ def test_gradcheck_passes(tmp_path, capsys):
     assert main(["--config", str(cfg), "gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "fc: max relative error" in out and "cnn: max relative error" in out
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gradcheck_passes_at_every_seed(seed, capsys):
+    assert main(["--seed", str(seed), "gradcheck"]) == 0
+    cnn = re.search(r"cnn: max relative error (\S+)", capsys.readouterr().out)
+    assert float(cnn.group(1)) <= 1e-5
 
 
 def test_gradcheck_detects_corrupted_backward(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from ial.errors import (
     MalformedRowError,
     MissingFileError,
     NonMonotoneTimestampsError,
+    OutOfRangeError,
     OverlappingEventsError,
     UnknownLabelError,
 )
@@ -206,7 +207,7 @@ def test_split_partitions():
 
 
 def test_split_rejects_bad_id():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRangeError):
         split_dataset([make_stream(np.zeros((1, 6)), stream_id=11)])
 
 

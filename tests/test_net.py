@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,18 +15,16 @@ from ial.errors import (
     ShapeMismatchError,
 )
 from ial.net import (
+    SGD,
     BatchNorm,
     Conv2D,
     Dense,
+    Dropout,
     MaxPool2,
     ModelSpec,
     TrainConfig,
-    batchnorm,
     build_network,
     conv2d,
-    cross_entropy,
-    dense,
-    dropout,
     gradient_check,
     image_model_spec,
     load_checkpoint,
@@ -32,7 +32,6 @@ from ial.net import (
     relu,
     relu_backward,
     save_checkpoint,
-    sgd_step,
     softmax,
     softmax_cross_entropy,
     train,
@@ -122,14 +121,16 @@ def test_softmax_sums_and_shift_invariance():
 
 def test_cross_entropy_uniform():
     for k in (2, 5, 10):
-        p = np.full(k, 1.0 / k)
-        y = np.zeros(k)
-        y[0] = 1.0
-        assert cross_entropy(p, y) == pytest.approx(np.log(k), rel=1e-12)
+        loss, _ = softmax_cross_entropy(np.zeros((1, k)), np.array([0]))
+        assert loss == pytest.approx(np.log(k), rel=1e-12)
 
 
 def test_cross_entropy_perfect():
-    assert cross_entropy(np.array([0.0, 1.0]), np.array([0.0, 1.0])) == 0.0
+    # exp(-1000) underflows to 0, so the softmax is exactly [0, 1]
+    assert softmax_cross_entropy(np.array([[-1000.0, 0.0]]), np.array([1]))[0] == 0.0
+    # a true-class probability of 0 is clamped at 1e-12
+    loss, _ = softmax_cross_entropy(np.array([[0.0, -1000.0]]), np.array([1]))
+    assert loss == pytest.approx(-np.log(1e-12), rel=1e-12)
 
 
 def test_softmax_ce_gradient_is_p_minus_y():
@@ -203,16 +204,12 @@ def test_conv_gradients_vs_finite_differences():
 
     loss()
     dx = layer.backward(w)
-    for arr, analytic in ((layer.kernels, None), (layer.bias, None), (x, dx)):
+    for arr, analytic in ((layer.kernels, None), (x, dx)):
         numeric = central_diff(loss, arr)
         if arr is layer.kernels:
             loss()
             layer.backward(w)
             analytic = layer.d_kernels
-        elif arr is layer.bias:
-            loss()
-            layer.backward(w)
-            analytic = layer.d_bias
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric) + np.abs(analytic), 1e-8)
         assert rel.max() < 1e-5
 
@@ -316,21 +313,21 @@ def test_maxpool_gradient_vs_finite_differences():
 
 def test_batchnorm_constant_batch():
     x = np.full((4, 3), 2.0)
-    out = batchnorm(x, np.ones(3), np.zeros(3), eps=1e-5, mode="train")
+    out = BatchNorm(3, eps=1e-5).forward(x, train=True)
     assert np.all(out == 0.0)
 
 
 def test_batchnorm_standardizes():
     rng = np.random.default_rng(9)
     x = rng.normal(3, 2, (64, 5))
-    out = batchnorm(x, np.ones(5), np.zeros(5), eps=1e-8, mode="train")
+    out = BatchNorm(5, eps=1e-8).forward(x, train=True)
     assert np.allclose(out.mean(0), 0.0, atol=1e-12)
     assert np.allclose(out.var(0), 1.0, atol=1e-6)
 
 
 def test_batchnorm_batch_too_small():
     with pytest.raises(BatchTooSmallError):
-        batchnorm(np.zeros((1, 3)), np.ones(3), np.zeros(3))
+        BatchNorm(3).forward(np.zeros((1, 3)), train=True)
 
 
 def test_batchnorm_running_stats_and_infer():
@@ -377,20 +374,26 @@ def test_batchnorm_4d_channel_axis():
 # ---------------------------------------------------------------------------
 
 
+def dense_layer(w, b):
+    layer = Dense(w.shape[1], w.shape[0], np.random.default_rng(0))
+    layer.w, layer.b = w, b
+    return layer
+
+
 def test_dense_identity():
     x = np.array([[1.0, 2.0, 3.0]])
-    out = dense(x, np.eye(3), np.zeros(3))
+    out = dense_layer(np.eye(3), np.zeros(3)).forward(x, train=False)
     assert np.array_equal(out, x)
 
 
 def test_dense_sum():
-    out = dense(np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([0.0]))
+    out = dense_layer(np.array([[1.0, 1.0]]), np.array([0.0])).forward(np.array([1.0, 2.0]), train=False)
     assert out.shape == (1,) and out[0] == 3.0
 
 
 def test_dense_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        dense(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(4))
+        dense_layer(np.zeros((4, 5)), np.zeros(4)).forward(np.zeros((2, 3)), train=False)
 
 
 def test_dense_gradients_vs_finite_differences():
@@ -413,6 +416,10 @@ def test_dense_gradients_vs_finite_differences():
 # ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
+
+
+def dropout(x, rate, train, seed=0):
+    return Dropout(rate, np.random.default_rng(seed)).forward(x, train)
 
 
 def test_dropout_rate_zero_identity():
@@ -457,27 +464,39 @@ def test_dropout_deterministic_per_seed():
 # ---------------------------------------------------------------------------
 
 
+class OneArray:
+    """Stands in for a Network: one parameter array and its gradient."""
+
+    def __init__(self, p):
+        self.p, self.g = p, np.zeros_like(p)
+
+    def parameters(self):
+        return [("p", self.p)]
+
+    def gradients(self):
+        return [("p", self.g)]
+
+
 def test_sgd_plain_step():
-    p = np.array([1.0, 2.0])
-    g = np.array([0.5, -0.5])
-    v = np.zeros(2)
-    sgd_step([p], [g], [v], learning_rate=1.0, momentum=0.0)
-    assert np.array_equal(p, np.array([0.5, 2.5]))
+    model = OneArray(np.array([1.0, 2.0]))
+    model.g[:] = [0.5, -0.5]
+    SGD(model, learning_rate=1.0, momentum=0.0).step(model)
+    assert np.array_equal(model.p, np.array([0.5, 2.5]))
 
 
 def test_sgd_zero_gradient():
-    p = np.array([1.0, 2.0])
-    v = np.zeros(2)
-    sgd_step([p], [np.zeros(2)], [v], learning_rate=0.1, momentum=0.9)
-    assert np.array_equal(p, np.array([1.0, 2.0]))
+    model = OneArray(np.array([1.0, 2.0]))
+    SGD(model, learning_rate=0.1, momentum=0.9).step(model)
+    assert np.array_equal(model.p, np.array([1.0, 2.0]))
 
 
 def test_sgd_quadratic_bowl_contracts():
-    theta = np.array([1.0])
-    v = np.zeros(1)
+    model = OneArray(np.array([1.0]))
+    theta = model.p
+    opt = SGD(model, learning_rate=0.1, momentum=0.0)
     for _ in range(100):
-        grad = 2.0 * theta
-        sgd_step([theta], [grad], [v], learning_rate=0.1, momentum=0.0)
+        model.g[:] = 2.0 * theta
+        opt.step(model)
     # closed form: theta_k = 0.8^k
     assert abs(theta[0]) < 1e-8
     assert theta[0] == pytest.approx(0.8 ** 100, rel=1e-9)
@@ -597,6 +616,22 @@ def test_gradient_check_detects_corruption():
         Dense.backward = original
 
 
+def test_gradient_check_detects_corrupted_conv_backward(monkeypatch):
+    rng = np.random.default_rng(22)
+    net = build_network(image_model_spec(3, dropout_rate=0.0), seed=15)
+    x = rng.normal(0.5, 0.2, (3, 50, 8, 1))
+    y = rng.integers(0, 3, 3)
+    original = Conv2D.backward
+
+    def corrupted(self, dy):
+        out = original(self, dy)
+        self.d_kernels = self.d_kernels * 1.5
+        return out
+
+    monkeypatch.setattr(Conv2D, "backward", corrupted)
+    assert gradient_check(net, x, y, max_per_param=60, seed=15) > 1e-4
+
+
 # ---------------------------------------------------------------------------
 # shape contracts and checkpoints
 # ---------------------------------------------------------------------------
@@ -620,6 +655,10 @@ def test_cnn_structure():
     net = build_network(image_model_spec(5), seed=0)
     convs = [l for l in net.layers if isinstance(l, Conv2D)]
     assert [c.kernels.shape[0] for c in convs] == [16, 32, 64]
+    # each conv feeds a BatchNorm, which would cancel a bias
+    assert all(isinstance(net.layers[net.layers.index(c) + 1], BatchNorm) for c in convs)
+    assert all(set(c.params()) == {"kernels"} for c in convs)
+    assert not any(name.endswith(".bias") for name, _ in net.parameters())
     final = [l for l in net.layers if isinstance(l, Dense)]
     assert len(final) == 1 and final[0].w.shape == (5, 384)
 
@@ -630,6 +669,7 @@ def test_checkpoint_round_trip(tmp_path):
     net, _ = train(vector_model_spec(2), x, y, TrainConfig(epochs=2, seed=5))
     path = tmp_path / "ckpt.json"
     save_checkpoint(net, path, config_hash="abc")
+    assert json.loads(path.read_text())["version"] == 2
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.predict_proba(x), net.predict_proba(x))
     for (na, a), (nb, b) in zip(net.parameters(), loaded.parameters()):
@@ -642,10 +682,50 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
     net = build_network(vector_model_spec(2), seed=1)
     path = tmp_path / "ckpt.json"
     save_checkpoint(net, path)
-    import json
-
+    good = json.loads(path.read_text())
     doc = json.loads(path.read_text())
     doc["spec"]["n_classes"] = 3  # state arrays no longer fit the spec
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointMismatchError):
+        load_checkpoint(path)
+    for broken in ("{broken", "[]", json.dumps({**good, "version": 3}), json.dumps({**good, "spec": {"kind": "fc"}})):
+        path.write_text(broken)
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(path)
+
+
+def test_checkpoint_version_1_folds_conv_bias_into_running_mean(tmp_path):
+    rng = np.random.default_rng(23)
+    net = build_network(image_model_spec(3), seed=16)
+    biases = {}
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, Conv2D):
+            biases[i] = rng.normal(0, 0.5, layer.kernels.shape[0])
+        elif isinstance(layer, BatchNorm):
+            layer.gamma[...] = rng.normal(1, 0.2, layer.gamma.shape)
+            layer.beta[...] = rng.normal(0, 0.2, layer.beta.shape)
+            layer.running_mean = rng.normal(0, 0.5, layer.running_mean.shape)
+            layer.running_var = rng.uniform(0.5, 2.0, layer.running_var.shape)
+    x = rng.normal(0.5, 0.2, (5, 50, 8, 1))
+    out = x
+    for i, layer in enumerate(net.layers):  # the version-1 forward pass: conv plus bias
+        out = conv2d(out, layer.kernels, biases[i]) if i in biases else layer.forward(out, train=False)
+    reference = softmax(out)
+    assert np.abs(net.predict_proba(x) - reference).max() > 1e-3  # the biases matter
+
+    # a version-1 file is a version-2 file plus one bias per convolution
+    path = tmp_path / "v1.json"
+    save_checkpoint(net, path)
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    doc["state"].update({f"{i}.bias": b.tolist() for i, b in biases.items()})
+    path.write_text(json.dumps(doc))
+    loaded = load_checkpoint(path)
+    assert np.abs(loaded.predict_proba(x) - reference).max() <= 1e-12
+    for i in biases:
+        assert np.array_equal(loaded.layers[i + 1].running_mean, net.layers[i + 1].running_mean - biases[i])
+
+    del doc["state"]["4.bias"]
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(path)

@@ -1,5 +1,6 @@
 """Golden pins for the window path: the exact dataset bytes both builders
-produce and the exact events ``detect`` returns on seeded synthetic streams.
+produce, the exact events ``detect`` returns and the exact reports
+``evaluate_run`` gives on seeded synthetic streams.
 
 The values were captured from the per-window implementation (one
 ``make_window`` + ``image_feature`` call per window) before the windowing was
@@ -10,16 +11,21 @@ so training moved in the last digits; labels and intervals stayed identical
 and every confidence moved by less than 1e-15.  The event pins depend on
 training arithmetic and may need recapturing on a numpy or BLAS build that
 rounds matrix products differently; the dataset pins do not involve a matrix
-product.
+product.  The report pins were captured from the per-window window table
+(one ``WindowScore`` object per window) and the per-class walks of the
+matches, before both became arrays and one confusion table.
 """
 
 import hashlib
+import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from ial.data import ActionClass, SyntheticConfig, generate_synthetic_stream
 from ial.detector import DetectorConfig, build_phase1_dataset, build_phase2_dataset, detect
+from ial.evaluation import evaluate_run
 from ial.net import TrainConfig, image_model_spec, train, vector_model_spec
 
 SYNTH = SyntheticConfig(
@@ -63,6 +69,57 @@ EVENT_REPRS = {
     ],
 }
 
+# json.dumps of report1.to_dict() and report2.to_dict() over the two test streams
+REPORT_JSON = {
+    "image": [
+        (
+            '{"phase": "one", "counts": {"tp": 5, "fp": 0, "fn": 1, "tn": 0}, "precision": 1.0, '
+            '"recall": 0.8333333333333334, "f1": 0.9090909090909091, "per_class": {}, '
+            '"window_diagnostics": {"tp": 23, "fp": 1, "fn": 16, "tn": 208}}'
+        ),
+        (
+            '{"phase": "two", "counts": {"tp": 0, "fp": 5, "fn": 6, "tn": 0}, "precision": 0.0, '
+            '"recall": 0.0, "f1": 0.0, "per_class": {"SWIPE_LEFT": {"tp": 0, "fp": 0, "fn": 2, '
+            '"precision": 0.0, "recall": 0.0, "f1": 0.0}, "SWIPE_RIGHT": {"tp": 0, "fp": 0, '
+            '"fn": 2, "precision": 0.0, "recall": 0.0, "f1": 0.0}, "WAVE": {"tp": 0, "fp": 0, '
+            '"fn": 1, "precision": 0.0, "recall": 0.0, "f1": 0.0}, "CIRCLE_CW": {"tp": 0, "fp": 0, '
+            '"fn": 1, "precision": 0.0, "recall": 0.0, "f1": 0.0}, "CIRCLE_CCW": {"tp": 0, '
+            '"fp": 5, "fn": 0, "precision": 0.0, "recall": 0.0, "f1": 0.0}, '
+            '"confusion": {"SWIPE_LEFT": {"SWIPE_LEFT": 0, "SWIPE_RIGHT": 0, "WAVE": 0, '
+            '"CIRCLE_CW": 0, "CIRCLE_CCW": 2}, "SWIPE_RIGHT": {"SWIPE_LEFT": 0, "SWIPE_RIGHT": 0, '
+            '"WAVE": 0, "CIRCLE_CW": 0, "CIRCLE_CCW": 1}, "WAVE": {"SWIPE_LEFT": 0, '
+            '"SWIPE_RIGHT": 0, "WAVE": 0, "CIRCLE_CW": 0, "CIRCLE_CCW": 1}, '
+            '"CIRCLE_CW": {"SWIPE_LEFT": 0, "SWIPE_RIGHT": 0, "WAVE": 0, "CIRCLE_CW": 0, '
+            '"CIRCLE_CCW": 1}, "CIRCLE_CCW": {"SWIPE_LEFT": 0, "SWIPE_RIGHT": 0, "WAVE": 0, '
+            '"CIRCLE_CW": 0, "CIRCLE_CCW": 0}}}, "window_diagnostics": {}}'
+        ),
+    ],
+    "vector": [
+        (
+            '{"phase": "one", "counts": {"tp": 5, "fp": 0, "fn": 1, "tn": 0}, "precision": 1.0, '
+            '"recall": 0.8333333333333334, "f1": 0.9090909090909091, "per_class": {}, '
+            '"window_diagnostics": {"tp": 33, "fp": 20, "fn": 6, "tn": 189}}'
+        ),
+        (
+            '{"phase": "two", "counts": {"tp": 4, "fp": 1, "fn": 2, "tn": 0}, "precision": 0.8, '
+            '"recall": 0.6666666666666666, "f1": 0.7272727272727272, '
+            '"per_class": {"SWIPE_LEFT": {"tp": 2, "fp": 0, "fn": 0, "precision": 1.0, '
+            '"recall": 1.0, "f1": 1.0}, "SWIPE_RIGHT": {"tp": 1, "fp": 0, "fn": 1, '
+            '"precision": 1.0, "recall": 0.5, "f1": 0.6666666666666666}, "WAVE": {"tp": 1, '
+            '"fp": 1, "fn": 0, "precision": 0.5, "recall": 1.0, "f1": 0.6666666666666666}, '
+            '"CIRCLE_CW": {"tp": 0, "fp": 0, "fn": 1, "precision": 0.0, "recall": 0.0, "f1": 0.0}, '
+            '"CIRCLE_CCW": {"tp": 0, "fp": 0, "fn": 0, "precision": 0.0, "recall": 0.0, '
+            '"f1": 0.0}, "confusion": {"SWIPE_LEFT": {"SWIPE_LEFT": 2, "SWIPE_RIGHT": 0, '
+            '"WAVE": 0, "CIRCLE_CW": 0, "CIRCLE_CCW": 0}, "SWIPE_RIGHT": {"SWIPE_LEFT": 0, '
+            '"SWIPE_RIGHT": 1, "WAVE": 0, "CIRCLE_CW": 0, "CIRCLE_CCW": 0}, '
+            '"WAVE": {"SWIPE_LEFT": 0, "SWIPE_RIGHT": 0, "WAVE": 1, "CIRCLE_CW": 0, '
+            '"CIRCLE_CCW": 0}, "CIRCLE_CW": {"SWIPE_LEFT": 0, "SWIPE_RIGHT": 0, "WAVE": 1, '
+            '"CIRCLE_CW": 0, "CIRCLE_CCW": 0}, "CIRCLE_CCW": {"SWIPE_LEFT": 0, "SWIPE_RIGHT": 0, '
+            '"WAVE": 0, "CIRCLE_CW": 0, "CIRCLE_CCW": 0}}}, "window_diagnostics": {}}'
+        ),
+    ],
+}
+
 
 def digest(a: np.ndarray) -> str:
     a = np.ascontiguousarray(a)
@@ -85,16 +142,31 @@ def test_dataset_bytes_match_the_per_window_path(kind):
     assert [digest(a) for a in datasets(kind)] == DATASET_DIGESTS[kind]
 
 
-@pytest.mark.parametrize("kind", ["image", "vector"])
-def test_detected_events_match_the_per_window_path(kind):
+@lru_cache(maxsize=None)
+def trained(kind):
+    """The phase-1 and phase-2 networks of a short seeded training."""
     x1, y1, x2, y2 = datasets(kind)
     spec = image_model_spec if kind == "image" else vector_model_spec
     tcfg = TrainConfig(learning_rate=0.02, epochs=TRAIN_EPOCHS[kind], seed=5, dropout_rate=0.0)
     net1, _ = train(spec(2, 0.0), x1, y1, tcfg)
     net2, _ = train(spec(5, 0.0), x2, y2, tcfg)
-    got = []
-    for stream_id in (1, 2):
-        stream, _ = generate_synthetic_stream(SYNTH, 2, stream_id)
-        got.append(repr(detect(stream, net1, net2, DetectorConfig(), kind)))
+    return net1, net2
+
+
+def eval_pairs():
+    return [generate_synthetic_stream(SYNTH, 2, i) for i in (1, 2)]
+
+
+@pytest.mark.parametrize("kind", ["image", "vector"])
+def test_detected_events_match_the_per_window_path(kind):
+    net1, net2 = trained(kind)
+    got = [repr(detect(stream, net1, net2, DetectorConfig(), kind)) for stream, _ in eval_pairs()]
     assert all(r != "[]" for r in got)
     assert got == EVENT_REPRS[kind]
+
+
+@pytest.mark.parametrize("kind", ["image", "vector"])
+def test_evaluation_report_matches_the_per_window_path(kind):
+    net1, net2 = trained(kind)
+    report1, report2 = evaluate_run(eval_pairs(), net1, net2, DetectorConfig(), kind)
+    assert [json.dumps(report1.to_dict()), json.dumps(report2.to_dict())] == REPORT_JSON[kind]

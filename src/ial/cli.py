@@ -20,7 +20,7 @@ from . import detector as det
 from . import evaluation as ev
 from . import net
 from .config import RunConfig, config_hash, load_run_config
-from .errors import ConfigError, DataError, EmptyDatasetError, IalError
+from .errors import ConfigError, EmptyDatasetError, IalError
 
 ENV_CONFIG = "IAL_CONFIG"
 
@@ -121,14 +121,10 @@ def _train_both(cfg: RunConfig, pairs) -> tuple[net.Network, net.Network, list, 
         raise EmptyDatasetError("no training streams in the manifest")
     x1, y1 = det.build_phase1_dataset(pairs, cfg.feature_kind, cfg.detector, seed=cfg.train.seed)
     x2, y2 = det.build_phase2_dataset(pairs, cfg.feature_kind, cfg.detector)
-    if cfg.feature_kind == det.IMAGE_KIND:
-        spec1 = net.image_model_spec(2, cfg.train.dropout_rate)
-        spec2 = net.image_model_spec(len(dat.INTEREST_CLASSES), cfg.train.dropout_rate)
-    else:
-        spec1 = net.vector_model_spec(2, cfg.train.dropout_rate)
-        spec2 = net.vector_model_spec(len(dat.INTEREST_CLASSES), cfg.train.dropout_rate)
-    net1, losses1 = net.train(spec1, x1, y1, cfg.train)
-    net2, losses2 = net.train(spec2, x2, y2, cfg.train)
+    spec = net.image_model_spec if cfg.feature_kind == det.IMAGE_KIND else net.vector_model_spec
+    # net.train sets the spec's dropout rate from cfg.train
+    net1, losses1 = net.train(spec(2), x1, y1, cfg.train)
+    net2, losses2 = net.train(spec(len(dat.INTEREST_CLASSES)), x2, y2, cfg.train)
     return net1, net2, losses1, losses2
 
 
@@ -255,7 +251,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, IalError) as exc:
+    except IalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -178,8 +178,9 @@ def ingest_stream(
 
     ``schema`` maps the 7 field names in STREAM_FIELDS to 0-based column
     indices; by default columns are assumed in that order.  Rows with missing,
-    unparseable, or non-finite values raise MalformedRowError with the 1-based
-    data-row number.
+    unparseable, or non-finite values, or a negative timestamp, raise
+    MalformedRowError with the 1-based data-row number; a row that does not
+    parse is reported before any non-finite or negative value.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if sorted(schema) != sorted(STREAM_FIELDS):
@@ -211,16 +212,16 @@ def ingest_stream(
             if len(parts) < need:
                 raise MalformedRowError(row_no, f"expected >= {need} columns, got {len(parts)}")
             try:
-                vals = [float(parts[c]) for c in cols]
+                rows.append([float(parts[c]) for c in cols])
             except ValueError as exc:
                 raise MalformedRowError(row_no, str(exc)) from None
-            if not all(np.isfinite(v) for v in vals):
-                raise MalformedRowError(row_no, "non-finite value")
-            if vals[0] < 0:
-                raise MalformedRowError(row_no, "negative timestamp")
-            rows.append(vals)
 
     arr = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(STREAM_FIELDS))
+    finite = np.isfinite(arr).all(axis=1)
+    bad = ~finite | (arr[:, 0] < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MalformedRowError(i + 1, "negative timestamp" if finite[i] else "non-finite value")
     t = arr[:, 0]
     if len(t) > 1 and np.any(np.diff(t) < 0):
         raise NonMonotoneTimestampsError(str(p))
@@ -357,6 +358,9 @@ class ManifestEntry:
     labels_path: str
 
 
+_ENTRY_TYPES = {"subject_id": int, "stream_id": int, "stream_path": str, "labels_path": str}
+
+
 def write_manifest(
     path,
     entries: Sequence[ManifestEntry],
@@ -393,11 +397,17 @@ def load_manifest(path) -> tuple[list[ManifestEntry], float]:
             ManifestEntry(e["subject_id"], e["stream_id"], e["stream_path"], e["labels_path"])
             for e in doc["streams"]
         ]
-        return entries, float(doc.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ))
+        rate = float(doc.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ))
     except KeyError as exc:
         raise MalformedManifestError(f"{p}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise MalformedManifestError(f"{p}: {exc}") from None
+    for e in entries:
+        for name, want in _ENTRY_TYPES.items():
+            value = getattr(e, name)
+            if type(value) is not want:  # also rejects bool ids
+                raise MalformedManifestError(f"{p}: {name} must be {want.__name__}, got {value!r}")
+    return entries, rate
 
 
 def load_dataset(

@@ -1,17 +1,26 @@
 """Two-phase continuous detection.
 
-Each stream is windowed and featurized once.  Phase one scores every
-sliding window with a binary interest model; runs of positive windows become
-candidate intervals.  Phase two classifies each interval with a 5-class model
-on the same window features.  This module also assembles the per-window
-training sets for both phases from labeled streams.
+Each stream is windowed and featurized once into one window table
+(``WindowScores``).  Phase one scores every sliding window with a binary
+interest model; runs of positive windows become candidate intervals.  Phase
+two classifies each interval with a 5-class model on the same window features.
+This module also assembles the per-window training sets for both phases from
+labeled streams.
+
+The window rules, each written once: a window spans ``WINDOW_FRAMES`` samples
+(``_window_times``); its centre is its start plus half that span
+(``_centers``) and lies inside an interval when start <= centre <= end
+(``_centered_in``); it is positive when its interest probability reaches the
+threshold (``WindowScores.positive``); and it is an interest window when at
+least half of it overlaps a truth event (``window_labels``).
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -37,13 +46,26 @@ NON_INTEREST_IDX = 0
 INTEREST_IDX = 1
 
 
-@dataclass(frozen=True)
-class WindowScore:
-    """One scored window; ``features`` is its model input row, which phase two reuses."""
+@dataclass(frozen=True, eq=False)
+class WindowScores:
+    """Every window of one stream, as arrays in window order: start time (s),
+    phase-one interest probability and model input row (phase two reuses the
+    rows), plus the window span ``window_s`` (s)."""
 
-    start_t: float
-    interest_prob: float
-    features: np.ndarray | None = field(default=None, compare=False, repr=False)
+    start_t: np.ndarray
+    interest_prob: np.ndarray
+    x: np.ndarray
+    window_s: float
+
+    def __len__(self) -> int:
+        return len(self.start_t)
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return _centers(self.start_t, self.window_s)
+
+    def positive(self, threshold: float) -> np.ndarray:
+        return self.interest_prob >= threshold
 
 
 @dataclass(frozen=True)
@@ -77,6 +99,21 @@ class DetectorConfig:
             raise ConfigError("stride_frames must be >= 1")
         if self.classification_mode not in ("mean-probability", "center-window"):
             raise ConfigError(f"unknown classification_mode {self.classification_mode!r}")
+
+
+def _window_times(stream: Stream, stride_frames: int) -> tuple[np.ndarray, float]:
+    """Every window's start time and the window span, in seconds."""
+    starts = np.asarray(window_starts(len(stream), stride_frames))
+    return stream.t[starts], WINDOW_FRAMES / stream.sample_rate_hz
+
+
+def _centers(start_t: np.ndarray, window_s: float) -> np.ndarray:
+    return start_t + 0.5 * window_s
+
+
+def _centered_in(centers: np.ndarray, start: float, end: float) -> np.ndarray:
+    """Which window centres lie inside the closed interval [start, end]."""
+    return (start <= centers) & (centers <= end)
 
 
 def featurize_stream(
@@ -122,49 +159,40 @@ def score_windows(
     feature_kind: str,
     cfg: DetectorConfig,
     threads: int = 1,
-) -> list[WindowScore]:
-    """One interest probability per sliding window."""
+) -> WindowScores:
+    """The stream's window table: one interest probability per sliding window."""
     _check_model(phase1_model, feature_kind, 2)
-    starts, x = featurize_stream(stream, feature_kind, cfg.stride_frames)
+    _, x = featurize_stream(stream, feature_kind, cfg.stride_frames)
     probs = _batched_proba(phase1_model, x, threads)
-    return [
-        WindowScore(float(stream.t[start]), float(p[INTEREST_IDX]), row)
-        for start, p, row in zip(starts, probs, x)
-    ]
+    start_t, window_s = _window_times(stream, cfg.stride_frames)
+    return WindowScores(start_t, probs[:, INTEREST_IDX], x, window_s)
 
 
-def segment_events(
-    scores: Sequence[WindowScore], cfg: DetectorConfig, window_seconds: float = 3.0
-) -> list[tuple[float, float]]:
+def segment_events(scores: WindowScores, cfg: DetectorConfig) -> list[tuple[float, float]]:
     """Turn window scores into disjoint candidate intervals.
 
-    Windows with interest_prob >= threshold are positive.  Runs of positives
-    separated by at most ``merge_gap_windows`` negatives merge; merged runs
-    with fewer than ``min_event_windows`` positive windows are discarded.  A
-    surviving run spans [first window start, last window start + window
-    length]; when that overruns the next run's interval it is clipped to keep
-    the output disjoint.
+    Runs of positive windows separated by at most ``merge_gap_windows``
+    negatives merge; merged runs with fewer than ``min_event_windows``
+    positive windows are discarded.  A surviving run spans [first window
+    start, last window start + window span]; when that overruns the next
+    run's interval it is clipped to keep the output disjoint.
     """
-    positives = [i for i, s in enumerate(scores) if s.interest_prob >= cfg.interest_threshold]
-    runs: list[list[int]] = []
-    for i in positives:
-        if runs and i - runs[-1][-1] - 1 <= cfg.merge_gap_windows:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    kept = [run for run in runs if len(run) >= cfg.min_event_windows]
-    intervals = [
-        (scores[run[0]].start_t, scores[run[-1]].start_t + window_seconds) for run in kept
-    ]
-    for i in range(len(intervals) - 1):
-        if intervals[i][1] > intervals[i + 1][0]:
-            intervals[i] = (intervals[i][0], intervals[i + 1][0])
-    return intervals
+    positives = np.flatnonzero(scores.positive(cfg.interest_threshold))
+    # a positive opens a run when more than merge_gap_windows negatives precede it
+    opens_run = np.diff(positives, prepend=-np.inf) - 1 > cfg.merge_gap_windows
+    first = np.flatnonzero(opens_run)  # position in ``positives`` of each run's first window
+    size = np.diff(first, append=len(positives))
+    kept = size >= cfg.min_event_windows
+    first, size = first[kept], size[kept]
+    starts = scores.start_t[positives[first]]
+    ends = scores.start_t[positives[first + size - 1]] + scores.window_s
+    ends[:-1] = np.minimum(ends[:-1], starts[1:])
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def classify_event(
     stream: Stream,
-    scores: Sequence[WindowScore],
+    scores: WindowScores,
     interval: tuple[float, float],
     phase2_model: Network,
     cfg: DetectorConfig,
@@ -183,16 +211,10 @@ def classify_event(
     start, end = interval
     if end <= float(stream.t[0]) or start >= float(stream.t[-1]):
         raise IntervalOutsideStreamError(f"[{start}, {end}] outside stream span")
-    half_span = 0.5 * WINDOW_FRAMES / stream.sample_rate_hz
-    centers = np.array([s.start_t + half_span for s in scores])
-    if cfg.classification_mode == "center-window":
-        chosen = [int(np.argmin(np.abs(centers - 0.5 * (start + end))))]
-    else:
-        chosen = [i for i, c in enumerate(centers) if start <= c <= end]
-        if not chosen:
-            chosen = [int(np.argmin(np.abs(centers - 0.5 * (start + end))))]
-    x = np.stack([scores[i].features for i in chosen])
-    mean_probs = phase2_model.predict_proba(x).mean(axis=0)
+    chosen = np.flatnonzero(_centered_in(scores.centers, start, end))
+    if cfg.classification_mode == "center-window" or not len(chosen):
+        chosen = [int(np.argmin(np.abs(scores.centers - 0.5 * (start + end))))]
+    mean_probs = phase2_model.predict_proba(scores.x[chosen]).mean(axis=0)
     idx = int(np.argmax(mean_probs))
     return INTEREST_CLASSES[idx], float(mean_probs[idx])
 
@@ -208,25 +230,24 @@ def detect(
     """Full two-phase pass: score, segment, classify.  Events come out sorted
     by start and pairwise disjoint."""
     scores = score_windows(stream, phase1_model, feature_kind, cfg, threads)
-    return _events_from_scores(stream, scores, phase2_model, cfg, feature_kind)
+    return events_from_scores(stream, scores, phase2_model, cfg, feature_kind)
 
 
-def _events_from_scores(
+def events_from_scores(
     stream: Stream,
-    scores: Sequence[WindowScore],
+    scores: WindowScores,
     phase2_model: Network,
     cfg: DetectorConfig,
     feature_kind: str,
 ) -> list[DetectedEvent]:
-    window_seconds = WINDOW_FRAMES / stream.sample_rate_hz
+    """Segment the stream's window table and classify each interval, clipped
+    to the stream's last timestamp."""
     stream_end = float(stream.t[-1])
-    intervals = [
-        (s, min(e, stream_end)) for s, e in segment_events(scores, cfg, window_seconds)
-    ]
     events = []
-    for interval in intervals:
+    for start, end in segment_events(scores, cfg):
+        interval = (start, min(end, stream_end))
         label, confidence = classify_event(stream, scores, interval, phase2_model, cfg, feature_kind)
-        events.append(DetectedEvent(label, interval[0], interval[1], confidence))
+        events.append(DetectedEvent(label, *interval, confidence))
     return events
 
 
@@ -235,25 +256,16 @@ def _events_from_scores(
 # ---------------------------------------------------------------------------
 
 
-def overlap_seconds(a_start: float, a_end: float, b_start: float, b_end: float) -> float:
-    return max(0.0, min(a_end, b_end) - max(a_start, b_start))
-
-
 def window_labels(
-    start_t: Sequence[float], window_seconds: float, truth: Sequence[GroundTruthEvent]
+    start_t: np.ndarray, window_s: float, truth: Sequence[GroundTruthEvent]
 ) -> np.ndarray:
     """Interest label per window: True iff at least half of the window span
-    [start_t, start_t + window_seconds] overlaps one truth interval."""
-    return np.array(
-        [
-            any(
-                overlap_seconds(t, t + window_seconds, ev.start, ev.end) >= 0.5 * window_seconds
-                for ev in truth
-            )
-            for t in start_t
-        ],
-        dtype=bool,
-    )
+    [start_t, start_t + window_s] overlaps one truth interval."""
+    labels = np.zeros(len(start_t), dtype=bool)
+    for ev in truth:
+        overlap = np.minimum(start_t + window_s, ev.end) - np.maximum(start_t, ev.start)
+        labels |= overlap >= 0.5 * window_s
+    return labels
 
 
 def build_phase1_dataset(
@@ -269,12 +281,7 @@ def build_phase1_dataset(
     are all positives, then the kept negatives, each in stream order.
     """
     labels = [
-        window_labels(
-            stream.t[list(window_starts(len(stream), cfg.stride_frames))],
-            WINDOW_FRAMES / stream.sample_rate_hz,
-            truth,
-        )
-        for stream, truth in pairs
+        window_labels(*_window_times(stream, cfg.stride_frames), truth) for stream, truth in pairs
     ]
     positive = np.concatenate(labels) if labels else np.zeros(0, dtype=bool)
     negative = ~positive
@@ -306,19 +313,17 @@ def build_phase2_dataset(
     """Windows centered inside a truth interval, labeled by the interval's class."""
     feats, labels = [], []
     for stream, truth in pairs:
-        half_span = 0.5 * WINDOW_FRAMES / stream.sample_rate_hz
-        chosen, chosen_labels = [], []
-        for i, start in enumerate(window_starts(len(stream), cfg.stride_frames)):
-            center = float(stream.t[start]) + half_span
-            for ev in truth:
-                if ev.start <= center <= ev.end:
-                    chosen.append(i)
-                    chosen_labels.append(INTEREST_CLASSES.index(ev.label))
-                    break
-        if chosen:
+        start_t, window_s = _window_times(stream, cfg.stride_frames)
+        centers = _centers(start_t, window_s)
+        label = np.full(len(centers), -1)
+        for ev in truth:  # a centre inside two truth events goes to the first
+            inside = (label < 0) & _centered_in(centers, ev.start, ev.end)
+            label[inside] = INTEREST_CLASSES.index(ev.label)
+        chosen = label >= 0
+        if chosen.any():
             _, x = featurize_stream(stream, feature_kind, cfg.stride_frames)
             feats.append(x[chosen])
-            labels.extend(chosen_labels)
+            labels.extend(label[chosen].tolist())
     x = np.concatenate(feats) if feats else np.empty((0,))
     return x, np.array(labels)
 

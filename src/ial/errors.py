@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-VerificationError -> 3.
+The CLI maps these onto exit codes: ConfigError -> 1, any other IalError
+(DataError and its subclasses) -> 2.  Exit code 3, a failed gradient check,
+is returned by ``ial gradcheck`` itself and has no exception.
 """
 
 
@@ -19,10 +20,6 @@ class ConfigConflictError(ConfigError):
 
 class DataError(IalError):
     """Problem with input data, file contents, or call contracts."""
-
-
-class VerificationError(IalError):
-    """A self-check (e.g. gradient verification) did not pass."""
 
 
 class MissingFileError(DataError):

@@ -7,6 +7,12 @@ matching detection, later detections on the same truth count as false
 positives.  Phase one scores any matched pair as a true positive; phase two
 additionally requires label agreement, a mislabeled match costs both a false
 positive and a false negative.
+
+``aggregate_run`` matches each stream once and counts the outcome of every
+event in one confusion table over the 5 classes plus "none": a matched pair
+counts at (truth class, predicted class), an unmatched detection at ("none",
+predicted class), an unmatched truth event at (truth class, "none").  Both
+phase reports, the per-class counts and the confusion dict are read off it.
 """
 
 from __future__ import annotations
@@ -14,18 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .data import INTEREST_CLASSES, GroundTruthEvent, Stream
 from .detector import (
     DetectedEvent,
     DetectorConfig,
-    _events_from_scores,
-    overlap_seconds,
+    WindowScores,
+    events_from_scores,
     score_windows,
     window_labels,
 )
 from .errors import ConfigError, UnsortedInputError
 from .net import Network
-from .signal import WINDOW_FRAMES
 
 PHASE_ONE = "one"
 PHASE_TWO = "two"
@@ -82,7 +89,7 @@ class MetricsReport:
 
 
 def _interval_iou(a_start, a_end, b_start, b_end) -> float:
-    inter = overlap_seconds(a_start, a_end, b_start, b_end)
+    inter = max(0.0, min(a_end, b_end) - max(a_start, b_start))
     union = max(a_end, b_end) - min(a_start, b_start)
     return inter / union if union > 0 else 0.0
 
@@ -160,65 +167,19 @@ def precision_recall_f1(
     return MetricsReport(phase, counts, precision, recall, f1_score(precision, recall), per_class or {})
 
 
-def per_class_counts(
-    detected: Sequence[DetectedEvent],
-    truth: Sequence[GroundTruthEvent],
-    matches: Sequence[tuple[int, int]],
-) -> dict[str, ConfusionCounts]:
-    """Phase-two counts broken down by class, plus the matched-pair confusion."""
-    by_class = {cls.name: ConfusionCounts() for cls in INTEREST_CLASSES}
-    matched_det = {i for i, _ in matches}
-    matched_truth = {j for _, j in matches}
-    for i, j in matches:
-        det, ev = detected[i], truth[j]
-        if det.label is ev.label:
-            by_class[ev.label.name].n_tp += 1
-        else:
-            by_class[det.label.name].n_fp += 1
-            by_class[ev.label.name].n_fn += 1
-    for i, det in enumerate(detected):
-        if i not in matched_det:
-            by_class[det.label.name].n_fp += 1
-    for j, ev in enumerate(truth):
-        if j not in matched_truth:
-            by_class[ev.label.name].n_fn += 1
-    return by_class
-
-
-def confusion_pairs(
-    detected: Sequence[DetectedEvent],
-    truth: Sequence[GroundTruthEvent],
-    matches: Sequence[tuple[int, int]],
-) -> dict[str, dict[str, int]]:
-    """Truth-class -> predicted-class counts over matched pairs."""
-    table = {t.name: {p.name: 0 for p in INTEREST_CLASSES} for t in INTEREST_CLASSES}
-    for i, j in matches:
-        table[truth[j].label.name][detected[i].label.name] += 1
-    return table
-
-
 def _window_diagnostics(
-    stream: Stream,
-    truth: Sequence[GroundTruthEvent],
-    scores,
-    cfg: DetectorConfig,
+    truth: Sequence[GroundTruthEvent], scores: WindowScores, cfg: DetectorConfig
 ) -> ConfusionCounts:
     """Window-level confusion (including TN) of thresholded interest scores
     against the >= 50%-overlap window labeling; diagnostic only."""
-    window_seconds = WINDOW_FRAMES / stream.sample_rate_hz
-    labels = window_labels([s.start_t for s in scores], window_seconds, truth)
-    counts = ConfusionCounts()
-    for s, actual in zip(scores, labels):
-        predicted = s.interest_prob >= cfg.interest_threshold
-        if actual and predicted:
-            counts.n_tp += 1
-        elif actual:
-            counts.n_fn += 1
-        elif predicted:
-            counts.n_fp += 1
-        else:
-            counts.n_tn += 1
-    return counts
+    actual = window_labels(scores.start_t, scores.window_s, truth)
+    predicted = scores.positive(cfg.interest_threshold)
+    return ConfusionCounts(
+        int(np.sum(actual & predicted)),
+        int(np.sum(~actual & predicted)),
+        int(np.sum(actual & ~predicted)),
+        int(np.sum(~actual & ~predicted)),
+    )
 
 
 def aggregate_run(
@@ -229,33 +190,40 @@ def aggregate_run(
     iou_threshold: float = 0.5,
 ) -> tuple[MetricsReport, MetricsReport]:
     """Micro-average counts over streams, then compute both phase reports."""
-    counts1 = ConfusionCounts()
-    counts2 = ConfusionCounts()
-    by_class = {cls.name: ConfusionCounts() for cls in INTEREST_CLASSES}
-    confusion = {t.name: {p.name: 0 for p in INTEREST_CLASSES} for t in INTEREST_CLASSES}
+    n = len(INTEREST_CLASSES)  # row and column n of the table is "none"
+    index = {cls: k for k, cls in enumerate(INTEREST_CLASSES)}
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
     for detected, truth in zip(detections_per_stream, truths_per_stream):
-        c1, _ = match_events(detected, truth, PHASE_ONE, rule=rule, iou_threshold=iou_threshold)
-        c2, matches = match_events(detected, truth, PHASE_TWO, rule=rule, iou_threshold=iou_threshold)
-        counts1 += c1
-        counts2 += c2
-        for name, c in per_class_counts(detected, truth, matches).items():
-            by_class[name] += c
-        for t_name, row in confusion_pairs(detected, truth, matches).items():
-            for p_name, n in row.items():
-                confusion[t_name][p_name] += n
+        _, matches = match_events(detected, truth, rule=rule, iou_threshold=iou_threshold)
+        truth_of = dict(matches)  # detection index -> truth index
+        for i, d in enumerate(detected):
+            row = index[truth[truth_of[i]].label] if i in truth_of else n
+            table[row, index[d.label]] += 1
+        for j in set(range(len(truth))) - set(truth_of.values()):
+            table[index[truth[j].label], n] += 1
 
-    per_class = {
-        name: {
-            "tp": c.n_tp,
-            "fp": c.n_fp,
-            "fn": c.n_fn,
-            "precision": precision_recall_f1(c).precision,
-            "recall": precision_recall_f1(c).recall,
-            "f1": precision_recall_f1(c).f1,
+    def counts(tp, n_detected, n_truth) -> ConfusionCounts:
+        return ConfusionCounts(int(tp), int(n_detected - tp), int(n_truth - tp))
+
+    pairs = table[:n, :n]
+    detected, truths = table[:, :n].sum(axis=0), table[:n].sum(axis=1)  # per class
+    counts1 = counts(pairs.sum(), detected.sum(), truths.sum())
+    counts2 = counts(np.trace(pairs), detected.sum(), truths.sum())
+    per_class = {}
+    for k, cls in enumerate(INTEREST_CLASSES):
+        rep = precision_recall_f1(counts(pairs[k, k], detected[k], truths[k]))
+        per_class[cls.name] = {
+            "tp": rep.counts.n_tp,
+            "fp": rep.counts.n_fp,
+            "fn": rep.counts.n_fn,
+            "precision": rep.precision,
+            "recall": rep.recall,
+            "f1": rep.f1,
         }
-        for name, c in by_class.items()
+    per_class["confusion"] = {
+        t.name: {p.name: int(pairs[a, b]) for b, p in enumerate(INTEREST_CLASSES)}
+        for a, t in enumerate(INTEREST_CLASSES)
     }
-    per_class["confusion"] = confusion
     report1 = precision_recall_f1(counts1, PHASE_ONE)
     report2 = precision_recall_f1(counts2, PHASE_TWO, per_class)
     return report1, report2
@@ -277,9 +245,9 @@ def evaluate_run(
     window_counts = ConfusionCounts()
     for stream, truth in pairs:
         scores = score_windows(stream, phase1_model, feature_kind, cfg, threads)
-        detections.append(_events_from_scores(stream, scores, phase2_model, cfg, feature_kind))
+        detections.append(events_from_scores(stream, scores, phase2_model, cfg, feature_kind))
         truths.append(list(truth))
-        window_counts += _window_diagnostics(stream, truth, scores, cfg)
+        window_counts += _window_diagnostics(truth, scores, cfg)
     report1, report2 = aggregate_run(detections, truths, rule=rule, iou_threshold=iou_threshold)
     report1.window_diagnostics = {
         "tp": window_counts.n_tp,

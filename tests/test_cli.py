@@ -177,12 +177,23 @@ def malformed_manifests(out):
     doc = json.loads((out / "manifest.json").read_text())
     no_labels = json.loads(json.dumps(doc))
     del no_labels["streams"][0]["labels_path"]
-    bad_id = json.loads(json.dumps(doc))
-    bad_id["streams"][0]["stream_id"] = 11
-    return {"invalid-json": "{not json", "no-labels-path": json.dumps(no_labels), "stream-id-11": json.dumps(bad_id)}
+    cases = {"invalid-json": "{not json", "no-labels-path": json.dumps(no_labels)}
+    for case, key, value in [
+        ("stream-id-11", "stream_id", 11),
+        ("stream-id-string", "stream_id", "3"),
+        ("stream-id-bool", "stream_id", True),
+        ("stream-path-int", "stream_path", 5),
+    ]:
+        bad = json.loads(json.dumps(doc))
+        bad["streams"][0][key] = value
+        cases[case] = json.dumps(bad)
+    return cases
 
 
-@pytest.mark.parametrize("case", ["invalid-json", "no-labels-path", "stream-id-11"])
+@pytest.mark.parametrize(
+    "case", ["invalid-json", "no-labels-path", "stream-id-11", "stream-id-string", "stream-id-bool",
+             "stream-path-int"],
+)
 def test_malformed_manifest_exits_two(tmp_path, capsys, case):
     cfg = write_config(tmp_path)
     assert main(["--config", str(cfg), "synth"]) == 0

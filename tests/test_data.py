@@ -94,6 +94,31 @@ def test_ingest_short_row(tmp_path):
         ingest_stream(path)
 
 
+GOOD_ROW = "0.0,0.1,0.2,0.3,0.4,0.5,0.6"
+
+
+@pytest.mark.parametrize(
+    "bad_row, row_no, message",
+    [
+        ("0.0,0.1,NaN,0.3,0.4,0.5,0.6", 1, "non-finite value"),
+        ("0.04,0.1,0.2,inf,0.4,0.5,0.6", 3, "non-finite value"),
+        ("-0.02,0.1,0.2,0.3,0.4,0.5,0.6", 2, "negative timestamp"),
+        ("0.06,0.1,0.2,abc,0.4,0.5,0.6", 4, "could not convert string to float: 'abc'"),
+        ("0.02,0.1,0.2,0.3,0.4,0.5", 2, "expected >= 7 columns, got 6"),
+    ],
+    ids=["nan-row-1", "inf-row-3", "negative-t-row-2", "token-row-4", "short-row-2"],
+)
+def test_ingest_reports_the_first_bad_row(tmp_path, bad_row, row_no, message):
+    rows = [GOOD_ROW] * 5
+    rows[row_no - 1] = bad_row
+    path = tmp_path / "s.csv"
+    path.write_text("# comment\nt,ax,ay,az,gx,gy,gz\n" + "\n".join(rows) + "\n")
+    with pytest.raises(MalformedRowError) as info:
+        ingest_stream(path)
+    assert info.value.line_no == row_no
+    assert str(info.value) == f"data row {row_no}: {message}"
+
+
 def test_ingest_custom_schema(tmp_path):
     # columns shuffled: gz first, then t, then the rest
     path = tmp_path / "s.csv"

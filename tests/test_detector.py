@@ -7,7 +7,7 @@ import ial.detector
 from ial.data import ActionClass, GroundTruthEvent, Stream, SyntheticConfig, generate_synthetic_stream
 from ial.detector import (
     DetectorConfig,
-    WindowScore,
+    WindowScores,
     build_phase1_dataset,
     build_phase2_dataset,
     classify_event,
@@ -15,6 +15,7 @@ from ial.detector import (
     featurize_stream,
     score_windows,
     segment_events,
+    window_labels,
     write_events_json,
     write_events_tsv,
 )
@@ -71,7 +72,8 @@ def test_score_windows_count_and_range():
     model = build_network(vector_model_spec(2), seed=0)
     scores = score_windows(stream, model, "vector", DetectorConfig(stride_frames=15))
     assert len(scores) == 391
-    assert all(0.0 <= s.interest_prob <= 1.0 for s in scores)
+    assert scores.x.shape == (391, 16) and scores.window_s == 3.0
+    assert np.all((0.0 <= scores.interest_prob) & (scores.interest_prob <= 1.0))
 
 
 def test_score_windows_short_stream():
@@ -96,8 +98,8 @@ def test_score_windows_threads_match_sequential():
     model = build_network(image_model_spec(2), seed=1)
     seq = score_windows(stream, model, "image", DetectorConfig(), threads=1)
     par = score_windows(stream, model, "image", DetectorConfig(), threads=4)
-    assert [s.start_t for s in seq] == [s.start_t for s in par]
-    assert [s.interest_prob for s in seq] == [s.interest_prob for s in par]
+    assert np.array_equal(seq.start_t, par.start_t)
+    assert np.array_equal(seq.interest_prob, par.interest_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +108,7 @@ def test_score_windows_threads_match_sequential():
 
 
 def scores_from(probs, stride_s=0.3):
-    return [WindowScore(i * stride_s, p) for i, p in enumerate(probs)]
+    return WindowScores(np.arange(len(probs)) * stride_s, np.asarray(probs, dtype=float), None, 3.0)
 
 
 def test_segment_all_negative():
@@ -150,6 +152,56 @@ def test_segment_disjoint_property_random():
             assert e0 <= s1
         for s, e in intervals:
             assert s < e
+
+
+def loop_segments(start_t, probs, window_s, cfg):
+    """Per-window loop reference for segment_events."""
+    runs = []
+    for i, p in enumerate(probs):
+        if p >= cfg.interest_threshold:
+            if runs and i - runs[-1][-1] - 1 <= cfg.merge_gap_windows:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+    kept = [r for r in runs if len(r) >= cfg.min_event_windows]
+    intervals = [(float(start_t[r[0]]), float(start_t[r[-1]]) + window_s) for r in kept]
+    for i in range(len(intervals) - 1):
+        if intervals[i][1] > intervals[i + 1][0]:
+            intervals[i] = (intervals[i][0], intervals[i + 1][0])
+    return intervals
+
+
+def loop_window_labels(start_t, window_s, truth):
+    """Per-window loop reference for window_labels."""
+    return [
+        any(max(0.0, min(t + window_s, ev.end) - max(t, ev.start)) >= 0.5 * window_s for ev in truth)
+        for t in start_t.tolist()
+    ]
+
+
+def test_segment_and_window_labels_equal_the_loop_reference():
+    rng = np.random.default_rng(25)
+    for trial in range(500):
+        n = int(rng.integers(1, 60))
+        probs = np.round(rng.random(n), 1)  # ties at the threshold happen
+        window_s = float(rng.choice([3.0, 150 / 49]))
+        start_t = np.arange(n) * float(rng.choice([0.3, 0.02, 1 / 3]))
+        cfg = DetectorConfig(
+            interest_threshold=float(rng.choice([0.3, 0.5, 0.7])),
+            min_event_windows=int(rng.integers(1, 4)),
+            merge_gap_windows=int(rng.integers(0, 4)),
+        )
+        scores = WindowScores(start_t, probs, None, window_s)
+        assert segment_events(scores, cfg) == loop_segments(start_t, probs, window_s, cfg)
+        truth, cursor = [], float(rng.uniform(-2.0, 2.0))
+        for _ in range(int(rng.integers(0, 4))):
+            cursor += float(rng.uniform(0.0, 3.0))
+            if trial % 2:  # start half a window into some window: a 50 % overlap, the edge case
+                cursor = max(cursor, float(start_t[rng.integers(0, n)]) + 0.5 * window_s)
+            end = cursor + float(rng.uniform(0.1, 4.0))
+            truth.append(GroundTruthEvent(ActionClass.WAVE, cursor, end))
+            cursor = end
+        assert window_labels(start_t, window_s, truth).tolist() == loop_window_labels(start_t, window_s, truth)
 
 
 def test_segment_threshold_monotonicity():

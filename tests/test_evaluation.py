@@ -249,6 +249,39 @@ def test_aggregate_hand_built_two_streams():
     assert rep2.per_class["confusion"]["WAVE"]["CIRCLE_CW"] == 1
 
 
+def test_aggregate_per_class_and_confusion_equal_oracle():
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        streams = [
+            [[make(*x) for x in random_disjoint_intervals(rng, rng.integers(0, 5), INTEREST_CLASSES)]
+             for make in (det, gt)]
+            for _ in range(3)
+        ]
+        detections, truths = [d for d, _ in streams], [t for _, t in streams]
+        want = {c.name: [0, 0, 0] for c in INTEREST_CLASSES}
+        confusion = {t.name: {p.name: 0 for p in INTEREST_CLASSES} for t in INTEREST_CLASSES}
+        phase1, phase2 = np.zeros(3, dtype=int), np.zeros(3, dtype=int)
+        for detected, truth in zip(detections, truths):
+            phase1 += oracle_counts(detected, truth, "one")[:3]
+            tp, fp, fn, chosen = oracle_counts(detected, truth, "two")
+            phase2 += (tp, fp, fn)
+            correct = {(i, j) for i, j in chosen if detected[i].label is truth[j].label}
+            for i, j in chosen:
+                confusion[truth[j].label.name][detected[i].label.name] += 1
+            for i, d in enumerate(detected):
+                want[d.label.name][0 if any(i == ci for ci, _ in correct) else 1] += 1
+            for j, ev in enumerate(truth):
+                if not any(j == cj for _, cj in correct):
+                    want[ev.label.name][2] += 1
+        rep1, rep2 = aggregate_run(detections, truths)
+        assert [rep1.counts.n_tp, rep1.counts.n_fp, rep1.counts.n_fn] == phase1.tolist()
+        assert [rep2.counts.n_tp, rep2.counts.n_fp, rep2.counts.n_fn] == phase2.tolist()
+        per_class = dict(rep2.per_class)
+        assert per_class.pop("confusion") == confusion
+        assert {name: [c["tp"], c["fp"], c["fn"]] for name, c in per_class.items()} == want
+        assert all(type(c[k]) is int for c in per_class.values() for k in ("tp", "fp", "fn"))
+
+
 def test_aggregate_perfect_detector():
     truths = [[gt(L, 1, 3), gt(W, 5, 7)], [gt(CW, 2, 4)]]
     detections = [[det(L, 1, 3), det(W, 5, 7)], [det(CW, 2, 4)]]

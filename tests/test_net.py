@@ -22,6 +22,7 @@ from ial.net import (
     Dropout,
     MaxPool2,
     ModelSpec,
+    ReLU,
     TrainConfig,
     build_network,
     conv2d,
@@ -30,7 +31,6 @@ from ial.net import (
     load_checkpoint,
     maxpool2,
     relu,
-    relu_backward,
     save_checkpoint,
     softmax,
     softmax_cross_entropy,
@@ -82,8 +82,14 @@ def test_relu_gradient_vs_finite_differences():
     x = rng.normal(0, 1, (5, 7))
     x[np.abs(x) < 1e-3] += 0.01  # keep clear of the kink
     w = rng.normal(0, 1, (5, 7))
-    analytic = relu_backward(w, x)
-    numeric = central_diff(lambda: float((relu(x) * w).sum()), x)
+    layer = ReLU()
+
+    def loss():
+        return float((layer.forward(x, train=True) * w).sum())
+
+    loss()
+    analytic = layer.backward(w)
+    numeric = central_diff(loss, x)
     rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
     assert rel.max() < 1e-6
 
@@ -661,6 +667,20 @@ def test_cnn_structure():
     assert not any(name.endswith(".bias") for name, _ in net.parameters())
     final = [l for l in net.layers if isinstance(l, Dense)]
     assert len(final) == 1 and final[0].w.shape == (5, 384)
+
+
+@pytest.mark.parametrize("spec", [image_model_spec(2), vector_model_spec(5)], ids=["cnn", "fc"])
+def test_inference_writes_no_layer_state(spec):
+    rng = np.random.default_rng(24)
+    x = rng.normal(0.5, 0.2, (4, *spec.input_shape))
+    y = np.arange(4) % spec.n_classes
+    net, _ = train(spec, x, y, TrainConfig(epochs=1, batch_size=4, seed=6))  # one step
+    before = [dict(vars(layer)) for layer in net.layers]
+    net.predict_proba(x)
+    for layer, held in zip(net.layers, before):
+        now = vars(layer)
+        assert now.keys() == held.keys(), type(layer).__name__
+        assert all(now[k] is held[k] for k in held), type(layer).__name__
 
 
 def test_checkpoint_round_trip(tmp_path):

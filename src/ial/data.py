@@ -32,10 +32,17 @@ from .errors import (
     NonMonotoneTimestampsError,
     OutOfRangeError,
     OverlappingEventsError,
+    TimestampRateError,
     UnknownLabelError,
 )
 
 DEFAULT_SAMPLE_RATE_HZ = 50.0
+
+# ingest_stream's rate checks: the median timestamp step lies within
+# PERIOD_TOLERANCE of the sample period, and no step exceeds MAX_GAP_PERIODS
+# periods (the 4 dropped samples that allows stretch a 150-frame window by 4/149)
+PERIOD_TOLERANCE = 0.05
+MAX_GAP_PERIODS = 5
 
 STREAM_FIELDS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
 DEFAULT_SCHEMA: dict[str, int] = {name: i for i, name in enumerate(STREAM_FIELDS)}
@@ -90,10 +97,6 @@ class Stream:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    @property
-    def duration_s(self) -> float:
-        return float(self.t[-1] - self.t[0]) if len(self) else 0.0
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,8 @@ def ingest_stream(
     unparseable, or non-finite values, or a negative timestamp, raise
     MalformedRowError with the 1-based data-row number; a row that does not
     parse is reported before any non-finite or negative value.
+    Then the timestamps must strictly increase (NonMonotoneTimestampsError)
+    and agree with ``sample_rate_hz`` (TimestampRateError).
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if sorted(schema) != sorted(STREAM_FIELDS):
@@ -223,8 +228,18 @@ def ingest_stream(
         i = int(np.argmax(bad))
         raise MalformedRowError(i + 1, "negative timestamp" if finite[i] else "non-finite value")
     t = arr[:, 0]
-    if len(t) > 1 and np.any(np.diff(t) < 0):
-        raise NonMonotoneTimestampsError(str(p))
+    dt = np.diff(t)
+    if np.any(dt <= 0):
+        i = int(np.argmax(dt <= 0))
+        raise NonMonotoneTimestampsError(f"{p}: data row {i + 2}: t = {t[i + 1]:.17g} after {t[i]:.17g}")
+    period = 1.0 / sample_rate_hz
+    if len(dt) and (
+        abs(np.median(dt) - period) > PERIOD_TOLERANCE * period or dt.max() > MAX_GAP_PERIODS * period
+    ):
+        raise TimestampRateError(
+            f"{p}: timestamp steps (median {np.median(dt):.6g} s, longest {dt.max():.6g} s) "
+            f"do not fit {sample_rate_hz:g} Hz"
+        )
     return Stream(subject_id, stream_id, t, arr[:, 1:], sample_rate_hz)
 
 
@@ -402,6 +417,8 @@ def load_manifest(path) -> tuple[list[ManifestEntry], float]:
         raise MalformedManifestError(f"{p}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise MalformedManifestError(f"{p}: {exc}") from None
+    if not rate > 0:
+        raise MalformedManifestError(f"{p}: sample_rate_hz must be > 0, got {rate}")
     for e in entries:
         for name, want in _ENTRY_TYPES.items():
             value = getattr(e, name)

@@ -45,6 +45,9 @@ MODEL_FOR_FEATURE = {IMAGE_KIND: CNN_KIND, VECTOR_KIND: FC_KIND}
 NON_INTEREST_IDX = 0
 INTEREST_IDX = 1
 
+# windows per predict_proba call; with threads > 1 the chunks run in parallel
+PROBA_CHUNK = 256
+
 
 @dataclass(frozen=True, eq=False)
 class WindowScores:
@@ -143,8 +146,8 @@ def _check_model(model: Network, feature_kind: str, n_classes: int) -> None:
         )
 
 
-def _batched_proba(model: Network, x: np.ndarray, threads: int = 1, chunk: int = 256) -> np.ndarray:
-    spans = [(lo, min(lo + chunk, len(x))) for lo in range(0, len(x), chunk)]
+def _batched_proba(model: Network, x: np.ndarray, threads: int = 1) -> np.ndarray:
+    spans = [(lo, min(lo + PROBA_CHUNK, len(x))) for lo in range(0, len(x), PROBA_CHUNK)]
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda s: model.predict_proba(x[s[0] : s[1]]), spans))

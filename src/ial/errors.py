@@ -43,6 +43,10 @@ class NonMonotoneTimestampsError(DataError):
     pass
 
 
+class TimestampRateError(DataError):
+    """Timestamps whose spacing contradicts the stream's sample rate."""
+
+
 class UnknownLabelError(DataError):
     pass
 

@@ -10,6 +10,7 @@ against central finite differences by ``gradient_check``.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -36,11 +37,6 @@ from .errors import (
 def relu(x: np.ndarray) -> np.ndarray:
     """Elementwise max(0, x)."""
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pass the upstream gradient where x >= 0, zero where x < 0."""
-    return np.where(x >= 0.0, dy, 0.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -82,8 +78,7 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     """Non-overlapping 2x2 max; trailing odd row/column is dropped."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 3
-    xb = x[None] if single else x
-    y = _pool_forward(xb)[0]
+    y = _pool_blocks(x[None] if single else x).max(axis=3)
     return y[0] if single else y
 
 
@@ -126,29 +121,15 @@ def _conv_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernels: np.ndarra
     return dx, dkernels
 
 
-def _pool_forward(x: np.ndarray):
+def _pool_blocks(x: np.ndarray) -> np.ndarray:
+    """(N, H, W, C) -> (N, H//2, W//2, 4, C): the cells of each 2x2 block."""
     n, h, w, c = x.shape
     if h < 2 or w < 2:
         raise InputTooSmallError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
     h2, w2 = h // 2, w // 2
     cropped = x[:, : 2 * h2, : 2 * w2, :]
     # cells in row-major order within each 2x2 block; argmax ties pick the first
-    blocks = cropped.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
-    idx = blocks.argmax(axis=3)
-    y = np.take_along_axis(blocks, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return y, idx
-
-
-def _pool_backward(dy: np.ndarray, idx: np.ndarray, x_shape):
-    n, h, w, c = x_shape
-    h2, w2 = h // 2, w // 2
-    dblocks = np.zeros((n, h2, w2, 4, c))
-    np.put_along_axis(dblocks, idx[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-    dx = np.zeros((n, h, w, c))
-    dx[:, : 2 * h2, : 2 * w2, :] = (
-        dblocks.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * h2, 2 * w2, c)
-    )
-    return dx
+    return cropped.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +137,28 @@ def _pool_backward(dy: np.ndarray, idx: np.ndarray, x_shape):
 # ---------------------------------------------------------------------------
 
 
-class Conv2D:
+class Layer:
+    """One step of a Network.
+
+    ``forward(x, train)`` returns the layer's output and keeps what
+    ``backward(dy)`` needs only when ``train`` is true, so inference writes
+    nothing to a layer and several threads may share one network.
+    ``backward`` follows a training forward.  ``params`` are the trained
+    arrays, ``grads`` their gradients from the last backward, and ``state``
+    the other arrays a checkpoint holds.
+    """
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def grads(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def state(self) -> dict[str, np.ndarray]:
+        return {}
+
+
+class Conv2D(Layer):
     """Same-padded convolution without a bias: every conv here feeds a
     BatchNorm, whose batch-mean subtraction cancels any per-channel constant."""
 
@@ -165,11 +167,11 @@ class Conv2D:
         fan_out = kernel * kernel * c_out
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         self.kernels = rng.uniform(-limit, limit, (c_out, kernel, kernel, c_in))
-        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         y, cols = _conv_forward(x, self.kernels)
-        self._cache = (cols, x.shape)
+        if train:
+            self._cache = (cols, x.shape)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -184,17 +186,17 @@ class Conv2D:
         return {"kernels": self.d_kernels}
 
 
-class Dense:
+class Dense(Layer):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         limit = np.sqrt(6.0 / (n_in + n_out))
         self.w = rng.uniform(-limit, limit, (n_out, n_in))
         self.b = np.zeros(n_out)
-        self._x = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if x.shape[-1] != self.w.shape[1]:
             raise ShapeMismatchError(f"input width {x.shape[-1]} != {self.w.shape[1]}")
-        self._x = x
+        if train:
+            self._x = x
         return x @ self.w.T + self.b
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -209,44 +211,45 @@ class Dense:
         return {"w": self.d_w, "b": self.d_b}
 
 
-class ReLU:
+class ReLU(Layer):
+    """max(0, x); a training forward keeps ``mask``, where x >= 0."""
+
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        self._x = x
+        if train:
+            self.mask = x >= 0.0
         return np.maximum(x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return relu_backward(dy, self._x)
-
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
+        return np.where(self.mask, dy, 0.0)
 
 
-class MaxPool2:
+class MaxPool2(Layer):
+    """2x2 max-pool; a training forward keeps ``argmax``, the cell of each block's max."""
+
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        y, idx = _pool_forward(x)
-        self._cache = (idx, x.shape)
-        return y
+        blocks = _pool_blocks(x)
+        if train:
+            self.argmax, self._shape = blocks.argmax(axis=3), x.shape
+        return blocks.max(axis=3)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        idx, x_shape = self._cache
-        return _pool_backward(dy, idx, x_shape)
+        n, h, w, c = self._shape
+        h2, w2 = h // 2, w // 2
+        dblocks = np.zeros((n, h2, w2, 4, c))
+        np.put_along_axis(dblocks, self.argmax[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
+        dx = np.zeros((n, h, w, c))
+        dx[:, : 2 * h2, : 2 * w2, :] = (
+            dblocks.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * h2, 2 * w2, c)
+        )
+        return dx
 
-    def params(self):
-        return {}
 
-    def grads(self):
-        return {}
-
-
-class BatchNorm:
+class BatchNorm(Layer):
     """Channel-wise batch normalization over all leading axes.
 
     Train mode normalizes by batch statistics and updates running statistics
     with momentum 0.9; infer mode uses the running statistics.  The backward
-    pass is the full batch-coupled gradient.
+    pass is the full batch-coupled gradient of a training forward.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
@@ -256,7 +259,6 @@ class BatchNorm:
         self.running_var = np.ones(channels)
         self.eps = eps
         self.momentum = momentum
-        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         axes = tuple(range(x.ndim - 1))
@@ -270,16 +272,15 @@ class BatchNorm:
             mean, var = self.running_mean, self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv
-        self._cache = (xhat, inv, axes, train)
+        if train:
+            self._cache = (xhat, inv, axes)
         return self.gamma * xhat + self.beta
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv, axes, trained = self._cache
+        xhat, inv, axes = self._cache
         self.d_gamma = (dy * xhat).sum(axes)
         self.d_beta = dy.sum(axes)
         dxhat = dy * self.gamma
-        if not trained:
-            return dxhat * inv
         m_mean = lambda a: a.mean(axes)  # noqa: E731
         return inv * (dxhat - m_mean(dxhat) - xhat * m_mean(dxhat * xhat))
 
@@ -293,45 +294,32 @@ class BatchNorm:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
-class Dropout:
+class Dropout(Layer):
     def __init__(self, rate: float, rng: np.random.Generator):
         if not 0.0 <= rate < 1.0:
             raise InvalidRateError(f"dropout rate {rate} outside [0, 1)")
         self.rate = rate
         self.rng = rng
-        self.enabled = True
-        self._mask = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if not train or not self.enabled or self.rate == 0.0:
-            self._mask = None
+        if not train:
             return x
+        # at rate 0 the mask is all ones, and x * 1.0 == x exactly
         self._mask = (self.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x * self._mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy if self._mask is None else dy * self._mask
-
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
+        return dy * self._mask
 
 
-class Flatten:
+class Flatten(Layer):
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        self._shape = x.shape
+        if train:
+            self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy.reshape(self._shape)
-
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
 
 
 # ---------------------------------------------------------------------------
@@ -398,27 +386,26 @@ class Network:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.forward(x, train=False))
 
+    def _named(self, kind: str) -> list[tuple[str, np.ndarray]]:
+        """Each layer's ``params``, ``grads`` or ``state`` arrays, named "<layer index>.<name>"."""
+        return [
+            (f"{i}.{name}", arr)
+            for i, layer in enumerate(self.layers)
+            for name, arr in getattr(layer, kind)().items()
+        ]
+
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.params().items():
-                out.append((f"{i}.{name}", arr))
-        return out
+        return self._named("params")
 
     def gradients(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.grads().items():
-                out.append((f"{i}.{name}", arr))
-        return out
+        return self._named("grads")
 
-    def set_dropout_enabled(self, enabled: bool) -> None:
-        for layer in self.layers:
-            if isinstance(layer, Dropout):
-                layer.enabled = enabled
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Parameters followed by running statistics: the contents of a checkpoint."""
+        return self._named("params") + self._named("state")
 
     def activation_signature(self) -> list[np.ndarray]:
-        """ReLU sign masks and pooling argmax indices from the last forward.
+        """ReLU masks and pooling argmax indices from the last training forward.
 
         Two inputs with equal signatures lie in the same piecewise-smooth
         region of the network, so finite differences between them are valid.
@@ -426,9 +413,9 @@ class Network:
         sig = []
         for layer in self.layers:
             if isinstance(layer, ReLU):
-                sig.append(layer._x >= 0.0)
+                sig.append(layer.mask)
             elif isinstance(layer, MaxPool2):
-                sig.append(layer._cache[0])
+                sig.append(layer.argmax)
         return sig
 
 
@@ -563,9 +550,10 @@ def gradient_check(
 ) -> float:
     """Max relative error between backprop and central finite differences.
 
-    Dropout is disabled and batchnorm held in train (batch-statistics) mode so
-    the loss is a deterministic function of the parameters.  Arrays larger
-    than ``max_per_param`` are subsampled.  Relative error uses
+    The check runs on a copy of ``net`` with every dropout rate set to 0, and
+    batchnorm held in train (batch-statistics) mode, so the loss is a
+    deterministic function of the parameters and ``net`` is left as it was.
+    Arrays larger than ``max_per_param`` are subsampled.  Relative error uses
     |a - n| / max(|a|, |n|, 1e-6).
 
     A central difference only estimates the derivative where the loss is
@@ -577,52 +565,45 @@ def gradient_check(
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    net.set_dropout_enabled(False)
-    saved_running = [
-        (layer, layer.running_mean.copy(), layer.running_var.copy())
-        for layer in net.layers
-        if isinstance(layer, BatchNorm)
-    ]
+    net = copy.deepcopy(net)
+    for layer in net.layers:
+        if isinstance(layer, Dropout):
+            layer.rate = 0.0
     pick_rng = np.random.default_rng([seed, 3])
-    try:
-        def loss_and_signature() -> tuple[float, list[np.ndarray]]:
-            logits = net.forward(x, train=True)
-            loss, _ = softmax_cross_entropy(logits, y)
-            return loss, net.activation_signature()
 
+    def loss_and_signature() -> tuple[float, list[np.ndarray]]:
         logits = net.forward(x, train=True)
-        _, dlogits = softmax_cross_entropy(logits, y)
-        net.backward(dlogits)
-        analytic = {name: arr.copy() for name, arr in net.gradients()}
+        loss, _ = softmax_cross_entropy(logits, y)
+        return loss, net.activation_signature()
 
-        worst = 0.0
-        for name, arr in net.parameters():
-            flat = arr.reshape(-1)
-            n_vals = flat.shape[0]
-            if n_vals > max_per_param:
-                indices = pick_rng.choice(n_vals, size=max_per_param, replace=False)
-            else:
-                indices = np.arange(n_vals)
-            a_flat = analytic[name].reshape(-1)
-            for i in indices:
-                orig = flat[i]
-                flat[i] = orig + step
-                up, sig_up = loss_and_signature()
-                flat[i] = orig - step
-                down, sig_down = loss_and_signature()
-                flat[i] = orig
-                if not all(np.array_equal(a, b) for a, b in zip(sig_up, sig_down)):
-                    continue  # kink inside the bracket
-                numeric = (up - down) / (2.0 * step)
-                a = a_flat[i]
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-                worst = max(worst, rel)
-        return worst
-    finally:
-        net.set_dropout_enabled(True)
-        for layer, mean, var in saved_running:
-            layer.running_mean = mean
-            layer.running_var = var
+    logits = net.forward(x, train=True)
+    _, dlogits = softmax_cross_entropy(logits, y)
+    net.backward(dlogits)
+    analytic = {name: arr.copy() for name, arr in net.gradients()}
+
+    worst = 0.0
+    for name, arr in net.parameters():
+        flat = arr.reshape(-1)
+        n_vals = flat.shape[0]
+        if n_vals > max_per_param:
+            indices = pick_rng.choice(n_vals, size=max_per_param, replace=False)
+        else:
+            indices = np.arange(n_vals)
+        a_flat = analytic[name].reshape(-1)
+        for i in indices:
+            orig = flat[i]
+            flat[i] = orig + step
+            up, sig_up = loss_and_signature()
+            flat[i] = orig - step
+            down, sig_down = loss_and_signature()
+            flat[i] = orig
+            if not all(np.array_equal(a, b) for a, b in zip(sig_up, sig_down)):
+                continue  # kink inside the bracket
+            numeric = (up - down) / (2.0 * step)
+            a = a_flat[i]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
+            worst = max(worst, rel)
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +614,8 @@ CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(net: Network, path, *, config_hash: str | None = None, meta: dict | None = None) -> None:
-    """Write a JSON checkpoint: spec echo plus per-layer parameter arrays."""
-    state: dict[str, list] = {}
-    for name, arr in net.parameters():
-        state[name] = arr.tolist()
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, BatchNorm):
-            for sname, arr in layer.state().items():
-                state[f"{i}.{sname}"] = arr.tolist()
+    """Write a JSON checkpoint: spec echo plus ``net.arrays()``."""
+    state = {name: arr.tolist() for name, arr in net.arrays()}
     doc = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
@@ -691,11 +666,7 @@ def load_checkpoint(path) -> Network:
     net = build_network(spec, seed=0)
     if version == 1:
         _fold_conv_biases(net, state)
-    expected = dict(net.parameters())
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, BatchNorm):
-            for sname, arr in layer.state().items():
-                expected[f"{i}.{sname}"] = arr
+    expected = dict(net.arrays())
     if sorted(expected) != sorted(state):
         raise CheckpointMismatchError("checkpoint layer names do not match the spec")
     for name, target in expected.items():

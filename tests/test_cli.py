@@ -10,7 +10,7 @@ from ial.config import config_hash, load_run_config
 from ial.data import ingest_stream
 from ial.features import image_feature, vector_feature
 from ial.signal import make_window, window_starts
-from ial.net import Dense
+from ial.net import Dense, build_network, save_checkpoint, vector_model_spec
 
 
 def write_config(tmp_path, **extra):
@@ -177,7 +177,11 @@ def malformed_manifests(out):
     doc = json.loads((out / "manifest.json").read_text())
     no_labels = json.loads(json.dumps(doc))
     del no_labels["streams"][0]["labels_path"]
-    cases = {"invalid-json": "{not json", "no-labels-path": json.dumps(no_labels)}
+    cases = {
+        "invalid-json": "{not json",
+        "no-labels-path": json.dumps(no_labels),
+        "rate-zero": json.dumps({**doc, "sample_rate_hz": 0}),
+    }
     for case, key, value in [
         ("stream-id-11", "stream_id", 11),
         ("stream-id-string", "stream_id", "3"),
@@ -192,7 +196,7 @@ def malformed_manifests(out):
 
 @pytest.mark.parametrize(
     "case", ["invalid-json", "no-labels-path", "stream-id-11", "stream-id-string", "stream-id-bool",
-             "stream-path-int"],
+             "stream-path-int", "rate-zero"],
 )
 def test_malformed_manifest_exits_two(tmp_path, capsys, case):
     cfg = write_config(tmp_path)
@@ -212,6 +216,20 @@ def test_detect_short_stream_exits_two(tmp_path):
     short = tmp_path / "short.csv"
     short.write_text("t,ax,ay,az,gx,gy,gz\n0.0,0,0,0,0,0,0\n")
     assert main(["--config", str(cfg), "detect", str(short)]) == 2
+
+
+def test_detect_stream_off_the_sample_rate_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    for phase, n_classes in ((1, 2), (2, 5)):
+        save_checkpoint(build_network(vector_model_spec(n_classes)), out / f"phase{phase}_fc.json")
+    stream = tmp_path / "100hz.csv"  # 30 s at 100 Hz, read at the configured 50 Hz
+    stream.write_text("t,ax,ay,az,gx,gy,gz\n" + "".join(f"{i / 100.0!r},0,0,0,0,0,0\n" for i in range(3000)))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "detect", str(stream)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "50 Hz" in err
 
 
 def test_gradcheck_passes(tmp_path, capsys):

@@ -27,6 +27,7 @@ from ial.errors import (
     NonMonotoneTimestampsError,
     OutOfRangeError,
     OverlappingEventsError,
+    TimestampRateError,
     UnknownLabelError,
 )
 
@@ -72,7 +73,7 @@ def test_ingest_6000_rows_duration(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     stream = ingest_stream(path)
     assert len(stream) == 6000
-    assert stream.duration_s == pytest.approx(119.98, abs=1e-12)
+    assert stream.t[-1] - stream.t[0] == pytest.approx(119.98, abs=1e-12)
 
 
 def test_ingest_missing_file(tmp_path):
@@ -85,6 +86,31 @@ def test_ingest_non_monotone_timestamps(tmp_path):
     path.write_text("t,ax,ay,az,gx,gy,gz\n1.0,0,0,0,0,0,0\n0.5,0,0,0,0,0,0\n")
     with pytest.raises(NonMonotoneTimestampsError):
         ingest_stream(path)
+
+
+def write_times(path, t):
+    path.write_text("t,ax,ay,az,gx,gy,gz\n" + "".join(f"{v!r},0,0,0,0,0,0\n" for v in t))
+    return path
+
+
+@pytest.mark.parametrize(
+    "t, error",
+    [
+        (np.zeros(200), NonMonotoneTimestampsError),
+        (np.delete(np.arange(201) / 50.0, 100), None),  # one dropped sample: accepted
+        (np.insert(np.arange(200) / 50.0, 100, 99 / 50.0), NonMonotoneTimestampsError),
+        (np.arange(200) / 100.0, TimestampRateError),  # a 100 Hz stream read at 50 Hz
+        (np.concatenate([np.arange(100), np.arange(150, 250)]) / 50.0, TimestampRateError),  # a 1 s hole
+    ],
+    ids=["all-zero", "one-dropped-sample", "one-duplicate", "100hz-at-50hz", "1s-hole"],
+)
+def test_ingest_rejects_timestamps_that_contradict_the_rate(tmp_path, t, error):
+    path = write_times(tmp_path / "s.csv", t.tolist())
+    if error is None:
+        assert np.array_equal(ingest_stream(path, sample_rate_hz=50.0).t, t)
+    else:
+        with pytest.raises(error):
+            ingest_stream(path, sample_rate_hz=50.0)
 
 
 def test_ingest_short_row(tmp_path):

@@ -314,7 +314,7 @@ def test_detect_events_sorted_disjoint_in_bounds():
     for a, b in zip(events, events[1:]):
         assert a.start < b.start and a.end <= b.start
     for ev in events:
-        assert 0.0 <= ev.start < ev.end <= stream.duration_s
+        assert 0.0 <= ev.start < ev.end <= stream.t[-1] - stream.t[0]
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,6 @@ def test_ingest_non_monotone_timestamps(tmp_path):
         ingest_stream(path)
 
 
-def write_times(path, t):
-    path.write_text("t,ax,ay,az,gx,gy,gz\n" + "".join(f"{v!r},0,0,0,0,0,0\n" for v in t))
-    return path
-
-
 @pytest.mark.parametrize(
     "t, error",
     [
@@ -105,7 +100,8 @@ def write_times(path, t):
     ids=["all-zero", "one-dropped-sample", "one-duplicate", "100hz-at-50hz", "1s-hole"],
 )
 def test_ingest_rejects_timestamps_that_contradict_the_rate(tmp_path, t, error):
-    path = write_times(tmp_path / "s.csv", t.tolist())
+    path = tmp_path / "s.csv"
+    path.write_text("t,ax,ay,az,gx,gy,gz\n" + "".join(f"{v!r},0,0,0,0,0,0\n" for v in t.tolist()))
     if error is None:
         assert np.array_equal(ingest_stream(path, sample_rate_hz=50.0).t, t)
     else:

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ def _parse_override(text: str) -> tuple[str, object]:
     key, raw = text.split("=", 1)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:
         value = raw
     return key, value
 
@@ -116,6 +117,12 @@ def cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _split_pairs(pairs: list) -> tuple[list, list]:
+    """``split_dataset`` applied to (stream, events) pairs."""
+    train, test = dat.split_dataset([s for s, _ in pairs])
+    return [p for p in pairs if p[0] in train], [p for p in pairs if p[0] in test]
+
+
 def _train_both(cfg: RunConfig, pairs) -> tuple[net.Network, net.Network, list, list]:
     if not pairs:
         raise EmptyDatasetError("no training streams in the manifest")
@@ -139,11 +146,7 @@ def _write_loss_csv(path: Path, losses: list, chash: str) -> None:
 
 def cmd_train(cfg: RunConfig) -> int:
     chash = config_hash(cfg)
-    pairs = dat.load_dataset(_manifest_path(cfg), cfg.schema)
-    streams = [s for s, _ in pairs]
-    train_streams, _ = dat.split_dataset(streams)
-    train_ids = {(s.subject_id, s.stream_id) for s in train_streams}
-    train_pairs = [(s, t) for s, t in pairs if (s.subject_id, s.stream_id) in train_ids]
+    train_pairs, _ = _split_pairs(dat.load_dataset(_manifest_path(cfg), cfg.schema))
     net1, net2, losses1, losses2 = _train_both(cfg, train_pairs)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -185,10 +188,7 @@ def cmd_detect(cfg: RunConfig, stream_path: str, dump_features: str | None) -> i
 def cmd_eval(cfg: RunConfig) -> int:
     chash = config_hash(cfg)
     phase1, phase2 = _load_models(cfg)
-    pairs = dat.load_dataset(_manifest_path(cfg), cfg.schema)
-    _, test_streams = dat.split_dataset([s for s, _ in pairs])
-    test_ids = {(s.subject_id, s.stream_id) for s in test_streams}
-    test_pairs = [(s, t) for s, t in pairs if (s.subject_id, s.stream_id) in test_ids]
+    _, test_pairs = _split_pairs(dat.load_dataset(_manifest_path(cfg), cfg.schema))
     report1, report2 = ev.evaluate_run(
         test_pairs, phase1, phase2, cfg.detector, cfg.feature_kind,
         rule=cfg.eval.match_rule, iou_threshold=cfg.eval.iou_threshold, threads=cfg.threads,
@@ -200,7 +200,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     (out / "report.txt").write_text(f"# config_hash={chash}\n{text}", encoding="utf-8")
     doc = {
         "config_hash": chash,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "phase_one": report1.to_dict(),
         "phase_two": report2.to_dict(),
     }

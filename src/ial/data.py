@@ -8,14 +8,14 @@ File formats understood here:
   files are tolerated (the first line is kept when it parses as numbers).
 * label file: one ``label_id start_s end_s`` triple per non-empty line,
   label_id in 1..5.
-* manifest: JSON document listing subject/stream ids and the stream/label
-  file paths, relative to the manifest's directory.
+* manifest: JSON document (``Manifest``) listing subject/stream ids and the
+  stream/label file paths, relative to the manifest's directory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -35,6 +35,7 @@ from .errors import (
     TimestampRateError,
     UnknownLabelError,
 )
+from .typed import from_json, read_json
 
 DEFAULT_SAMPLE_RATE_HZ = 50.0
 
@@ -118,21 +119,18 @@ class GroundTruthEvent:
         return 0.5 * (self.start + self.end)
 
 
-def _default_amplitudes() -> dict[ActionClass, tuple[float, float]]:
-    return {cls: (2.0, 4.0) for cls in INTEREST_CLASSES}
-
-
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs for the seeded synthetic stream generator."""
+    """Knobs for the seeded synthetic stream generator.
+
+    ``amplitude_range`` is keyed by lower-case class name; a class it omits keeps (2.0, 4.0).
+    """
 
     seed: int = 0
     stream_duration_s: float = 120.0
     events_per_stream: int = 5
     noise_std: float = 0.3
-    amplitude_range: Mapping[ActionClass, tuple[float, float]] = field(
-        default_factory=_default_amplitudes
-    )
+    amplitude_range: dict[str, tuple[float, float]] = field(default_factory=dict)
     event_duration_range: tuple[float, float] = (1.5, 2.5)
     min_gap_s: float = 3.0
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
@@ -140,6 +138,12 @@ class SyntheticConfig:
     n_streams: int = 10
 
     def __post_init__(self):
+        names = [cls.name.lower() for cls in INTEREST_CLASSES]
+        unknown = [key for key in self.amplitude_range if key not in names]
+        if unknown:
+            raise ConfigError(f"unknown action class {unknown[0]!r} in amplitude_range")
+        amplitudes = {name: self.amplitude_range.get(name, (2.0, 4.0)) for name in names}
+        object.__setattr__(self, "amplitude_range", amplitudes)
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.stream_duration_s <= 0 or self.sample_rate_hz <= 0:
@@ -153,10 +157,9 @@ class SyntheticConfig:
         lo, hi = self.event_duration_range
         if not 0 < lo <= hi:
             raise ConfigError("event_duration_range must satisfy 0 < lo <= hi")
-        for cls in INTEREST_CLASSES:
-            a_lo, a_hi = self.amplitude_range[cls]
+        for name, (a_lo, a_hi) in amplitudes.items():
             if not 0 < a_lo <= a_hi:
-                raise ConfigError(f"amplitude range for {cls.name} must satisfy 0 < lo <= hi")
+                raise ConfigError(f"amplitude range for {name} must satisfy 0 < lo <= hi")
         if self.n_subjects < 1 or self.n_streams < 1:
             raise ConfigError("n_subjects and n_streams must be >= 1")
 
@@ -346,7 +349,7 @@ def generate_synthetic_stream(
             f"{cfg.stream_duration_s}s"
         )
     offsets = np.sort(rng.uniform(0.0, max(slack, 0.0), k))
-    amps = np.array([rng.uniform(*cfg.amplitude_range[c]) for c in classes])
+    amps = np.array([rng.uniform(*cfg.amplitude_range[c.name.lower()]) for c in classes])
 
     sig = rng.normal(0.0, cfg.noise_std, (n, 6))
 
@@ -373,7 +376,14 @@ class ManifestEntry:
     labels_path: str
 
 
-_ENTRY_TYPES = {"subject_id": int, "stream_id": int, "stream_path": str, "labels_path": str}
+@dataclass(frozen=True, kw_only=True)
+class Manifest:
+    """The manifest document, field for field in file order."""
+
+    version: int = 1
+    config_hash: str | None = None
+    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
+    streams: tuple[ManifestEntry, ...]
 
 
 def write_manifest(
@@ -382,49 +392,17 @@ def write_manifest(
     sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ,
     config_hash: str | None = None,
 ) -> None:
-    doc = {
-        "version": 1,
-        "config_hash": config_hash,
-        "sample_rate_hz": sample_rate_hz,
-        "streams": [
-            {
-                "subject_id": e.subject_id,
-                "stream_id": e.stream_id,
-                "stream_path": e.stream_path,
-                "labels_path": e.labels_path,
-            }
-            for e in entries
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    doc = Manifest(config_hash=config_hash, sample_rate_hz=sample_rate_hz, streams=tuple(entries))
+    Path(path).write_text(json.dumps(asdict(doc), indent=2) + "\n", encoding="utf-8")
 
 
 def load_manifest(path) -> tuple[list[ManifestEntry], float]:
     p = Path(path)
-    if not p.is_file():
-        raise MissingFileError(str(p))
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise MalformedManifestError(f"{p}: invalid JSON ({exc})") from None
-    try:
-        entries = [
-            ManifestEntry(e["subject_id"], e["stream_id"], e["stream_path"], e["labels_path"])
-            for e in doc["streams"]
-        ]
-        rate = float(doc.get("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ))
-    except KeyError as exc:
-        raise MalformedManifestError(f"{p}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise MalformedManifestError(f"{p}: {exc}") from None
-    if not rate > 0:
-        raise MalformedManifestError(f"{p}: sample_rate_hz must be > 0, got {rate}")
-    for e in entries:
-        for name, want in _ENTRY_TYPES.items():
-            value = getattr(e, name)
-            if type(value) is not want:  # also rejects bool ids
-                raise MalformedManifestError(f"{p}: {name} must be {want.__name__}, got {value!r}")
-    return entries, rate
+    doc = read_json(p, MalformedManifestError, MissingFileError)
+    manifest = from_json(Manifest, doc, lambda message: MalformedManifestError(f"{p}: {message}"))
+    if not manifest.sample_rate_hz > 0:
+        raise MalformedManifestError(f"{p}: sample_rate_hz must be > 0, got {manifest.sample_rate_hz}")
+    return list(manifest.streams), manifest.sample_rate_hz
 
 
 def load_dataset(

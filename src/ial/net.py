@@ -28,6 +28,7 @@ from .errors import (
     MissingCheckpointError,
     ShapeMismatchError,
 )
+from .typed import from_json, read_json
 
 # ---------------------------------------------------------------------------
 # functional ops
@@ -354,6 +355,10 @@ class ModelSpec:
             raise ConfigError("cnn input must be (H, W, C)")
         if self.kind == FC_KIND and len(self.input_shape) != 1:
             raise ConfigError("fc input must be (D,)")
+        if min((*self.input_shape, *self.conv_filters, self.hidden_units)) < 1:
+            raise ConfigError("input_shape, conv_filters and hidden_units must be >= 1")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigError("kernel must be odd and >= 1")
 
 
 def image_model_spec(n_classes: int, dropout_rate: float = 0.5) -> ModelSpec:
@@ -649,20 +654,15 @@ def load_checkpoint(path) -> Network:
     version 1.
     """
     p = Path(path)
-    if not p.is_file():
-        raise MissingCheckpointError(str(p))
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CheckpointMismatchError(f"{p}: invalid JSON ({exc})") from None
+    doc = read_json(p, CheckpointMismatchError, MissingCheckpointError)
     version = doc.get("version") if isinstance(doc, dict) else None
     if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointMismatchError(f"unsupported checkpoint version {version}")
     try:
-        spec = ModelSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc["spec"].items()})
-        state = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc["state"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
-        raise CheckpointMismatchError(f"{p}: unreadable spec or state ({exc})") from None
+        spec = from_json(ModelSpec, doc.get("spec"), ConfigError, "spec")
+        state = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc.get("state", {}).items()}
+    except (ConfigError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointMismatchError(f"{p}: {exc}") from None
     net = build_network(spec, seed=0)
     if version == 1:
         _fold_conv_biases(net, state)

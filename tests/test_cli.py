@@ -232,6 +232,43 @@ def test_detect_stream_off_the_sample_rate_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "50 Hz" in err
 
 
+BAD_INPUTS = [
+    *(pytest.param("config", s, 1, id=s) for s in (
+        "train.epochs=1.5", "train.batch_size=2.5", "synthetic.n_streams=2.0", 'threads="x"', "schema=[1,2]",
+        "synthetic.amplitude_range=5", 'seed="3"', "seed=true")),
+    *(pytest.param("spec", kv, 2, id=f"spec.{kv[0]}={kv[1]!r}") for kv in (
+        ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]))),
+    *(pytest.param("manifest", kv, 2, id=f"manifest.{kv[0]}={kv[1]!r}") for kv in (
+        ("sample_rate_hz", "50"), ("sample_rate_hz", True), ("notes", "x"))),
+]
+
+
+@pytest.mark.parametrize("where, value, code", BAD_INPUTS)
+def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
+    # each case fails as soon as its input is read: a config value or a checkpoint
+    # spec in `detect` of a missing stream, a manifest field in `train`
+    args = ["--config", str(write_config(tmp_path))]
+    out = tmp_path / "out"
+    out.mkdir()
+    for phase, n_classes in ((1, 2), (2, 5)):
+        save_checkpoint(build_network(vector_model_spec(n_classes)), out / f"phase{phase}_fc.json")
+    if where == "config":
+        args += ["--set", value]
+    elif where == "spec":
+        doc = json.loads((out / "phase1_fc.json").read_text())
+        doc["spec"][value[0]] = value[1]
+        (out / "phase1_fc.json").write_text(json.dumps(doc))
+    else:
+        entry = {"subject_id": 1, "stream_id": 1, "stream_path": "a.csv", "labels_path": "a.labels.txt"}
+        (out / "manifest.json").write_text(json.dumps({"streams": [entry], value[0]: value[1]}))
+    args += ["train"] if where == "manifest" else ["detect", str(tmp_path / "missing.csv")]
+    capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: " if code == 1 else "error: ")
+    assert (value.split("=")[0] if where == "config" else value[0]) in err  # names the bad field
+
+
 def test_gradcheck_passes(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["--config", str(cfg), "gradcheck"]) == 0

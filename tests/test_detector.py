@@ -270,7 +270,7 @@ def synth_cfg(seed, **kw):
         events_per_stream=4,
         noise_std=0.1,
         event_duration_range=(2.0, 2.5),
-        amplitude_range={cls: (4.0, 6.0) for cls in ActionClass if cls.value > 0},
+        amplitude_range={cls.name.lower(): (4.0, 6.0) for cls in ActionClass if cls.value > 0},
     )
     defaults.update(kw)
     return SyntheticConfig(**defaults)

@@ -33,7 +33,7 @@ SYNTH = SyntheticConfig(
     stream_duration_s=40.0,
     events_per_stream=3,
     noise_std=0.2,
-    amplitude_range={cls: (4.0, 6.0) for cls in ActionClass if cls.value > 0},
+    amplitude_range={cls.name.lower(): (4.0, 6.0) for cls in ActionClass if cls.value > 0},
 )
 TRAIN_EPOCHS = {"image": 4, "vector": 100}
 

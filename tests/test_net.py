@@ -712,6 +712,12 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
         path.write_text(broken)
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(path)
+    # sizes that cannot build a network
+    for key, value in [("hidden_units", -1), ("input_shape", [-1]), ("input_shape", [0]), ("conv_filters", [16, 0, 64]),
+                       ("kernel", 2), ("kernel", -1)]:
+        path.write_text(json.dumps({**good, "spec": {**good["spec"], key: value}}))
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_version_1_folds_conv_bias_into_running_mean(tmp_path):

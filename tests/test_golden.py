@@ -14,6 +14,16 @@ rounds matrix products differently; the dataset pins do not involve a matrix
 product.  The report pins were captured from the per-window window table
 (one ``WindowScore`` object per window) and the per-class walks of the
 matches, before both became arrays and one confusion table.
+
+The image event and array pins assume OpenBLAS at 2 threads, its default on a
+2-core machine.  OpenBLAS's own thread count, which ``--threads`` does not
+set, changes how a matrix product is split and so its last bits: at
+``OPENBLAS_NUM_THREADS=1`` the kernel-gradient product ``cols.T @ dy_flat``
+of the third convolution rounds differently within the first epoch, the
+seeded image networks train to other arrays, and one event confidence moves
+in its last digit.  The vector pins hold at both.
+The array pins hash every ``Network.arrays()`` entry of the trained networks,
+so an exact change to the network code must leave checkpoints byte-identical.
 """
 
 import hashlib
@@ -66,6 +76,17 @@ EVENT_REPRS = {
         "DetectedEvent(label=<ActionClass.SWIPE_RIGHT: 2>, start=23.4, end=29.4, confidence=0.7674877432089228)]",
         "[DetectedEvent(label=<ActionClass.SWIPE_LEFT: 1>, start=6.3, end=12.3, confidence=0.6776311857756119), "
         "DetectedEvent(label=<ActionClass.SWIPE_LEFT: 1>, start=26.4, end=32.7, confidence=0.5848844594429888)]",
+    ],
+}
+# sha256 over the names and digests of net.arrays(): phase-1 then phase-2 network
+ARRAY_DIGESTS = {
+    "image": [
+        "d8c6411482facd7b49b00a0ed251b9e1e510391aa8ef4a351dd561c74d277c46",
+        "94662a3dd8d2df79be4d2570ef63a32a58fa9ae5311cc11d61b7b83dc7f692d3",
+    ],
+    "vector": [
+        "7ca6182a58b1b4853e71589f33c33aaf69ad887c0492c515a5c9fa4e00596e33",
+        "65596823ea9c322175ba5b875524c7420a23a1e6cd3aa35a5c57b3c1870964fc",
     ],
 }
 
@@ -151,6 +172,18 @@ def trained(kind):
     net1, _ = train(spec(2, 0.0), x1, y1, tcfg)
     net2, _ = train(spec(5, 0.0), x2, y2, tcfg)
     return net1, net2
+
+
+def arrays_digest(net) -> str:
+    h = hashlib.sha256()
+    for name, arr in net.arrays():
+        h.update(name.encode() + digest(arr).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["image", "vector"])
+def test_trained_arrays_match_the_pinned_bytes(kind):
+    assert [arrays_digest(net) for net in trained(kind)] == ARRAY_DIGESTS[kind]
 
 
 def eval_pairs():

@@ -55,7 +55,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ial", description=__doc__)
     parser.add_argument("--config", help=f"JSON config path (or ${ENV_CONFIG})")
     parser.add_argument("--seed", type=int, help="override the global seed")
-    parser.add_argument("--threads", type=int, help="worker threads; 1 = bit-reproducible")
+    parser.add_argument(
+        "--threads", type=int, help="worker threads; 1 = bit-reproducible for a given BLAS thread count"
+    )
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",

@@ -195,6 +195,8 @@ def ingest_stream(
         raise ConfigError(f"schema must map exactly the fields {STREAM_FIELDS}")
     if len(set(schema.values())) != len(STREAM_FIELDS):
         raise ConfigError("schema assigns the same column to two fields")
+    if min(schema.values()) < 0:
+        raise ConfigError(f"schema columns must be >= 0, got {min(schema.values())}")
 
     p = Path(path)
     if not p.is_file():

@@ -79,7 +79,7 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     """Non-overlapping 2x2 max; trailing odd row/column is dropped."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 3
-    y = _pool_blocks(x[None] if single else x).max(axis=3)
+    y = MaxPool2().forward(x[None] if single else x, train=False)
     return y[0] if single else y
 
 
@@ -122,15 +122,13 @@ def _conv_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernels: np.ndarra
     return dx, dkernels
 
 
-def _pool_blocks(x: np.ndarray) -> np.ndarray:
-    """(N, H, W, C) -> (N, H//2, W//2, 4, C): the cells of each 2x2 block."""
-    n, h, w, c = x.shape
+def _pool_cells(x: np.ndarray) -> list[np.ndarray]:
+    """(N, H, W, C) -> the four cells of every 2x2 block in row-major order,
+    each a strided (N, H//2, W//2, C) view; a trailing odd row/column is dropped."""
+    h, w = x.shape[1:3]
     if h < 2 or w < 2:
         raise InputTooSmallError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    cropped = x[:, : 2 * h2, : 2 * w2, :]
-    # cells in row-major order within each 2x2 block; argmax ties pick the first
-    return cropped.reshape(n, h2, 2, w2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, 4, c)
+    return [x[:, i : h - h % 2 : 2, j : w - w % 2 : 2, :] for i in (0, 1) for j in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +226,16 @@ class MaxPool2(Layer):
     """2x2 max-pool; a training forward keeps ``argmax``, the cell of each block's max."""
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        blocks = _pool_blocks(x)
-        if train:
-            self.argmax, self._shape = blocks.argmax(axis=3), x.shape
-        return blocks.max(axis=3)
+        c0, c1, c2, c3 = _pool_cells(x)
+        y = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3))
+        if train:  # argmax: 0 if c0 holds the max, else 1 if c1 does, ... (np.argmax's first-tie order)
+            self.argmax, self._shape = (c0 != y) * (1 + (c1 != y) * (1 + (c2 != y))), x.shape
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        n, h, w, c = self._shape
-        h2, w2 = h // 2, w // 2
-        dblocks = np.zeros((n, h2, w2, 4, c))
-        np.put_along_axis(dblocks, self.argmax[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-        dx = np.zeros((n, h, w, c))
-        dx[:, : 2 * h2, : 2 * w2, :] = (
-            dblocks.reshape(n, h2, w2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(n, 2 * h2, 2 * w2, c)
-        )
+        dx = np.zeros(self._shape)
+        for k, cell in enumerate(_pool_cells(dx)):
+            cell[...] = np.where(self.argmax == k, dy, 0.0)
         return dx
 
 
@@ -656,7 +650,7 @@ def load_checkpoint(path) -> Network:
     p = Path(path)
     doc = read_json(p, CheckpointMismatchError, MissingCheckpointError)
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise CheckpointMismatchError(f"unsupported checkpoint version {version}")
     try:
         spec = from_json(ModelSpec, doc.get("spec"), ConfigError, "spec")

@@ -235,7 +235,8 @@ def test_detect_stream_off_the_sample_rate_exits_two(tmp_path, capsys):
 BAD_INPUTS = [
     *(pytest.param("config", s, 1, id=s) for s in (
         "train.epochs=1.5", "train.batch_size=2.5", "synthetic.n_streams=2.0", 'threads="x"', "schema=[1,2]",
-        "synthetic.amplitude_range=5", 'seed="3"', "seed=true")),
+        "synthetic.amplitude_range=5", 'seed="3"', "seed=true",
+        'schema={"t": -1, "ax": 1, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 0}')),
     *(pytest.param("spec", kv, 2, id=f"spec.{kv[0]}={kv[1]!r}") for kv in (
         ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]))),
     *(pytest.param("manifest", kv, 2, id=f"manifest.{kv[0]}={kv[1]!r}") for kv in (

@@ -78,6 +78,7 @@ EVENT_REPRS = {
         "DetectedEvent(label=<ActionClass.SWIPE_LEFT: 1>, start=26.4, end=32.7, confidence=0.5848844594429888)]",
     ],
 }
+
 # sha256 over the names and digests of net.arrays(): phase-1 then phase-2 network
 ARRAY_DIGESTS = {
     "image": [

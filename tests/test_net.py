@@ -230,19 +230,18 @@ def test_conv_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def pool_oracle(x):
-    h, w, c = x.shape
-    out = np.zeros((h // 2, w // 2, c))
-    for i in range(h // 2):
-        for j in range(w // 2):
-            for k in range(c):
-                out[i, j, k] = max(
-                    x[2 * i, 2 * j, k],
-                    x[2 * i, 2 * j + 1, k],
-                    x[2 * i + 1, 2 * j, k],
-                    x[2 * i + 1, 2 * j + 1, k],
-                )
-    return out
+def pool_oracle(x, dy):
+    """Per-block loop over (N, H, W, C): the max of each 2x2 block, the row-major
+    index of its first max cell (as np.argmax), and ``dy`` routed to that cell."""
+    y = np.zeros(dy.shape)
+    argmax = np.zeros(dy.shape, dtype=np.int64)
+    dx = np.zeros(x.shape)
+    for n, i, j, c in np.ndindex(*dy.shape):
+        block = x[n, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, c]
+        y[n, i, j, c], argmax[n, i, j, c] = block.max(), np.argmax(block)
+        di, dj = divmod(int(argmax[n, i, j, c]), 2)
+        dx[n, 2 * i + di, 2 * j + dj, c] = dy[n, i, j, c]
+    return y, argmax, dx
 
 
 def test_maxpool_2x2():
@@ -267,11 +266,21 @@ def test_maxpool_dimension_chain():
 
 
 def test_maxpool_matches_oracle():
+    # batches with odd sides, post-ReLU zero ties, signed zeros and exact ties:
+    # forward and backward bytes and the argmax must be the oracle's
     rng = np.random.default_rng(7)
-    for _ in range(10):
-        x = rng.normal(0, 1, (rng.integers(2, 9), rng.integers(2, 9), rng.integers(1, 4)))
-        got = maxpool2(x)
-        assert np.abs(got - pool_oracle(x)).max() <= 1e-12
+    for case in range(12):
+        shape = (1 if case < 3 else 32, *rng.integers(2, 10, 2), rng.integers(1, 4))
+        x = [rng.normal(0, 1, shape), relu(rng.normal(0, 1, shape)), rng.choice([-0.0, 0.0, -1.0, 1.0], shape)]
+        x = x[case % 3]
+        dy = rng.choice([-0.0, 0.0, 2.5, -1.5], (shape[0], shape[1] // 2, shape[2] // 2, shape[3]))
+        want_y, want_argmax, want_dx = pool_oracle(x, dy)
+        layer = MaxPool2()
+        y = layer.forward(x, train=True)
+        assert y.shape == dy.shape and y.tobytes() == want_y.tobytes()
+        assert maxpool2(x[0]).tobytes() == want_y[0].tobytes()
+        assert np.array_equal(layer.argmax, want_argmax)
+        assert layer.backward(dy).tobytes() == want_dx.tobytes()
 
 
 def test_maxpool_too_small():
@@ -708,7 +717,8 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(path)
-    for broken in ("{broken", "[]", json.dumps({**good, "version": 3}), json.dumps({**good, "spec": {"kind": "fc"}})):
+    for broken in ("{broken", "[]", json.dumps({**good, "version": 3}), json.dumps({**good, "version": True}),
+                   json.dumps({**good, "version": 2.0}), json.dumps({**good, "spec": {"kind": "fc"}})):
         path.write_text(broken)
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(path)

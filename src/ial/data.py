@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DataError,
     InfeasiblePackingError,
     InvertedIntervalError,
     MalformedManifestError,
@@ -172,6 +173,16 @@ def _parses_as_float(token: str) -> bool:
     return True
 
 
+def _read_text(p: Path) -> str:
+    """The text of file ``p``, which must exist and be UTF-8."""
+    if not p.is_file():
+        raise MissingFileError(str(p))
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def ingest_stream(
     path,
     schema: Mapping[str, int] | None = None,
@@ -199,32 +210,29 @@ def ingest_stream(
         raise ConfigError(f"schema columns must be >= 0, got {min(schema.values())}")
 
     p = Path(path)
-    if not p.is_file():
-        raise MissingFileError(str(p))
-
+    text = _read_text(p)
     cols = [schema[name] for name in STREAM_FIELDS]
     need = max(cols) + 1
     rows: list[list[float]] = []
     row_no = 0
     first_content_line = True
-    with open(p, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+    for raw in text.split("\n"):  # read_text turns "\r\n" and "\r" into "\n"
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [tok.strip() for tok in line.split(",")]
+        if first_content_line:
+            first_content_line = False
+            # a header line has at least one non-numeric cell
+            if any(not _parses_as_float(tok) for tok in parts):
                 continue
-            parts = [tok.strip() for tok in line.split(",")]
-            if first_content_line:
-                first_content_line = False
-                # a header line has at least one non-numeric cell
-                if any(not _parses_as_float(tok) for tok in parts):
-                    continue
-            row_no += 1
-            if len(parts) < need:
-                raise MalformedRowError(row_no, f"expected >= {need} columns, got {len(parts)}")
-            try:
-                rows.append([float(parts[c]) for c in cols])
-            except ValueError as exc:
-                raise MalformedRowError(row_no, str(exc)) from None
+        row_no += 1
+        if len(parts) < need:
+            raise MalformedRowError(row_no, f"expected >= {need} columns, got {len(parts)}")
+        try:
+            rows.append([float(parts[c]) for c in cols])
+        except ValueError as exc:
+            raise MalformedRowError(row_no, str(exc)) from None
 
     arr = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(STREAM_FIELDS))
     finite = np.isfinite(arr).all(axis=1)
@@ -260,12 +268,9 @@ def write_stream(stream: Stream, path, comments: Sequence[str] = ()) -> None:
 
 def parse_labels(path) -> list[GroundTruthEvent]:
     """Read ``label_id start_s end_s`` lines into events sorted by start."""
-    p = Path(path)
-    if not p.is_file():
-        raise MissingFileError(str(p))
     events: list[GroundTruthEvent] = []
     row_no = 0
-    for raw in p.read_text(encoding="utf-8").splitlines():
+    for raw in _read_text(Path(path)).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -5,8 +5,10 @@ interval (an IoU rule is available as an alternative).  Matching is greedy
 one-to-one in time order: each truth event is consumed by the earliest
 matching detection, later detections on the same truth count as false
 positives.  Phase one scores any matched pair as a true positive; phase two
-additionally requires label agreement, a mislabeled match costs both a false
-positive and a false negative.
+additionally requires label agreement.  Every count follows one rule
+(``_counts``): a detection that is not a true positive is a false positive, a
+truth event that is not one is a false negative, so a mislabeled match costs
+one of each.
 
 ``aggregate_run`` matches each stream once and counts the outcome of every
 event in one confusion table over the 5 classes plus "none": a matched pair
@@ -17,7 +19,7 @@ phase reports, the per-class counts and the confusion dict are read off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -53,12 +55,17 @@ class ConfusionCounts:
             raise ValueError("counts must be non-negative")
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.n_tp + other.n_tp,
-            self.n_fp + other.n_fp,
-            self.n_fn + other.n_fn,
-            self.n_tn + other.n_tn,
-        )
+        return ConfusionCounts(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
+    def to_dict(self) -> dict:
+        """The JSON form of the counts."""
+        return {"tp": self.n_tp, "fp": self.n_fp, "fn": self.n_fn, "tn": self.n_tn}
+
+
+def _counts(tp, n_detected, n_truth) -> ConfusionCounts:
+    """The one event-count rule: every detection that is not a true positive
+    is a false positive, every truth event that is not one a false negative."""
+    return ConfusionCounts(int(tp), int(n_detected - tp), int(n_truth - tp))
 
 
 @dataclass
@@ -72,20 +79,7 @@ class MetricsReport:
     window_diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "counts": {
-                "tp": self.counts.n_tp,
-                "fp": self.counts.n_fp,
-                "fn": self.counts.n_fn,
-                "tn": self.counts.n_tn,
-            },
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "per_class": self.per_class,
-            "window_diagnostics": self.window_diagnostics,
-        }
+        return {**asdict(self), "counts": self.counts.to_dict()}
 
 
 def _interval_iou(a_start, a_end, b_start, b_end) -> float:
@@ -120,9 +114,7 @@ def match_events(
 
     taken = [False] * len(truth)
     matches: list[tuple[int, int]] = []
-    n_fp = 0
     for i, det in enumerate(detected):
-        j_hit = None
         for j, ev in enumerate(truth):
             if taken[j]:
                 continue
@@ -133,23 +125,12 @@ def match_events(
             else:
                 raise ConfigError(f"unknown matching rule {rule!r}")
             if hit:
-                j_hit = j
+                taken[j] = True
+                matches.append((i, j))
                 break
-        if j_hit is None:
-            n_fp += 1
-        else:
-            taken[j_hit] = True
-            matches.append((i, j_hit))
 
-    if phase == PHASE_ONE:
-        n_tp = len(matches)
-        n_fn = len(truth) - len(matches)
-    else:
-        n_tp = sum(1 for i, j in matches if detected[i].label is truth[j].label)
-        wrong = len(matches) - n_tp
-        n_fp += wrong
-        n_fn = (len(truth) - len(matches)) + wrong
-    return ConfusionCounts(n_tp, n_fp, n_fn), matches
+    tp = sum(1 for i, j in matches if phase == PHASE_ONE or detected[i].label is truth[j].label)
+    return _counts(tp, len(detected), len(truth)), matches
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -174,12 +155,9 @@ def _window_diagnostics(
     against the >= 50%-overlap window labeling; diagnostic only."""
     actual = window_labels(scores.start_t, scores.window_s, truth)
     predicted = scores.positive(cfg.interest_threshold)
-    return ConfusionCounts(
-        int(np.sum(actual & predicted)),
-        int(np.sum(~actual & predicted)),
-        int(np.sum(actual & ~predicted)),
-        int(np.sum(~actual & ~predicted)),
-    )
+    counts = _counts(np.sum(actual & predicted), np.sum(predicted), np.sum(actual))
+    counts.n_tn = int(np.sum(~actual & ~predicted))
+    return counts
 
 
 def aggregate_run(
@@ -202,24 +180,15 @@ def aggregate_run(
         for j in set(range(len(truth))) - set(truth_of.values()):
             table[index[truth[j].label], n] += 1
 
-    def counts(tp, n_detected, n_truth) -> ConfusionCounts:
-        return ConfusionCounts(int(tp), int(n_detected - tp), int(n_truth - tp))
-
     pairs = table[:n, :n]
     detected, truths = table[:, :n].sum(axis=0), table[:n].sum(axis=1)  # per class
-    counts1 = counts(pairs.sum(), detected.sum(), truths.sum())
-    counts2 = counts(np.trace(pairs), detected.sum(), truths.sum())
+    counts1 = _counts(pairs.sum(), detected.sum(), truths.sum())
+    counts2 = _counts(np.trace(pairs), detected.sum(), truths.sum())
     per_class = {}
     for k, cls in enumerate(INTEREST_CLASSES):
-        rep = precision_recall_f1(counts(pairs[k, k], detected[k], truths[k]))
-        per_class[cls.name] = {
-            "tp": rep.counts.n_tp,
-            "fp": rep.counts.n_fp,
-            "fn": rep.counts.n_fn,
-            "precision": rep.precision,
-            "recall": rep.recall,
-            "f1": rep.f1,
-        }
+        rep = precision_recall_f1(_counts(pairs[k, k], detected[k], truths[k]))
+        tp_fp_fn = {key: v for key, v in rep.counts.to_dict().items() if key != "tn"}
+        per_class[cls.name] = {**tp_fp_fn, "precision": rep.precision, "recall": rep.recall, "f1": rep.f1}
     per_class["confusion"] = {
         t.name: {p.name: int(pairs[a, b]) for b, p in enumerate(INTEREST_CLASSES)}
         for a, t in enumerate(INTEREST_CLASSES)
@@ -249,12 +218,7 @@ def evaluate_run(
         truths.append(list(truth))
         window_counts += _window_diagnostics(truth, scores, cfg)
     report1, report2 = aggregate_run(detections, truths, rule=rule, iou_threshold=iou_threshold)
-    report1.window_diagnostics = {
-        "tp": window_counts.n_tp,
-        "fp": window_counts.n_fp,
-        "fn": window_counts.n_fn,
-        "tn": window_counts.n_tn,
-    }
+    report1.window_diagnostics = window_counts.to_dict()
     return report1, report2
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -161,11 +162,8 @@ class Conv2D(Layer):
     """Same-padded convolution without a bias: every conv here feeds a
     BatchNorm, whose batch-mean subtraction cancels any per-channel constant."""
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
-        fan_in = kernel * kernel * c_in
-        fan_out = kernel * kernel * c_out
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        self.kernels = rng.uniform(-limit, limit, (c_out, kernel, kernel, c_in))
+    def __init__(self, kernels: np.ndarray):
+        self.kernels = kernels  # (C_out, kh, kw, C_in)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         y, cols = _conv_forward(x, self.kernels)
@@ -186,10 +184,8 @@ class Conv2D(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
-        limit = np.sqrt(6.0 / (n_in + n_out))
-        self.w = rng.uniform(-limit, limit, (n_out, n_in))
-        self.b = np.zeros(n_out)
+    def __init__(self, w: np.ndarray, b: np.ndarray):
+        self.w, self.b = w, b  # w is (n_out, n_in)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if x.shape[-1] != self.w.shape[1]:
@@ -247,11 +243,9 @@ class BatchNorm(Layer):
     pass is the full batch-coupled gradient of a training forward.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+    def __init__(self, gamma, beta, running_mean, running_var, eps: float = 1e-5, momentum: float = 0.9):
+        self.gamma, self.beta = gamma, beta
+        self.running_mean, self.running_var = running_mean, running_var
         self.eps = eps
         self.momentum = momentum
 
@@ -418,30 +412,48 @@ class Network:
         return sig
 
 
-def build_network(spec: ModelSpec, seed: int = 0) -> Network:
-    """Create a network with seeded Glorot-uniform weights and zero biases."""
-    init_rng = np.random.default_rng([seed, 0])
+def _assemble(spec: ModelSpec, take, seed: int) -> Network:
+    """The one walk over a spec: each layer takes its arrays, in order, from
+    ``take(layer index, name, shape, fill)``, where ``fill`` is the initial
+    value and None stands for a Glorot-uniform draw."""
     layers: list = []
+
+    def arr(name: str, shape: tuple, fill: float | None = None) -> np.ndarray:
+        return take(len(layers), name, shape, fill)
+
     if spec.kind == CNN_KIND:
         h, w, c = spec.input_shape
-        for block, filters in enumerate(spec.conv_filters):
-            layers.append(Conv2D(c, filters, spec.kernel, init_rng))
-            layers.append(BatchNorm(filters, spec.bn_eps, spec.bn_momentum))
-            layers.append(ReLU())
-            layers.append(MaxPool2())
+        for filters in spec.conv_filters:
+            layers.append(Conv2D(arr("kernels", (filters, spec.kernel, spec.kernel, c))))
+            ch = (filters,)
+            layers.append(BatchNorm(arr("gamma", ch, 1.0), arr("beta", ch, 0.0), arr("running_mean", ch, 0.0),
+                                    arr("running_var", ch, 1.0), spec.bn_eps, spec.bn_momentum))
+            layers += [ReLU(), MaxPool2()]
             h, w, c = h // 2, w // 2, filters
         layers.append(Flatten())
-        layers.append(Dropout(spec.dropout_rate, np.random.default_rng([seed, 1])))
-        layers.append(Dense(h * w * c, spec.n_classes, init_rng))
+        d = h * w * c
     else:
         d = spec.input_shape[0]
         for _ in range(spec.hidden_layers):
-            layers.append(Dense(d, spec.hidden_units, init_rng))
-            layers.append(ReLU())
+            layers += [Dense(arr("w", (spec.hidden_units, d)), arr("b", (spec.hidden_units,), 0.0)), ReLU()]
             d = spec.hidden_units
-        layers.append(Dropout(spec.dropout_rate, np.random.default_rng([seed, 1])))
-        layers.append(Dense(d, spec.n_classes, init_rng))
+    layers.append(Dropout(spec.dropout_rate, np.random.default_rng([seed, 1])))
+    layers.append(Dense(arr("w", (spec.n_classes, d)), arr("b", (spec.n_classes,), 0.0)))
     return Network(spec, layers)
+
+
+def build_network(spec: ModelSpec, seed: int = 0) -> Network:
+    """Create a network with seeded Glorot-uniform weights and zero biases."""
+    init_rng = np.random.default_rng([seed, 0])
+
+    def draw(i: int, name: str, shape: tuple, fill: float | None) -> np.ndarray:
+        if fill is not None:
+            return np.full(shape, fill)
+        # Glorot over (out, *receptive field, in): fan_in + fan_out = field * (out + in)
+        limit = np.sqrt(6.0 / (math.prod(shape[1:-1]) * (shape[0] + shape[-1])))
+        return init_rng.uniform(-limit, limit, shape)
+
+    return _assemble(spec, draw, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -625,27 +637,13 @@ def save_checkpoint(net: Network, path, *, config_hash: str | None = None, meta:
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
-def _fold_conv_biases(net: Network, state: dict[str, np.ndarray]) -> None:
-    """Turn a version-1 state, which has a bias per convolution, into version 2.
-
-    Each convolution feeds a BatchNorm, so a bias b only shifts that layer's
-    input; at inference ``(y + b) - rm == y - (rm - b)``, so the bias moves
-    into the running mean (rm' = rm - b), equal up to rounding.
-    """
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Conv2D):
-            bias = state.pop(f"{i}.bias", None)
-            mean = state.get(f"{i + 1}.running_mean")
-            if bias is None or mean is None or bias.shape != mean.shape:
-                raise CheckpointMismatchError(f"{i}.bias does not fit the spec")
-            state[f"{i + 1}.running_mean"] = mean - bias
-
-
 def load_checkpoint(path) -> Network:
-    """Rebuild a network from a checkpoint, validating every array shape.
+    """Rebuild a network from a checkpoint, checking each array against the
+    spec before the next layer is built, so a spec alone allocates nothing.
 
-    Reads version 2 and, by folding each conv bias into its BatchNorm,
-    version 1.
+    Reads version 2 and version 1, whose conv bias b only shifts the BatchNorm
+    input it feeds: ``(y + b) - rm == y - (rm - b)``, so b is folded into the
+    running mean, equal up to rounding.
     """
     p = Path(path)
     doc = read_json(p, CheckpointMismatchError, MissingCheckpointError)
@@ -657,14 +655,17 @@ def load_checkpoint(path) -> Network:
         state = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc.get("state", {}).items()}
     except (ConfigError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointMismatchError(f"{p}: {exc}") from None
-    net = build_network(spec, seed=0)
-    if version == 1:
-        _fold_conv_biases(net, state)
-    expected = dict(net.arrays())
-    if sorted(expected) != sorted(state):
-        raise CheckpointMismatchError("checkpoint layer names do not match the spec")
-    for name, target in expected.items():
-        if state[name].shape != target.shape:
-            raise CheckpointMismatchError(f"{name}: shape {state[name].shape} != {target.shape}")
-        target[...] = state[name]
+
+    def take(i: int, name: str, shape: tuple, fill: float | None) -> np.ndarray:
+        arr = state.pop(f"{i}.{name}", None)
+        if arr is None or arr.shape != shape:
+            found = "no array" if arr is None else f"shape {arr.shape}"
+            raise CheckpointMismatchError(f"{p}: {i}.{name}: {found} where the spec needs {shape}")
+        if version == 1 and name == "running_mean":
+            return arr - take(i - 1, "bias", shape, None)
+        return arr
+
+    net = _assemble(spec, take, seed=0)
+    if state:
+        raise CheckpointMismatchError(f"{p}: array {next(iter(state))} is not in the spec")
     return net

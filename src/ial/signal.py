@@ -24,7 +24,6 @@ from .errors import (
 
 WINDOW_FRAMES = 150
 DOWNSAMPLE_FACTOR = 3
-CHANNEL_NAMES = ("ax", "ay", "az", "a_mag", "gx", "gy", "gz", "g_mag")
 
 
 @dataclass(frozen=True, eq=False)

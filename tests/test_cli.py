@@ -7,7 +7,9 @@ import pytest
 
 from ial.cli import main
 from ial.config import config_hash, load_run_config
-from ial.data import ingest_stream
+from ial.data import (
+    ManifestEntry, SyntheticConfig, generate_synthetic_stream, ingest_stream, write_labels, write_manifest, write_stream,
+)
 from ial.features import image_feature, vector_feature
 from ial.signal import make_window, window_starts
 from ial.net import Dense, build_network, save_checkpoint, vector_model_spec
@@ -241,13 +243,15 @@ BAD_INPUTS = [
         ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]))),
     *(pytest.param("manifest", kv, 2, id=f"manifest.{kv[0]}={kv[1]!r}") for kv in (
         ("sample_rate_hz", "50"), ("sample_rate_hz", True), ("notes", "x"))),
+    *(pytest.param("file", (name, b"\xff"), 2, id=f"non-utf8-{name}") for name in ("a.csv", "a.labels.txt")),
 ]
 
 
 @pytest.mark.parametrize("where, value, code", BAD_INPUTS)
 def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
     # each case fails as soon as its input is read: a config value or a checkpoint
-    # spec in `detect` of a missing stream, a manifest field in `train`
+    # spec in `detect` of a missing stream, a manifest field or a stream or
+    # labels file with a byte appended in `train`
     args = ["--config", str(write_config(tmp_path))]
     out = tmp_path / "out"
     out.mkdir()
@@ -259,10 +263,17 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
         doc = json.loads((out / "phase1_fc.json").read_text())
         doc["spec"][value[0]] = value[1]
         (out / "phase1_fc.json").write_text(json.dumps(doc))
-    else:
+    elif where == "manifest":
         entry = {"subject_id": 1, "stream_id": 1, "stream_path": "a.csv", "labels_path": "a.labels.txt"}
         (out / "manifest.json").write_text(json.dumps({"streams": [entry], value[0]: value[1]}))
-    args += ["train"] if where == "manifest" else ["detect", str(tmp_path / "missing.csv")]
+    else:
+        stream, events = generate_synthetic_stream(SyntheticConfig(stream_duration_s=12.0, events_per_stream=1))
+        write_stream(stream, out / "a.csv")
+        write_labels(events, out / "a.labels.txt")
+        write_manifest(out / "manifest.json", [ManifestEntry(1, 1, "a.csv", "a.labels.txt")])
+        with open(out / value[0], "ab") as fh:
+            fh.write(value[1])
+    args += ["train"] if where in ("manifest", "file") else ["detect", str(tmp_path / "missing.csv")]
     capsys.readouterr()
     assert main(args) == code
     err = capsys.readouterr().err

@@ -201,7 +201,7 @@ def test_conv_matches_nested_loop_oracle():
 
 def test_conv_gradients_vs_finite_differences():
     rng = np.random.default_rng(5)
-    layer = Conv2D(2, 3, 3, rng)
+    layer = Conv2D(rng.uniform(-0.4, 0.4, (3, 3, 3, 2)))
     x = rng.normal(0, 1, (2, 6, 4, 2))
     w = rng.normal(0, 1, (2, 6, 4, 3))
 
@@ -326,28 +326,33 @@ def test_maxpool_gradient_vs_finite_differences():
 # ---------------------------------------------------------------------------
 
 
+def batchnorm(channels, **kw):
+    """A BatchNorm as a new network holds it: unit scale, zero shift, standard running statistics."""
+    return BatchNorm(np.ones(channels), np.zeros(channels), np.zeros(channels), np.ones(channels), **kw)
+
+
 def test_batchnorm_constant_batch():
     x = np.full((4, 3), 2.0)
-    out = BatchNorm(3, eps=1e-5).forward(x, train=True)
+    out = batchnorm(3, eps=1e-5).forward(x, train=True)
     assert np.all(out == 0.0)
 
 
 def test_batchnorm_standardizes():
     rng = np.random.default_rng(9)
     x = rng.normal(3, 2, (64, 5))
-    out = BatchNorm(5, eps=1e-8).forward(x, train=True)
+    out = batchnorm(5, eps=1e-8).forward(x, train=True)
     assert np.allclose(out.mean(0), 0.0, atol=1e-12)
     assert np.allclose(out.var(0), 1.0, atol=1e-6)
 
 
 def test_batchnorm_batch_too_small():
     with pytest.raises(BatchTooSmallError):
-        BatchNorm(3).forward(np.zeros((1, 3)), train=True)
+        batchnorm(3).forward(np.zeros((1, 3)), train=True)
 
 
 def test_batchnorm_running_stats_and_infer():
     rng = np.random.default_rng(10)
-    layer = BatchNorm(3, eps=1e-5, momentum=0.9)
+    layer = batchnorm(3, eps=1e-5, momentum=0.9)
     x = rng.normal(2, 3, (32, 3))
     layer.forward(x, train=True)
     assert np.allclose(layer.running_mean, 0.1 * x.mean(0), atol=1e-12)
@@ -359,7 +364,7 @@ def test_batchnorm_running_stats_and_infer():
 
 def test_batchnorm_gradients_vs_finite_differences():
     rng = np.random.default_rng(11)
-    layer = BatchNorm(3)
+    layer = batchnorm(3)
     layer.gamma = rng.normal(1, 0.2, 3)
     layer.beta = rng.normal(0, 0.2, 3)
     x = rng.normal(0, 1, (8, 3))
@@ -378,7 +383,7 @@ def test_batchnorm_gradients_vs_finite_differences():
 
 def test_batchnorm_4d_channel_axis():
     rng = np.random.default_rng(12)
-    layer = BatchNorm(4)
+    layer = batchnorm(4)
     x = rng.normal(5, 2, (3, 6, 2, 4))
     out = layer.forward(x, train=True)
     assert np.allclose(out.mean((0, 1, 2)), 0.0, atol=1e-12)
@@ -389,31 +394,25 @@ def test_batchnorm_4d_channel_axis():
 # ---------------------------------------------------------------------------
 
 
-def dense_layer(w, b):
-    layer = Dense(w.shape[1], w.shape[0], np.random.default_rng(0))
-    layer.w, layer.b = w, b
-    return layer
-
-
 def test_dense_identity():
     x = np.array([[1.0, 2.0, 3.0]])
-    out = dense_layer(np.eye(3), np.zeros(3)).forward(x, train=False)
+    out = Dense(np.eye(3), np.zeros(3)).forward(x, train=False)
     assert np.array_equal(out, x)
 
 
 def test_dense_sum():
-    out = dense_layer(np.array([[1.0, 1.0]]), np.array([0.0])).forward(np.array([1.0, 2.0]), train=False)
+    out = Dense(np.array([[1.0, 1.0]]), np.array([0.0])).forward(np.array([1.0, 2.0]), train=False)
     assert out.shape == (1,) and out[0] == 3.0
 
 
 def test_dense_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        dense_layer(np.zeros((4, 5)), np.zeros(4)).forward(np.zeros((2, 3)), train=False)
+        Dense(np.zeros((4, 5)), np.zeros(4)).forward(np.zeros((2, 3)), train=False)
 
 
 def test_dense_gradients_vs_finite_differences():
     rng = np.random.default_rng(13)
-    layer = Dense(4, 3, rng)
+    layer = Dense(rng.uniform(-0.7, 0.7, (3, 4)), np.zeros(3))
     x = rng.normal(0, 1, (5, 4))
     w = rng.normal(0, 1, (5, 3))
 
@@ -726,6 +725,15 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
     for key, value in [("hidden_units", -1), ("input_shape", [-1]), ("input_shape", [0]), ("conv_filters", [16, 0, 64]),
                        ("kernel", 2), ("kernel", -1)]:
         path.write_text(json.dumps({**good, "spec": {**good["spec"], key: value}}))
+        with pytest.raises(CheckpointMismatchError):
+            load_checkpoint(path)
+    # sizes no state array fits, which must fail before anything of that size is allocated
+    save_checkpoint(build_network(image_model_spec(2), seed=1), tmp_path / "cnn.json")
+    cnn = json.loads((tmp_path / "cnn.json").read_text())
+    for doc, key, value in [(good, "hidden_layers", 10**400), (good, "hidden_units", 10**9), (good, "input_shape", [10**9]),
+                            (cnn, "conv_filters", [16, 10**9, 64]), (cnn, "input_shape", [10**9, 8, 1]),
+                            (cnn, "input_shape", [50, 10**9, 1])]:
+        path.write_text(json.dumps({**doc, "spec": {**doc["spec"], key: value}}))
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(path)
 

@@ -128,11 +128,8 @@ def checkpoint_doc(kind):
         return json.loads(path.read_text())
 
 
-# Sizes stay at most 70: load_checkpoint builds the network its spec describes
-# before it compares the spec with the state arrays, so a huge size would
-# allocate without bound (an open defect, ROADMAP item 4).
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(kind=st.sampled_from(sorted(SPECS)), key=st.sampled_from(SPEC_KEYS), value=json_values(st.integers(-3, 70)))
+@given(kind=st.sampled_from(sorted(SPECS)), key=st.sampled_from(SPEC_KEYS), value=json_values())
 def test_mutated_checkpoint_spec_raises_only_ial_errors(tmp_path, kind, key, value):
     doc = checkpoint_doc(kind)
     path = tmp_path / "ckpt.json"

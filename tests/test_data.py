@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,19 @@ def test_stream_write_ingest_round_trip(tmp_path):
     back = ingest_stream(path)
     assert np.array_equal(back.t, stream.t)
     assert np.array_equal(back.values, stream.values)
+
+
+def test_written_stream_bytes_are_pinned(tmp_path):
+    """The CSV text of a seeded stream, with edge values appended, is fixed
+    byte for byte: every float is written as its shortest round-trip repr."""
+    stream, _ = generate_synthetic_stream(SyntheticConfig(seed=5, stream_duration_s=12.0, events_per_stream=1), 2, 3)
+    edges = np.array([[-0.0, 0.0, 5e-324, -1e300, 1e16, 0.1], [1.0, -2.5, 123456789.0, 1e-7, 2.0**-1074, 3.0]])
+    values = np.concatenate([stream.values, edges])
+    t = np.concatenate([stream.t, [12.0, 12.02]])
+    path = tmp_path / "pinned.csv"
+    write_stream(Stream(2, 3, t, values), path, ["config_hash=deadbeef"])
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "14a84a8032bed63d813d6c5f78c951993c729fe5fec577bb681fae7f136310c5"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -108,3 +110,13 @@ def test_write_vector_csv(tmp_path):
     assert lines[1].startswith("start_t,mean_0")
     assert len(lines) == 5
     assert lines[3].split(",") == ["0.3"] + [repr(float(v)) for v in vectors[1]]
+
+
+def test_written_vector_csv_bytes_are_pinned(tmp_path):
+    """The debug dump of seeded vectors at numpy start times is fixed byte for byte."""
+    rng = np.random.default_rng(11)
+    vectors = np.stack([vector_feature(image_feature(random_window(rng))).values for _ in range(4)])
+    vectors[0, :2] = [-0.0, 5e-324]
+    path = tmp_path / "f.csv"
+    write_vector_csv(np.arange(4) * 0.3, vectors, path, ["config_hash=abc"])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "dd4d59c552dd3901a20b824bd64647b9bf11c6e45b0e4bf6360fabc9507c8ff5"

@@ -7,7 +7,7 @@ File formats understood here:
   velocity.  Column order is configurable through a schema mapping; headerless
   files are tolerated (the first line is kept when it parses as numbers).
 * label file: one ``label_id start_s end_s`` triple per non-empty line,
-  label_id in 1..5.
+  label_id in 1..5, finite bounds.
 * manifest: JSON document (``Manifest``) listing subject/stream ids and the
   stream/label file paths, relative to the manifest's directory.
 """
@@ -114,10 +114,6 @@ class GroundTruthEvent:
             raise UnknownLabelError(f"{self.label} is not an interest class")
         if not self.start < self.end:
             raise InvertedIntervalError(f"start {self.start} >= end {self.end}")
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.start + self.end)
 
 
 @dataclass(frozen=True)
@@ -260,9 +256,7 @@ def write_stream(stream: Stream, path, comments: Sequence[str] = ()) -> None:
     """Write a stream in the ingestible CSV format; floats round-trip exactly."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(STREAM_FIELDS))
-    for i in range(len(stream)):
-        row = [stream.t[i], *stream.values[i]]
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += [",".join(map(repr, row)) for row in np.column_stack([stream.t, stream.values]).tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -283,6 +277,8 @@ def parse_labels(path) -> list[GroundTruthEvent]:
             start, end = float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise MalformedRowError(row_no, str(exc)) from None
+        if not np.isfinite([start, end]).all():
+            raise MalformedRowError(row_no, "non-finite value")
         events.append(GroundTruthEvent(action_from_label_id(label_id), start, end))
     events.sort(key=lambda ev: ev.start)
     for prev, nxt in zip(events, events[1:]):

@@ -147,13 +147,11 @@ def _check_model(model: Network, feature_kind: str, n_classes: int) -> None:
 
 
 def _batched_proba(model: Network, x: np.ndarray, threads: int = 1) -> np.ndarray:
-    spans = [(lo, min(lo + PROBA_CHUNK, len(x))) for lo in range(0, len(x), PROBA_CHUNK)]
-    if threads > 1 and len(spans) > 1:
+    chunks = [x[lo : lo + PROBA_CHUNK] for lo in range(0, len(x), PROBA_CHUNK)]
+    if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda s: model.predict_proba(x[s[0] : s[1]]), spans))
-    else:
-        parts = [model.predict_proba(x[lo:hi]) for lo, hi in spans]
-    return np.concatenate(parts) if parts else np.empty((0, model.spec.n_classes))
+            return np.concatenate(list(pool.map(model.predict_proba, chunks)))
+    return np.concatenate([model.predict_proba(chunk) for chunk in chunks])
 
 
 def score_windows(

@@ -66,6 +66,5 @@ def write_vector_csv(
     )
     lines = [f"# {c}" for c in comments]
     lines.append(header)
-    for t, row in zip(start_t, vectors):
-        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
+    lines += [",".join(map(repr, row)) for row in np.column_stack([start_t, vectors]).tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -143,24 +143,29 @@ class Layer:
     ``forward(x, train)`` returns the layer's output and keeps what
     ``backward(dy)`` needs only when ``train`` is true, so inference writes
     nothing to a layer and several threads may share one network.
-    ``backward`` follows a training forward.  ``params`` are the trained
-    arrays, ``grads`` their gradients from the last backward, and ``state``
-    the other arrays a checkpoint holds.
+    ``backward`` follows a training forward.  ``PARAMS`` names the trained
+    arrays, whose gradients ``backward`` sets as ``d_<name>``, and ``STATE``
+    the other arrays a checkpoint holds; each is an attribute and a constructor argument.
     """
 
+    PARAMS: tuple[str, ...] = ()
+    STATE: tuple[str, ...] = ()
+
     def params(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.PARAMS}
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, "d_" + name) for name in self.PARAMS}
 
     def state(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.STATE}
 
 
 class Conv2D(Layer):
     """Same-padded convolution without a bias: every conv here feeds a
     BatchNorm, whose batch-mean subtraction cancels any per-channel constant."""
+
+    PARAMS = ("kernels",)
 
     def __init__(self, kernels: np.ndarray):
         self.kernels = kernels  # (C_out, kh, kw, C_in)
@@ -176,14 +181,10 @@ class Conv2D(Layer):
         dx, self.d_kernels = _conv_backward(dy, cols, x_shape, self.kernels)
         return dx
 
-    def params(self):
-        return {"kernels": self.kernels}
-
-    def grads(self):
-        return {"kernels": self.d_kernels}
-
 
 class Dense(Layer):
+    PARAMS = ("w", "b")
+
     def __init__(self, w: np.ndarray, b: np.ndarray):
         self.w, self.b = w, b  # w is (n_out, n_in)
 
@@ -198,12 +199,6 @@ class Dense(Layer):
         self.d_w = dy.T @ self._x
         self.d_b = dy.sum(axis=0)
         return dy @ self.w
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.d_w, "b": self.d_b}
 
 
 class ReLU(Layer):
@@ -243,6 +238,9 @@ class BatchNorm(Layer):
     pass is the full batch-coupled gradient of a training forward.
     """
 
+    PARAMS = ("gamma", "beta")
+    STATE = ("running_mean", "running_var")
+
     def __init__(self, gamma, beta, running_mean, running_var, eps: float = 1e-5, momentum: float = 0.9):
         self.gamma, self.beta = gamma, beta
         self.running_mean, self.running_var = running_mean, running_var
@@ -272,15 +270,6 @@ class BatchNorm(Layer):
         dxhat = dy * self.gamma
         m_mean = lambda a: a.mean(axes)  # noqa: E731
         return inv * (dxhat - m_mean(dxhat) - xhat * m_mean(dxhat * xhat))
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.d_gamma, "beta": self.d_beta}
-
-    def state(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
 class Dropout(Layer):
@@ -413,21 +402,22 @@ class Network:
 
 
 def _assemble(spec: ModelSpec, take, seed: int) -> Network:
-    """The one walk over a spec: each layer takes its arrays, in order, from
-    ``take(layer index, name, shape, fill)``, where ``fill`` is the initial
-    value and None stands for a Glorot-uniform draw."""
+    """The one walk over a spec: ``make`` takes a layer's ``PARAMS`` then ``STATE``
+    arrays, in order, from ``take(layer index, name, shape, fill)``, given a (shape,
+    fill) each, where ``fill`` is the initial value and None is a Glorot-uniform draw."""
     layers: list = []
 
-    def arr(name: str, shape: tuple, fill: float | None = None) -> np.ndarray:
-        return take(len(layers), name, shape, fill)
+    def make(cls, *shape_fills: tuple, **options) -> Layer:
+        named = zip(cls.PARAMS + cls.STATE, shape_fills, strict=True)
+        return cls(**{name: take(len(layers), name, *sf) for name, sf in named}, **options)
 
     if spec.kind == CNN_KIND:
         h, w, c = spec.input_shape
         for filters in spec.conv_filters:
-            layers.append(Conv2D(arr("kernels", (filters, spec.kernel, spec.kernel, c))))
             ch = (filters,)
-            layers.append(BatchNorm(arr("gamma", ch, 1.0), arr("beta", ch, 0.0), arr("running_mean", ch, 0.0),
-                                    arr("running_var", ch, 1.0), spec.bn_eps, spec.bn_momentum))
+            layers.append(make(Conv2D, ((filters, spec.kernel, spec.kernel, c), None)))
+            layers.append(make(BatchNorm, (ch, 1.0), (ch, 0.0), (ch, 0.0), (ch, 1.0),
+                               eps=spec.bn_eps, momentum=spec.bn_momentum))
             layers += [ReLU(), MaxPool2()]
             h, w, c = h // 2, w // 2, filters
         layers.append(Flatten())
@@ -435,10 +425,10 @@ def _assemble(spec: ModelSpec, take, seed: int) -> Network:
     else:
         d = spec.input_shape[0]
         for _ in range(spec.hidden_layers):
-            layers += [Dense(arr("w", (spec.hidden_units, d)), arr("b", (spec.hidden_units,), 0.0)), ReLU()]
+            layers += [make(Dense, ((spec.hidden_units, d), None), ((spec.hidden_units,), 0.0)), ReLU()]
             d = spec.hidden_units
     layers.append(Dropout(spec.dropout_rate, np.random.default_rng([seed, 1])))
-    layers.append(Dense(arr("w", (spec.n_classes, d)), arr("b", (spec.n_classes,), 0.0)))
+    layers.append(make(Dense, ((spec.n_classes, d), None), ((spec.n_classes,), 0.0)))
     return Network(spec, layers)
 
 

@@ -93,11 +93,11 @@ def window_images(stream: Stream, stride_frames: int) -> tuple[np.ndarray, np.nd
     Returns ``(start_frames, images)`` with images of shape (count, 50, 8),
     equal to ``image_feature(make_window(stream, start))`` for every start.
 
-    The median of each frame triple is taken once on the raw channels and
-    normalized afterwards.  That is exact: subtracting ``lo`` and dividing by
-    a positive span are both monotone under IEEE rounding, so the middle of
-    three values stays the middle, and a median of 3 commutes with the
-    per-window min-max.
+    The median of the frame triple at every frame is taken once on the raw
+    channels, by comparison, and each window gathers its 50 rows from it.  That
+    is exact: subtracting ``lo`` and dividing by a positive span are both
+    monotone under IEEE rounding, so the middle of three values stays the
+    middle, and a median of 3 commutes with the per-window min-max.
     """
     starts = np.asarray(window_starts(len(stream), stride_frames))
     channels = eight_channels(stream.values[: starts[-1] + WINDOW_FRAMES])
@@ -105,13 +105,8 @@ def window_images(stream: Stream, stride_frames: int) -> tuple[np.ndarray, np.nd
     spans = sliding_window_view(channels, WINDOW_FRAMES, axis=0)[::stride_frames]
     lo = spans.min(axis=2)[:, None, :]
     hi = spans.max(axis=2)[:, None, :]
-    rows = WINDOW_FRAMES // DOWNSAMPLE_FACTOR
-    medians = np.empty((len(starts), rows, channels.shape[1]))
-    phases = starts % DOWNSAMPLE_FACTOR
-    for phase in np.unique(phases):
-        # medians of the triples starting at frames phase, phase + 3, ...
-        n_triples = (len(channels) - phase) // DOWNSAMPLE_FACTOR
-        triples = median_downsample(channels[phase : phase + DOWNSAMPLE_FACTOR * n_triples])
-        first = starts[phases == phase] // DOWNSAMPLE_FACTOR
-        medians[phases == phase] = triples[first[:, None] + np.arange(rows)]
-    return starts, _unit_scale(medians, lo, hi)
+    a, b, c = channels[:-2], channels[1:-1], channels[2:]
+    # + 0.0 turns a -0.0 median into 0.0, as np.median's mean of one value does
+    triple_medians = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c)) + 0.0
+    rows = starts[:, None] + DOWNSAMPLE_FACTOR * np.arange(WINDOW_FRAMES // DOWNSAMPLE_FACTOR)
+    return starts, _unit_scale(triple_medians[rows], lo, hi)

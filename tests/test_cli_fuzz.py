@@ -77,3 +77,14 @@ def test_corrupted_stream_or_labels_never_escape_the_exit_codes(run_dir, command
         (root / name).write_bytes(mutate(data, mutations) if name == target else data)
     args = ["--config", str(config), command] + ([str(root / "s.csv")] if command == "detect" else [])
     assert main(args) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("line", ["1 -inf 5.0", "2 10.0 inf"])
+def test_eval_of_a_non_finite_label_bound_exits_two(run_dir, capsys, line):
+    root, config, originals = run_dir
+    for name, data in originals.items():
+        (root / name).write_bytes(data)
+    (root / "s.labels.txt").write_text(line + "\n")
+    capsys.readouterr()
+    assert main(["--config", str(config), "eval"]) == 2
+    assert capsys.readouterr().err.endswith("data row 1: non-finite value\n")

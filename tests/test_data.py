@@ -215,6 +215,14 @@ def test_parse_labels_inverted(tmp_path):
         parse_labels(path)
 
 
+@pytest.mark.parametrize("line", ["1 -inf 5.0", "2 10.0 inf", "3 nan 4.0", "4 1.0 -infinity"])
+def test_parse_labels_rejects_non_finite_bounds(tmp_path, line):
+    path = tmp_path / "l.txt"
+    path.write_text(f"5 0.5 1.0\n{line}\n")
+    with pytest.raises(MalformedRowError, match="^data row 2: non-finite value$"):
+        parse_labels(path)
+
+
 def test_parse_labels_sorted_and_touching_ok(tmp_path):
     path = tmp_path / "l.txt"
     path.write_text("2 6.0 8.0\n1 2.0 6.0\n")

@@ -691,6 +691,17 @@ def test_inference_writes_no_layer_state(spec):
         assert all(now[k] is held[k] for k in held), type(layer).__name__
 
 
+@pytest.mark.parametrize("spec", [image_model_spec(2), vector_model_spec(5)], ids=["cnn", "fc"])
+def test_gradients_pair_with_parameters_by_name(spec):
+    rng = np.random.default_rng(25)
+    x = rng.normal(0.5, 0.2, (4, *spec.input_shape))
+    y = np.arange(4) % spec.n_classes
+    net, _ = train(spec, x, y, TrainConfig(epochs=1, batch_size=4, seed=6))  # one step
+    params, grads = net.parameters(), net.gradients()
+    assert [name for name, _ in grads] == [name for name, _ in params] != []
+    assert all(g.shape == p.shape for (_, p), (_, g) in zip(params, grads))
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(21)
     x, y = separable_vector_dataset(rng, n=30)

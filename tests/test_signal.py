@@ -221,7 +221,7 @@ def test_slide_start_times():
 
 def equivalence_streams():
     """Seeded streams with a channel constant over the whole stream and one
-    constant inside some windows only."""
+    constant inside some windows only, and one of small integers and signed zeros."""
     rng = np.random.default_rng(2112)
     streams = []
     for n in (150, 151, 437, 1000):
@@ -232,6 +232,9 @@ def equivalence_streams():
     gx_a_zero = np.zeros((600, 6))
     gx_a_zero[:, 3:6] = rng.normal(0, 1, (600, 3))  # accel and |a| constant 0
     streams.append(make_stream(gx_a_zero))
+    ties = rng.integers(-2, 3, (500, 6)).astype(np.float64)  # exact ties in every triple
+    ties[:, 0] = rng.choice([-0.0, 0.0, 1.0], 500)  # signed zeros, often a window's minimum
+    streams.append(make_stream(ties))
     return streams
 
 
@@ -242,5 +245,6 @@ def test_window_images_equal_the_per_window_reference(stride):
         assert list(starts) == list(window_starts(len(stream), stride))
         reference = [image_feature(make_window(stream, int(s))) for s in starts]
         assert np.array_equal(images, np.stack([img.pixels for img in reference]))
+        assert images.tobytes() == np.stack([img.pixels for img in reference]).tobytes()  # zeros' signs too
         vectors = [vector_feature(img).values for img in reference]
         assert np.array_equal(vector_batch(images), np.stack(vectors))

@@ -172,17 +172,18 @@ def cmd_detect(cfg: RunConfig, stream_path: str, dump_features: str | None) -> i
     chash = config_hash(cfg)
     phase1, phase2 = _load_models(cfg)
     stream = dat.ingest_stream(stream_path, cfg.schema, sample_rate_hz=cfg.synthetic.sample_rate_hz)
-    events = det.detect(stream, phase1, phase2, cfg.detector, cfg.feature_kind, cfg.threads)
+    scores = det.score_windows(stream, phase1, cfg.feature_kind, cfg.detector, cfg.threads)
+    events = det.events_from_scores(stream, scores, phase2, cfg.detector, cfg.feature_kind)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(stream_path).stem
     det.write_events_tsv(events, out / f"{stem}.events.tsv", [f"config_hash={chash}"])
     det.write_events_json(events, out / f"{stem}.events.json", chash)
     if dump_features:
-        from .features import write_vector_csv
+        from .features import vector_batch, write_vector_csv
 
-        starts, vectors = det.featurize_stream(stream, det.VECTOR_KIND, cfg.detector.stride_frames)
-        write_vector_csv(stream.t[starts], vectors, dump_features, [f"config_hash={chash}"])
+        vectors = scores.x if cfg.feature_kind == det.VECTOR_KIND else vector_batch(scores.x[..., 0])
+        write_vector_csv(scores.start_t, vectors, dump_features, [f"config_hash={chash}"])
     print(f"{len(events)} events -> {out / (stem + '.events.tsv')} (config {chash})")
     return EXIT_OK
 

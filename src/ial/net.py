@@ -5,7 +5,8 @@ convolutions without bias, each with batchnorm, ReLU and 2x2 max-pooling, then
 dropout and a single dense output layer) for 50x8x1 image inputs, and a
 4-layer dense network (three 128-unit hidden layers with ReLU, dropout, dense
 output) for 16-dim vector inputs.  Every layer's backward pass is verified
-against central finite differences by ``gradient_check``.
+against central finite differences by ``gradient_check``.  CNN inference runs
+each conv, batchnorm, ReLU and pool block as one folded step.
 """
 
 from __future__ import annotations
@@ -132,6 +133,28 @@ def _pool_cells(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, i : h - h % 2 : 2, j : w - w % 2 : 2, :] for i in (0, 1) for j in (0, 1)]
 
 
+def _pool_max(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The 2x2 max-pool of (N, H, W, C), and the four cells it took the max over."""
+    c0, c1, c2, c3 = cells = _pool_cells(x)
+    return np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)), cells
+
+
+def _folded_block(x: np.ndarray, kernels: np.ndarray, bn: BatchNorm) -> np.ndarray:
+    """Conv2D -> BatchNorm -> ReLU -> MaxPool2 at inference, as one step.
+
+    BatchNorm's scale s goes into the kernels and its shift is added after the
+    pool, followed by ReLU in place.  Pooling first is exact: z -> max(fl(z +
+    shift), 0) never decreases as z grows, so it commutes with the max, and a
+    negative s is already in the kernels.  Only the fold, conv(x, k * s) for
+    conv(x, k) * s, reassociates.
+    """
+    scale, shift = bn.folded()
+    y, _ = _conv_forward(x, kernels * scale[:, None, None, None])
+    out, _ = _pool_max(y)
+    out += shift
+    return np.maximum(out, 0.0, out=out)
+
+
 # ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
@@ -217,8 +240,7 @@ class MaxPool2(Layer):
     """2x2 max-pool; a training forward keeps ``argmax``, the cell of each block's max."""
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        c0, c1, c2, c3 = _pool_cells(x)
-        y = np.maximum(np.maximum(c0, c1), np.maximum(c2, c3))
+        y, (c0, c1, c2, _) = _pool_max(x)
         if train:  # argmax: 0 if c0 holds the max, else 1 if c1 does, ... (np.argmax's first-tie order)
             self.argmax, self._shape = (c0 != y) * (1 + (c1 != y) * (1 + (c2 != y))), x.shape
         return y
@@ -234,8 +256,9 @@ class BatchNorm(Layer):
     """Channel-wise batch normalization over all leading axes.
 
     Train mode normalizes by batch statistics and updates running statistics
-    with momentum 0.9; infer mode uses the running statistics.  The backward
-    pass is the full batch-coupled gradient of a training forward.
+    with momentum 0.9; infer mode is the affine map ``folded`` gives from the
+    running statistics, which a CNN folds into the conv before it.  The
+    backward pass is the full batch-coupled gradient of a training forward.
     """
 
     PARAMS = ("gamma", "beta")
@@ -247,20 +270,25 @@ class BatchNorm(Layer):
         self.eps = eps
         self.momentum = momentum
 
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Inference as ``x * s + shift``: s = gamma / sqrt(running_var + eps)
+        and shift = beta - running_mean * s."""
+        s = self.gamma / np.sqrt(self.running_var + self.eps)
+        return s, self.beta - self.running_mean * s
+
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        if not train:
+            s, shift = self.folded()
+            return x * s + shift
+        if x.shape[0] < 2:
+            raise BatchTooSmallError(f"batchnorm needs batch >= 2, got {x.shape[0]}")
         axes = tuple(range(x.ndim - 1))
-        if train:
-            if x.shape[0] < 2:
-                raise BatchTooSmallError(f"batchnorm needs batch >= 2, got {x.shape[0]}")
-            mean, var = x.mean(axes), x.var(axes)
-            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
-        else:
-            mean, var = self.running_mean, self.running_var
+        mean, var = x.mean(axes), x.var(axes)
+        self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+        self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv
-        if train:
-            self._cache = (xhat, inv, axes)
+        self._cache = (xhat, inv, axes)
         return self.gamma * xhat + self.beta
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -354,9 +382,15 @@ class Network:
         self.layers = layers
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """The logits; inference runs each conv block as one ``_folded_block``."""
         out = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            out = layer.forward(out, train)
+        layers = iter(self.layers)
+        for layer in layers:
+            if not train and isinstance(layer, Conv2D):  # _assemble follows it with BatchNorm, ReLU, MaxPool2
+                bn, _, _ = next(layers), next(layers), next(layers)
+                out = _folded_block(out, layer.kernels, bn)
+            else:
+                out = layer.forward(out, train)
         return out
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:

@@ -5,14 +5,15 @@ from pathlib import Path
 
 import pytest
 
+import ial.detector
 from ial.cli import main
 from ial.config import config_hash, load_run_config
 from ial.data import (
     ManifestEntry, SyntheticConfig, generate_synthetic_stream, ingest_stream, write_labels, write_manifest, write_stream,
 )
 from ial.features import image_feature, vector_feature
-from ial.signal import make_window, window_starts
-from ial.net import Dense, build_network, save_checkpoint, vector_model_spec
+from ial.signal import make_window, window_images, window_starts
+from ial.net import Dense, build_network, image_model_spec, save_checkpoint, vector_model_spec
 
 
 def write_config(tmp_path, **extra):
@@ -136,6 +137,28 @@ def test_full_pipeline_train_detect_eval(tmp_path, capsys):
     assert report["config"]["feature_kind"] == "vector"
     assert set(report["phase_one"]["counts"]) == {"tp", "fp", "fn", "tn"}
     assert (out / "report.txt").read_text().startswith("# config_hash=")
+
+
+def test_detect_dump_windows_the_stream_once(tmp_path, monkeypatch):
+    stream, _ = generate_synthetic_stream(SyntheticConfig(stream_duration_s=30.0, events_per_stream=2), 1, 10)
+    write_stream(stream, tmp_path / "s.csv")
+    calls = []
+    monkeypatch.setattr(ial.detector, "window_images", lambda *a: calls.append(a) or window_images(*a))
+    dumps = {}
+    for kind, model, spec in (("vector", "fc", vector_model_spec), ("image", "cnn", image_model_spec)):
+        (tmp_path / kind / "out").mkdir(parents=True)
+        for phase, n_classes in ((1, 2), (2, 5)):
+            save_checkpoint(build_network(spec(n_classes), seed=phase), tmp_path / kind / "out" / f"phase{phase}_{model}.json")
+        cfg = write_config(tmp_path / kind, feature_kind=kind, model=model)
+        calls.clear()
+        assert main(["--config", str(cfg), "detect", str(tmp_path / "s.csv"), "--dump-features", str(tmp_path / kind / "d.csv")]) == 0
+        assert len(calls) == 1, kind
+        dumps[kind] = (tmp_path / kind / "d.csv").read_text().splitlines()[1:]  # after the config hash
+    assert dumps["image"] == dumps["vector"]
+    stream = ingest_stream(tmp_path / "s.csv")
+    for line, start in zip(dumps["vector"][1:], window_starts(len(stream), 15), strict=True):
+        vector = vector_feature(image_feature(make_window(stream, start))).values
+        assert line == ",".join(repr(float(v)) for v in [stream.t[start], *vector])
 
 
 def test_detect_missing_checkpoint_exits_two(tmp_path):

@@ -8,7 +8,11 @@ batched per stream, so they prove the batched path changed nothing.  The
 image event pins were recaptured when the conv biases, which BatchNorm
 cancels, were removed: the bias gradients were rounding noise of about 1e-16,
 so training moved in the last digits; labels and intervals stayed identical
-and every confidence moved by less than 1e-15.  The event pins depend on
+and every confidence moved by less than 1e-15.  They were recaptured again
+when CNN inference began to fold each BatchNorm into the kernels of its
+convolution (``net._folded_block``), which reassociates the products: labels
+and intervals stayed identical and the largest confidence move was 5.6e-17,
+one confidence in its last digit.  The event pins depend on
 training arithmetic and may need recapturing on a numpy or BLAS build that
 rounds matrix products differently; the dataset pins do not involve a matrix
 product.  The report pins were captured from the per-window window table
@@ -34,9 +38,9 @@ import numpy as np
 import pytest
 
 from ial.data import ActionClass, SyntheticConfig, generate_synthetic_stream
-from ial.detector import DetectorConfig, build_phase1_dataset, build_phase2_dataset, detect
+from ial.detector import DetectorConfig, build_phase1_dataset, build_phase2_dataset, detect, featurize_stream
 from ial.evaluation import evaluate_run
-from ial.net import TrainConfig, image_model_spec, train, vector_model_spec
+from ial.net import TrainConfig, image_model_spec, softmax, train, vector_model_spec
 
 SYNTH = SyntheticConfig(
     seed=11,
@@ -64,7 +68,7 @@ DATASET_DIGESTS = {
 }
 EVENT_REPRS = {
     "image": [
-        "[DetectedEvent(label=<ActionClass.CIRCLE_CCW: 5>, start=2.4, end=6.0, confidence=0.48894214201786873), "
+        "[DetectedEvent(label=<ActionClass.CIRCLE_CCW: 5>, start=2.4, end=6.0, confidence=0.4889421420178687), "
         "DetectedEvent(label=<ActionClass.CIRCLE_CCW: 5>, start=13.2, end=18.0, confidence=0.5055437882678696), "
         "DetectedEvent(label=<ActionClass.CIRCLE_CCW: 5>, start=24.3, end=28.5, confidence=0.4783692059309432)]",
         "[DetectedEvent(label=<ActionClass.CIRCLE_CCW: 5>, start=7.5, end=11.1, confidence=0.47203990232988097), "
@@ -197,6 +201,16 @@ def test_detected_events_match_the_per_window_path(kind):
     got = [repr(detect(stream, net1, net2, DetectorConfig(), kind)) for stream, _ in eval_pairs()]
     assert all(r != "[]" for r in got)
     assert got == EVENT_REPRS[kind]
+
+
+def test_folded_inference_matches_the_layer_walk():
+    for net in trained("image"):
+        for stream, _ in eval_pairs():
+            x = featurize_stream(stream, "image", DetectorConfig().stride_frames)[1]
+            logits = x
+            for layer in net.layers:  # each layer's own inference forward
+                logits = layer.forward(logits, False)
+            assert np.abs(net.predict_proba(x) - softmax(logits)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["image", "vector"])

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from ial.detector import PROBA_CHUNK, _batched_proba
 from ial.errors import (
     BatchTooSmallError,
     CheckpointMismatchError,
@@ -684,11 +686,55 @@ def test_inference_writes_no_layer_state(spec):
     y = np.arange(4) % spec.n_classes
     net, _ = train(spec, x, y, TrainConfig(epochs=1, batch_size=4, seed=6))  # one step
     before = [dict(vars(layer)) for layer in net.layers]
+    digests = {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in net.arrays()}
     net.predict_proba(x)
     for layer, held in zip(net.layers, before):
         now = vars(layer)
         assert now.keys() == held.keys(), type(layer).__name__
         assert all(now[k] is held[k] for k in held), type(layer).__name__
+    assert {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in net.arrays()} == digests
+
+
+def layer_walk(net, x):
+    """Unfolded inference logits: each layer's own ``forward(x, False)``, in order."""
+    out = np.asarray(x, dtype=np.float64)
+    for layer in net.layers:
+        out = layer.forward(out, False)
+    return out
+
+
+def awkward_cnn(seed):
+    """A CNN whose every BatchNorm has a negative gamma (channel 0), a zero running
+    variance, so only eps is left (channel 1), and |beta| = 20 (channels 2, 3); the
+    output layer is scaled so that the logits span a few units."""
+    rng = np.random.default_rng(seed)
+    net = build_network(image_model_spec(3), seed=seed)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            c = layer.gamma.shape
+            layer.gamma[...] = rng.uniform(0.5, 1.5, c)
+            layer.gamma[0] = -1.2
+            layer.beta[...] = rng.normal(0, 0.3, c)
+            layer.beta[2:4] = 20.0, -20.0
+            layer.running_mean = rng.normal(0, 0.3, c)
+            layer.running_var = rng.uniform(0.05, 0.5, c)
+            layer.running_var[1] = 0.0
+    x = rng.normal(0.5, 0.3, (64, 50, 8, 1))
+    logits = layer_walk(net, x)
+    net.layers[-1].w *= 3.0 / np.abs(logits - logits.mean(1, keepdims=True)).max()
+    return net
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, PROBA_CHUNK + 1])
+def test_folded_inference_matches_the_layer_walk(seed, n):
+    net = awkward_cnn(seed)
+    x = np.random.default_rng([seed, n]).normal(0.5, 0.3, (n, 50, 8, 1))
+    reference = softmax(layer_walk(net, x))
+    assert reference.min() > 1e-3  # no class is saturated, so a wrong block shows in p
+    for p in (net.predict_proba(x), _batched_proba(net, x, threads=2)):
+        assert np.abs(p - reference).max() <= 1e-12
+        assert np.array_equal(p.argmax(1), reference.argmax(1))
 
 
 @pytest.mark.parametrize("spec", [image_model_spec(2), vector_model_spec(5)], ids=["cnn", "fc"])

@@ -107,13 +107,16 @@ def _conv_forward(x: np.ndarray, kernels: np.ndarray):
     return y, cols
 
 
-def _conv_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernels: np.ndarray):
+def _conv_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernels: np.ndarray, input_grad: bool):
+    """The input gradient (None unless ``input_grad``) and the kernel gradient."""
     n, h, w, c_in = x_shape
     c_out, kh, kw, _ = kernels.shape
     ph, pw = kh // 2, kw // 2
     dy_flat = dy.reshape(n * h * w, c_out)
     dwmat = cols.T @ dy_flat
     dkernels = dwmat.reshape(kh, kw, c_in, c_out).transpose(3, 0, 1, 2)
+    if not input_grad:
+        return None, dkernels
     wmat = kernels.transpose(1, 2, 3, 0).reshape(kh * kw * c_in, c_out)
     dcols = (dy_flat @ wmat.T).reshape(n, h, w, kh, kw, c_in)
     dpad = np.zeros((n, h + 2 * ph, w + 2 * pw, c_in))
@@ -169,10 +172,13 @@ class Layer:
     ``backward`` follows a training forward.  ``PARAMS`` names the trained
     arrays, whose gradients ``backward`` sets as ``d_<name>``, and ``STATE``
     the other arrays a checkpoint holds; each is an attribute and a constructor argument.
+    A layer whose ``input_grad`` is false may skip the gradient of its input
+    and return None from ``backward``; a Network sets it on its first layer.
     """
 
     PARAMS: tuple[str, ...] = ()
     STATE: tuple[str, ...] = ()
+    input_grad = True
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.PARAMS}
@@ -201,7 +207,7 @@ class Conv2D(Layer):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         cols, x_shape = self._cache
-        dx, self.d_kernels = _conv_backward(dy, cols, x_shape, self.kernels)
+        dx, self.d_kernels = _conv_backward(dy, cols, x_shape, self.kernels, self.input_grad)
         return dx
 
 
@@ -221,7 +227,7 @@ class Dense(Layer):
     def backward(self, dy: np.ndarray) -> np.ndarray:
         self.d_w = dy.T @ self._x
         self.d_b = dy.sum(axis=0)
-        return dy @ self.w
+        return dy @ self.w if self.input_grad else None
 
 
 class ReLU(Layer):
@@ -233,7 +239,7 @@ class ReLU(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, dy, 0.0)
+        return dy * self.mask
 
 
 class MaxPool2(Layer):
@@ -283,11 +289,13 @@ class BatchNorm(Layer):
         if x.shape[0] < 2:
             raise BatchTooSmallError(f"batchnorm needs batch >= 2, got {x.shape[0]}")
         axes = tuple(range(x.ndim - 1))
-        mean, var = x.mean(axes), x.var(axes)
+        mean = x.mean(axes)
+        centered = x - mean
+        var = (centered * centered).mean(axes)  # the bytes of x.var(axes)
         self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
         self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv
+        xhat = centered * inv
         self._cache = (xhat, inv, axes)
         return self.gamma * xhat + self.beta
 
@@ -380,6 +388,7 @@ class Network:
     def __init__(self, spec: ModelSpec, layers: list):
         self.spec = spec
         self.layers = layers
+        layers[0].input_grad = False  # nothing reads the gradient of the network's input
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """The logits; inference runs each conv block as one ``_folded_block``."""
@@ -393,11 +402,12 @@ class Network:
                 out = layer.forward(out, train)
         return out
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Set every layer's parameter gradients from the logits' gradient.
+        Returns None: the first layer computes no gradient of the input."""
         grad = dlogits
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        return grad
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.forward(x, train=False))

@@ -748,6 +748,23 @@ def test_gradients_pair_with_parameters_by_name(spec):
     assert all(g.shape == p.shape for (_, p), (_, g) in zip(params, grads))
 
 
+@pytest.mark.parametrize("spec", [image_model_spec(3), vector_model_spec(5)], ids=["cnn", "fc"])
+def test_network_backward_skips_only_the_input_gradient(spec):
+    rng = np.random.default_rng(26)
+    net = build_network(spec, seed=16)
+    x = rng.normal(0.5, 0.2, (4, *spec.input_shape))
+    _, dlogits = softmax_cross_entropy(net.forward(x, train=True), np.arange(4) % spec.n_classes)
+    assert net.backward(dlogits) is None
+    skipped = [(name, g.tobytes()) for name, g in net.gradients()]
+    # the same backward with the first layer's input gradient computed as well
+    net.layers[0].input_grad = True
+    grad = dlogits
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad)
+    assert grad.shape == x.shape and np.isfinite(grad).all()
+    assert [(name, g.tobytes()) for name, g in net.gradients()] == skipped
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(21)
     x, y = separable_vector_dataset(rng, n=30)

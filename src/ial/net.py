@@ -263,8 +263,11 @@ class BatchNorm(Layer):
 
     Train mode normalizes by batch statistics and updates running statistics
     with momentum 0.9; infer mode is the affine map ``folded`` gives from the
-    running statistics, which a CNN folds into the conv before it.  The
-    backward pass is the full batch-coupled gradient of a training forward.
+    running statistics, which a CNN folds into the conv before it.  Train mode
+    takes each per-channel mean over the m rows of the leading axes as one BLAS
+    product with ``ones`` = 1/m, and reuses its buffers in place.  The backward
+    pass is the full batch-coupled gradient of a training forward in closed form
+    (Ioffe & Szegedy 2015).
     """
 
     PARAMS = ("gamma", "beta")
@@ -288,24 +291,38 @@ class BatchNorm(Layer):
             return x * s + shift
         if x.shape[0] < 2:
             raise BatchTooSmallError(f"batchnorm needs batch >= 2, got {x.shape[0]}")
-        axes = tuple(range(x.ndim - 1))
-        mean = x.mean(axes)
-        centered = x - mean
-        var = (centered * centered).mean(axes)  # the bytes of x.var(axes)
-        self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+        flat = x.reshape(-1, x.shape[-1])
+        ones = np.full(len(flat), 1.0 / len(flat))
+        mean = ones @ flat
+        xhat = flat - mean
+        # corrected two-pass: the mean of the centered input is what rounding left
+        # in ``mean``, which a channel's offset over its spread would amplify
+        rest = ones @ xhat
+        out = np.square(xhat)
+        var = ones @ out - rest * rest
+        self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * (mean + rest)
         self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = centered * inv
-        self._cache = (xhat, inv, axes)
-        return self.gamma * xhat + self.beta
+        xhat -= rest
+        xhat *= inv
+        self._cache = (xhat, inv, ones, x.shape)
+        np.multiply(xhat, self.gamma, out=out)  # into the buffer of the squares, now read
+        out += self.beta
+        return out.reshape(x.shape)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv, axes = self._cache
-        self.d_gamma = (dy * xhat).sum(axes)
-        self.d_beta = dy.sum(axes)
-        dxhat = dy * self.gamma
-        m_mean = lambda a: a.mean(axes)  # noqa: E731
-        return inv * (dxhat - m_mean(dxhat) - xhat * m_mean(dxhat * xhat))
+        """(inv * gamma) * (dy - mean(dy) - xhat * mean(dy * xhat)), built in one buffer."""
+        xhat, inv, ones, shape = self._cache
+        dy = dy.reshape(xhat.shape)
+        mean_dy = ones @ dy
+        dx = dy * xhat
+        mean_dy_xhat = ones @ dx
+        self.d_gamma, self.d_beta = len(ones) * mean_dy_xhat, len(ones) * mean_dy
+        np.multiply(xhat, mean_dy_xhat, out=dx)
+        np.subtract(dy, dx, out=dx)
+        dx -= mean_dy
+        dx *= inv * self.gamma
+        return dx.reshape(shape)
 
 
 class Dropout(Layer):

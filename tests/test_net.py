@@ -383,6 +383,56 @@ def test_batchnorm_gradients_vs_finite_differences():
         assert rel.max() < 1e-4
 
 
+def batchnorm_oracle(x, dy, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.9):
+    """A BatchNorm training forward and backward by the per-axis numpy formulas
+    (``mean``, ``var``, ``.sum`` over the leading axes), as named arrays.
+
+    They run on x minus its first row.  That leaves every result but the running
+    mean unchanged in exact arithmetic, and it is exact for a constant channel or
+    one offset by 1e6: a plain float64 sum misses such a channel's mean by up to
+    about 1e-9, which the normalization amplifies by up to 1/sqrt(eps).
+    """
+    axes = tuple(range(x.ndim - 1))
+    shift = x.reshape(-1, x.shape[-1])[0]
+    mean, var = (x - shift).mean(axes), (x - shift).var(axes)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - shift - mean) * inv
+    dxhat = dy * gamma
+    return {
+        "out": gamma * xhat + beta,
+        "running_mean": momentum * running_mean + (1.0 - momentum) * (mean + shift),
+        "running_var": momentum * running_var + (1.0 - momentum) * var,
+        "d_gamma": (dy * xhat).sum(axes),
+        "d_beta": dy.sum(axes),
+        "dx": inv * (dxhat - dxhat.mean(axes) - xhat * (dxhat * xhat).mean(axes)),
+    }
+
+
+@pytest.mark.parametrize("batch", [2, 32])
+@pytest.mark.parametrize("block", [(50, 8, 16), (25, 4, 32), (12, 2, 64)], ids=["block1", "block2", "block3"])
+def test_batchnorm_matches_the_per_axis_oracle(batch, block):
+    # the CNN's BatchNorm input shapes, with a negative gamma (channel 0), a
+    # zero-variance channel (1) and a channel offset by 1e6 over unit spread (2)
+    rng = np.random.default_rng([batch, *block])
+    c = block[-1]
+    x = rng.normal(0.3, 1.0, (batch, *block))
+    x[..., 1] = 0.7
+    x[..., 2] += 1e6
+    dy = rng.normal(0, 1, x.shape)
+    gamma = rng.uniform(0.5, 1.5, c)
+    gamma[0] = -1.3
+    beta, running_mean, running_var = rng.normal(0, 0.3, c), rng.normal(0, 0.3, c), rng.uniform(0.5, 1.5, c)
+    want = batchnorm_oracle(x, dy, gamma, beta, running_mean, running_var)
+    inputs = x.tobytes(), dy.tobytes()
+    layer = BatchNorm(gamma.copy(), beta.copy(), running_mean.copy(), running_var.copy())
+    got = {"out": layer.forward(x, train=True), "dx": layer.backward(dy)}
+    got.update((name, getattr(layer, name)) for name in ("running_mean", "running_var", "d_gamma", "d_beta"))
+    assert (x.tobytes(), dy.tobytes()) == inputs
+    for name, expect in want.items():
+        assert got[name].shape == expect.shape, name
+        assert np.abs(got[name] - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1.0), name
+
+
 def test_batchnorm_4d_channel_axis():
     rng = np.random.default_rng(12)
     layer = batchnorm(4)

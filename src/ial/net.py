@@ -205,7 +205,7 @@ class Conv2D(Layer):
             self._cache = (cols, x.shape)
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         cols, x_shape = self._cache
         dx, self.d_kernels = _conv_backward(dy, cols, x_shape, self.kernels, self.input_grad)
         return dx
@@ -224,7 +224,7 @@ class Dense(Layer):
             self._x = x
         return x @ self.w.T + self.b
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         self.d_w = dy.T @ self._x
         self.d_b = dy.sum(axis=0)
         return dy @ self.w if self.input_grad else None
@@ -305,24 +305,24 @@ class BatchNorm(Layer):
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat -= rest
         xhat *= inv
-        self._cache = (xhat, inv, ones, x.shape)
+        self._cache = (xhat, inv, ones)
         np.multiply(xhat, self.gamma, out=out)  # into the buffer of the squares, now read
         out += self.beta
         return out.reshape(x.shape)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """(inv * gamma) * (dy - mean(dy) - xhat * mean(dy * xhat)), built in one buffer."""
-        xhat, inv, ones, shape = self._cache
-        dy = dy.reshape(xhat.shape)
-        mean_dy = ones @ dy
-        dx = dy * xhat
+        xhat, inv, ones = self._cache
+        flat = dy.reshape(xhat.shape)
+        mean_dy = ones @ flat
+        dx = flat * xhat
         mean_dy_xhat = ones @ dx
         self.d_gamma, self.d_beta = len(ones) * mean_dy_xhat, len(ones) * mean_dy
         np.multiply(xhat, mean_dy_xhat, out=dx)
-        np.subtract(dy, dx, out=dx)
+        np.subtract(flat, dx, out=dx)
         dx -= mean_dy
         dx *= inv * self.gamma
-        return dx.reshape(shape)
+        return dx.reshape(dy.shape)
 
 
 class Dropout(Layer):
@@ -559,7 +559,7 @@ def train(
     """Mini-batch momentum-SGD training with seeded per-epoch shuffling.
 
     Returns the trained network and the per-epoch mean loss.  Deterministic
-    for a fixed seed in single-threaded execution.  A trailing batch of one
+    for a fixed seed and OpenBLAS thread count.  A trailing batch of one
     sample is skipped (batch statistics need >= 2 samples).
     """
     x = np.asarray(x, dtype=np.float64)

@@ -394,9 +394,10 @@ def batchnorm_oracle(x, dy, gamma, beta, running_mean, running_var, eps=1e-5, mo
     """
     axes = tuple(range(x.ndim - 1))
     shift = x.reshape(-1, x.shape[-1])[0]
-    mean, var = (x - shift).mean(axes), (x - shift).var(axes)
+    shifted = x - shift
+    mean, var = shifted.mean(axes), shifted.var(axes)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - shift - mean) * inv
+    xhat = (shifted - mean) * inv
     dxhat = dy * gamma
     return {
         "out": gamma * xhat + beta,

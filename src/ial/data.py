@@ -179,6 +179,38 @@ def _read_text(p: Path) -> str:
         raise DataError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
+def _parse_rows(lines: Sequence[str], cols: Sequence[int]) -> np.ndarray:
+    """The row loop behind ``ingest_stream``: parse data ``lines`` one value at a time,
+    raising MalformedRowError with the 1-based row number of the first that fails."""
+    need = max(cols) + 1
+    rows: list[list[float]] = []
+    for row_no, line in enumerate(lines, 1):
+        parts = [tok.strip() for tok in line.split(",")]
+        if len(parts) < need:
+            raise MalformedRowError(row_no, f"expected >= {need} columns, got {len(parts)}")
+        try:
+            rows.append([float(parts[c]) for c in cols])
+        except ValueError as exc:
+            raise MalformedRowError(row_no, str(exc)) from None
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), len(cols))
+
+
+def _parse_bulk(lines: Sequence[str], cols: Sequence[int]) -> np.ndarray:
+    """The data ``lines`` as an array in one loadtxt call, or by the row loop if that fails.
+
+    loadtxt accepts no token that float() rejects and reads every other to the
+    same value, so what it refuses (a malformed row, or a token such as 1_0
+    that only float() reads) goes to the row loop, which alone reports errors.
+    ``comments=None``: a ``#`` inside a row is an error, not a comment.
+    """
+    if lines:  # loadtxt warns when given no lines
+        try:
+            return np.loadtxt(lines, delimiter=",", comments=None, usecols=cols, ndmin=2)
+        except ValueError:
+            pass
+    return _parse_rows(lines, cols)
+
+
 def ingest_stream(
     path,
     schema: Mapping[str, int] | None = None,
@@ -190,8 +222,9 @@ def ingest_stream(
     """Read a stream CSV into a Stream.
 
     ``schema`` maps the 7 field names in STREAM_FIELDS to 0-based column
-    indices; by default columns are assumed in that order.  Rows with missing,
-    unparseable, or non-finite values, or a negative timestamp, raise
+    indices; by default columns are assumed in that order.  The data rows are
+    parsed in one bulk call, or by a row loop if that call fails.  Rows with
+    missing, unparseable, or non-finite values, or a negative timestamp, raise
     MalformedRowError with the 1-based data-row number; a row that does not
     parse is reported before any non-finite or negative value.
     Then the timestamps must strictly increase (NonMonotoneTimestampsError)
@@ -206,31 +239,12 @@ def ingest_stream(
         raise ConfigError(f"schema columns must be >= 0, got {min(schema.values())}")
 
     p = Path(path)
-    text = _read_text(p)
-    cols = [schema[name] for name in STREAM_FIELDS]
-    need = max(cols) + 1
-    rows: list[list[float]] = []
-    row_no = 0
-    first_content_line = True
-    for raw in text.split("\n"):  # read_text turns "\r\n" and "\r" into "\n"
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [tok.strip() for tok in line.split(",")]
-        if first_content_line:
-            first_content_line = False
-            # a header line has at least one non-numeric cell
-            if any(not _parses_as_float(tok) for tok in parts):
-                continue
-        row_no += 1
-        if len(parts) < need:
-            raise MalformedRowError(row_no, f"expected >= {need} columns, got {len(parts)}")
-        try:
-            rows.append([float(parts[c]) for c in cols])
-        except ValueError as exc:
-            raise MalformedRowError(row_no, str(exc)) from None
-
-    arr = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(STREAM_FIELDS))
+    # read_text turns "\r\n" and "\r" into "\n"
+    lines = [line for raw in _read_text(p).split("\n") if (line := raw.strip()) and not line.startswith("#")]
+    # a header line has at least one non-numeric cell
+    if lines and not all(_parses_as_float(tok.strip()) for tok in lines[0].split(",")):
+        del lines[0]
+    arr = _parse_bulk(lines, [schema[name] for name in STREAM_FIELDS])
     finite = np.isfinite(arr).all(axis=1)
     bad = ~finite | (arr[:, 0] < 0)
     if bad.any():

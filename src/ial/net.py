@@ -11,6 +11,7 @@ each conv, batchnorm, ReLU and pool block as one folded step.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import math
@@ -672,17 +673,41 @@ def gradient_check(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+
+@dataclass(frozen=True)
+class _Array:
+    """A version-3 checkpoint array: its shape and the base64 of its little-endian float64 bytes."""
+
+    shape: tuple[int, ...]
+    f64le: str
+
+
+def _encode(arr: np.ndarray) -> dict:
+    return {"shape": list(arr.shape), "f64le": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+
+
+def _decode(entry, where: str) -> np.ndarray:
+    """The array of a version-3 entry; ConfigError, naming ``where``, if it is malformed."""
+    arr = from_json(_Array, entry, ConfigError, where)
+    try:
+        raw = base64.b64decode(arr.f64le, validate=True)  # a binascii.Error is a ValueError
+        if min(arr.shape, default=0) < 0 or len(raw) != 8 * math.prod(arr.shape):
+            raise ValueError(f"{len(raw)} bytes do not fit shape {list(arr.shape)}")
+        return np.frombuffer(raw, "<f8").reshape(arr.shape).astype(np.float64)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def save_checkpoint(net: Network, path, *, config_hash: str | None = None, meta: dict | None = None) -> None:
-    """Write a JSON checkpoint: spec echo plus ``net.arrays()``."""
-    state = {name: arr.tolist() for name, arr in net.arrays()}
+    """Write a JSON checkpoint: spec echo plus ``net.arrays()``, each stored exactly
+    as its shape and the base64 of its little-endian float64 bytes."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "spec": asdict(net.spec),
-        "state": state,
+        "state": {name: _encode(arr) for name, arr in net.arrays()},
         "meta": meta or {},
     }
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
@@ -692,18 +717,23 @@ def load_checkpoint(path) -> Network:
     """Rebuild a network from a checkpoint, checking each array against the
     spec before the next layer is built, so a spec alone allocates nothing.
 
-    Reads version 2 and version 1, whose conv bias b only shifts the BatchNorm
+    Reads version 3 and the older versions 2 and 1, which store each array as
+    nested lists of floats.  A version-1 conv bias b only shifts the BatchNorm
     input it feeds: ``(y + b) - rm == y - (rm - b)``, so b is folded into the
     running mean, equal up to rounding.
     """
     p = Path(path)
     doc = read_json(p, CheckpointMismatchError, MissingCheckpointError)
     version = doc.get("version") if isinstance(doc, dict) else None
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
         raise CheckpointMismatchError(f"unsupported checkpoint version {version}")
     try:
         spec = from_json(ModelSpec, doc.get("spec"), ConfigError, "spec")
-        state = {name: np.asarray(arr, dtype=np.float64) for name, arr in doc.get("state", {}).items()}
+        entries = doc.get("state", {}).items()
+        if version == CHECKPOINT_VERSION:
+            state = {name: _decode(entry, f"state.{name}") for name, entry in entries}
+        else:
+            state = {name: np.asarray(arr, dtype=np.float64) for name, arr in entries}
     except (ConfigError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointMismatchError(f"{p}: {exc}") from None
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,23 @@ def test_detect_corrupt_checkpoint_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["t,ax,ay,az,gx,gy,gz\n", "# only\n# comments\n"], ids=["header-only", "comment-only"])
+def test_detect_of_an_empty_stream_exits_two_without_a_warning(tmp_path, capsys, text):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    for phase, n_classes in ((1, 2), (2, 5)):
+        save_checkpoint(build_network(vector_model_spec(n_classes)), out / f"phase{phase}_fc.json")
+    stream = tmp_path / "empty.csv"
+    stream.write_text(text)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(ingest_stream(stream)) == 0
+        assert main(["--config", str(cfg), "detect", str(stream)]) == 2
+    assert capsys.readouterr().err == "error: 0 frames < 150\n"
+
+
 def test_detect_reads_columns_through_the_schema(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -264,6 +282,9 @@ BAD_INPUTS = [
         'schema={"t": -1, "ax": 1, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 0}')),
     *(pytest.param("spec", kv, 2, id=f"spec.{kv[0]}={kv[1]!r}") for kv in (
         ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]))),
+    *(pytest.param("state", ("7.b", entry), 2, id=f"state.7.b={name}") for name, entry in (
+        ("list", [0.0, 0.0]), ("no-f64le", {"shape": [2]}), ("not-base64", {"shape": [2], "f64le": "!!!!"}),
+        ("wrong-length", {"shape": [3], "f64le": "AAAAAAAAAAAAAAAAAAAAAA=="}), ("huge-shape", {"shape": [10**400], "f64le": ""}))),
     *(pytest.param("manifest", kv, 2, id=f"manifest.{kv[0]}={kv[1]!r}") for kv in (
         ("sample_rate_hz", "50"), ("sample_rate_hz", True), ("notes", "x"))),
     *(pytest.param("file", (name, b"\xff"), 2, id=f"non-utf8-{name}") for name in ("a.csv", "a.labels.txt")),
@@ -273,7 +294,7 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("where, value, code", BAD_INPUTS)
 def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
     # each case fails as soon as its input is read: a config value or a checkpoint
-    # spec in `detect` of a missing stream, a manifest field or a stream or
+    # spec or array in `detect` of a missing stream, a manifest field or a stream or
     # labels file with a byte appended in `train`
     args = ["--config", str(write_config(tmp_path))]
     out = tmp_path / "out"
@@ -282,9 +303,9 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
         save_checkpoint(build_network(vector_model_spec(n_classes)), out / f"phase{phase}_fc.json")
     if where == "config":
         args += ["--set", value]
-    elif where == "spec":
+    elif where in ("spec", "state"):
         doc = json.loads((out / "phase1_fc.json").read_text())
-        doc["spec"][value[0]] = value[1]
+        doc[where][value[0]] = value[1]
         (out / "phase1_fc.json").write_text(json.dumps(doc))
     elif where == "manifest":
         entry = {"subject_id": 1, "stream_id": 1, "stream_path": "a.csv", "labels_path": "a.labels.txt"}

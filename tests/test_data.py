@@ -2,8 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import ial.data as data_module
 from ial.data import (
+    STREAM_FIELDS,
     ActionClass,
     GroundTruthEvent,
     INTEREST_CLASSES,
@@ -22,6 +26,7 @@ from ial.data import (
 )
 from ial.errors import (
     ConfigError,
+    DataError,
     InfeasiblePackingError,
     InvertedIntervalError,
     MalformedRowError,
@@ -180,6 +185,76 @@ def test_written_stream_bytes_are_pinned(tmp_path):
     write_stream(Stream(2, 3, t, values), path, ["config_hash=deadbeef"])
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "14a84a8032bed63d813d6c5f78c951993c729fe5fec577bb681fae7f136310c5"
+
+
+# tokens at the edges of float parsing, as cells of a stream CSV: values loadtxt reads
+# as float() does, tokens only float() reads (1_0, an Arabic-Indic or a fullwidth
+# digit), padded cells, an inline comment, and tokens both reject
+EDGE_TOKENS = ["-0.0", "5e-324", "2.5e-308", "1e300", "-1e300", "1e400", "0.1e-999", "1.", ".5", "+3", "1E5", "inf",
+               "-Infinity", "nan", "1_0", "\u0661", "\uff11", "\xa02", " 7 ", "\t8", "\x0c9", "4\x85", "\u20285",
+               "6 # note", "#7", "abc", "", "1e", "0x10", "nan(1)", '"2"']
+CELL = st.sampled_from(EDGE_TOKENS) | st.floats(-1e6, 1e6).map(repr)
+
+
+@st.composite
+def stream_texts(draw):
+    """A stream CSV text and a schema: rows of 7-9 cells, mostly floats with increasing
+    timestamps, with edge tokens, ragged rows, blank and comment lines mixed in."""
+    schema = dict(zip(STREAM_FIELDS, draw(st.permutations(range(9)))))
+    width = max(schema.values()) + 1
+    lines = [draw(st.sampled_from(["t,ax,ay,az,gx,gy,gz", "# made by hand", ""]))] if draw(st.booleans()) else []
+    for k in range(draw(st.integers(1, 8))):
+        cells = [repr(v) for v in draw(st.lists(st.floats(-1e3, 1e3), min_size=width, max_size=width + 2))]
+        cells[schema["t"]] = repr(k / 50)
+        for _ in range(draw(st.integers(0, 2))):
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(CELL)
+        if draw(st.integers(0, 9)) == 0:  # an inline comment after the last column read
+            cells = cells[:width]
+            cells[-1] += " # note"
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[: draw(st.integers(0, len(cells)))]
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "# note, 1", " #x"])))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n", schema
+
+
+def ingest_outcome(path, schema):
+    try:
+        stream = ingest_stream(path, schema)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return stream.t.dtype, stream.t.tobytes(), stream.values.tobytes(), stream.values.strides
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise ValueError("bulk parse disabled")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=stream_texts())
+def test_bulk_parse_equals_the_row_loop(tmp_path, case):
+    """Every file reads to the same bytes, or fails with the same error, as with the row loop alone."""
+    text, schema = case
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got = ingest_outcome(path, schema)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", _no_loadtxt)
+        assert got == ingest_outcome(path, schema)
+
+
+def test_written_streams_take_the_bulk_path(tmp_path, monkeypatch):
+    stream, _ = generate_synthetic_stream(SyntheticConfig(seed=4, stream_duration_s=12.0, events_per_stream=1), 1, 2)
+    path = tmp_path / "s.csv"
+    write_stream(stream, path, ["config_hash=deadbeef", "second comment"])
+
+    def row_loop(*args):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr(data_module, "_parse_rows", row_loop)
+    back = ingest_stream(path)
+    assert back.t.tobytes() == stream.t.tobytes() and back.values.tobytes() == stream.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ import pytest
 from ial.data import ActionClass, SyntheticConfig, generate_synthetic_stream
 from ial.detector import DetectorConfig, build_phase1_dataset, build_phase2_dataset, detect, featurize_stream
 from ial.evaluation import evaluate_run
-from ial.net import TrainConfig, image_model_spec, softmax, train, vector_model_spec
+from ial.net import TrainConfig, image_model_spec, load_checkpoint, save_checkpoint, softmax, train, vector_model_spec
 
 SYNTH = SyntheticConfig(
     seed=11,
@@ -195,6 +195,13 @@ def arrays_digest(net) -> str:
 @pytest.mark.parametrize("kind", ["image", "vector"])
 def test_trained_arrays_match_the_pinned_bytes(kind):
     assert [arrays_digest(net) for net in trained(kind)] == ARRAY_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", ["image", "vector"])
+def test_checkpoint_round_trip_keeps_the_trained_bytes(kind, tmp_path):
+    for phase, net in enumerate(trained(kind), 1):
+        save_checkpoint(net, tmp_path / f"phase{phase}.json")
+        assert arrays_digest(load_checkpoint(tmp_path / f"phase{phase}.json")) == arrays_digest(net)
 
 
 def eval_pairs():

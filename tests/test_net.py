@@ -822,7 +822,7 @@ def test_checkpoint_round_trip(tmp_path):
     net, _ = train(vector_model_spec(2), x, y, TrainConfig(epochs=2, seed=5))
     path = tmp_path / "ckpt.json"
     save_checkpoint(net, path, config_hash="abc")
-    assert json.loads(path.read_text())["version"] == 2
+    assert json.loads(path.read_text())["version"] == 3
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.predict_proba(x), net.predict_proba(x))
     for (na, a), (nb, b) in zip(net.parameters(), loaded.parameters()):
@@ -841,7 +841,7 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(path)
-    for broken in ("{broken", "[]", json.dumps({**good, "version": 3}), json.dumps({**good, "version": True}),
+    for broken in ("{broken", "[]", json.dumps({**good, "version": 4}), json.dumps({**good, "version": True}),
                    json.dumps({**good, "version": 2.0}), json.dumps({**good, "spec": {"kind": "fc"}})):
         path.write_text(broken)
         with pytest.raises(CheckpointMismatchError):
@@ -861,6 +861,42 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
         path.write_text(json.dumps({**doc, "spec": {**doc["spec"], key: value}}))
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(path)
+    # malformed version-3 arrays; 7.b holds 2 floats, 16 bytes
+    b16 = good["state"]["7.b"]["f64le"]
+    for entry in [[0.0, 0.0], b16, None, {"shape": [2]}, {"f64le": b16}, {"shape": [2], "f64le": b16, "dtype": "<f8"},
+                  {"shape": [2], "f64le": 16}, {"shape": [2], "f64le": [b16]}, {"shape": [2], "f64le": "!" + b16},
+                  {"shape": [2], "f64le": b16[:-2]}, {"shape": [2], "f64le": b16[:8] + " " + b16[8:]},
+                  {"shape": [2], "f64le": "é" + b16[1:]}, {"shape": [3], "f64le": b16}, {"shape": [2], "f64le": b16[:12]},
+                  {"shape": [1], "f64le": b16}, {"shape": [2.0], "f64le": b16},
+                  {"shape": [True, 2], "f64le": b16}, {"shape": ["2"], "f64le": b16}, {"shape": 2, "f64le": b16},
+                  {"shape": [10**400], "f64le": b16}, {"shape": [10**400, 0], "f64le": ""}]:
+        path.write_text(json.dumps({**good, "state": {**good["state"], "7.b": entry}}))
+        with pytest.raises(CheckpointMismatchError, match=r"state\.7\.b"):
+            load_checkpoint(path)
+    path.write_text(json.dumps({**good, "state": {**good["state"], "7.b": {"shape": [-1, -2], "f64le": b16}}}))
+    with pytest.raises(CheckpointMismatchError, match=r"16 bytes do not fit shape \[-1, -2\]"):
+        load_checkpoint(path)
+    path.write_text(json.dumps(good))
+    assert np.array_equal(load_checkpoint(path).layers[7].b, net.layers[7].b)
+
+
+@pytest.mark.parametrize("spec", [image_model_spec(3), vector_model_spec(5)], ids=["cnn", "fc"])
+def test_checkpoint_versions_2_and_3_load_to_equal_arrays(tmp_path, spec):
+    net = build_network(spec, seed=3)
+    rng = np.random.default_rng(27)
+    for _, arr in net.arrays():  # awkward values: a full-precision draw, then -0.0, tiny, huge and subnormal
+        arr[...] = rng.normal(0, 1, arr.shape)
+        arr.flat[:5] = [-0.0, 5e-324, 1e300, -2.0**-1074, 0.1][: arr.size]
+    save_checkpoint(net, tmp_path / "v3.json")
+    doc = json.loads((tmp_path / "v3.json").read_text())
+    doc["version"] = 2
+    doc["state"] = {name: arr.tolist() for name, arr in net.arrays()}
+    (tmp_path / "v2.json").write_text(json.dumps(doc))
+    want = [(name, arr.dtype, arr.shape, arr.tobytes()) for name, arr in net.arrays()]
+    for version in ("v2", "v3"):
+        loaded = load_checkpoint(tmp_path / f"{version}.json")
+        assert [(name, arr.dtype, arr.shape, arr.tobytes()) for name, arr in loaded.arrays()] == want, version
+        assert all(arr.flags.writeable and arr.flags.c_contiguous for _, arr in loaded.arrays())
 
 
 def test_checkpoint_version_1_folds_conv_bias_into_running_mean(tmp_path):
@@ -887,6 +923,7 @@ def test_checkpoint_version_1_folds_conv_bias_into_running_mean(tmp_path):
     save_checkpoint(net, path)
     doc = json.loads(path.read_text())
     doc["version"] = 1
+    doc["state"] = {name: arr.tolist() for name, arr in net.arrays()}
     doc["state"].update({f"{i}.bias": b.tolist() for i, b in biases.items()})
     path.write_text(json.dumps(doc))
     loaded = load_checkpoint(path)

@@ -5,6 +5,7 @@ returns dataclasses whose every field has its annotated type, or raises an
 IalError subclass.
 """
 
+import base64
 import dataclasses
 import functools
 import json
@@ -13,6 +14,7 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -128,17 +130,44 @@ def checkpoint_doc(kind):
         return json.loads(path.read_text())
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(kind=st.sampled_from(sorted(SPECS)), key=st.sampled_from(SPEC_KEYS), value=json_values())
-def test_mutated_checkpoint_spec_raises_only_ial_errors(tmp_path, kind, key, value):
+def array_values():
+    """JSON values, shapes and base64 text for a field of a checkpoint array entry."""
+    b64 = st.binary(max_size=40).map(lambda b: base64.b64encode(b).decode("ascii"))
+    shapes = st.lists(st.integers(-2, 6) | st.just(10**400), max_size=3)
+    return json_values() | shapes | b64 | b64.map(lambda s: s[:-1]) | st.just("DELETE")
+
+
+# an array mutation: which entry, which field (None replaces the whole entry) and the new value
+ARRAY_MUTATIONS = st.tuples(st.integers(0, 20), st.sampled_from(["shape", "f64le", "bogus", None]), array_values())
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(SPECS)), key=st.sampled_from(SPEC_KEYS), value=json_values(),
+       array=st.none() | ARRAY_MUTATIONS)
+def test_mutated_checkpoint_spec_raises_only_ial_errors(tmp_path, kind, key, value, array):
+    """Mutate one spec value or, if ``array`` is drawn, one entry of the stored arrays."""
     doc = checkpoint_doc(kind)
+    if array is None:
+        doc = {**doc, "spec": {**doc["spec"], key: value}}
+    else:
+        i, field, new = array
+        name = sorted(doc["state"])[i % len(doc["state"])]
+        entry = dict(doc["state"][name])
+        if field is None:
+            entry = new
+        elif new == "DELETE":
+            entry.pop(field, None)
+        else:
+            entry[field] = new
+        doc = {**doc, "state": {**doc["state"], name: entry}}
     path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps({**doc, "spec": {**doc["spec"], key: value}}))
+    path.write_text(json.dumps(doc))
     try:
         net = load_checkpoint(path)
     except IalError:
         return
     assert_typed(net.spec, ModelSpec)
+    assert all(arr.dtype == np.float64 for _, arr in net.arrays())
 
 
 @pytest.fixture(scope="module")

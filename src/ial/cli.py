@@ -7,7 +7,6 @@ failure.  Every output file embeds the hash of the resolved configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -138,20 +137,16 @@ def _train_both(cfg: RunConfig, pairs) -> tuple[net.Network, net.Network, list, 
 
 
 def _write_loss_csv(path: Path, losses: list, chash: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for i, loss in enumerate(losses, start=1):
-            writer.writerow([i, repr(float(loss))])
+    rows = [f"{i},{float(loss)!r}" for i, loss in enumerate(losses, start=1)]
+    dat.write_lines(path, ["epoch,mean_loss", *rows], [f"config_hash={chash}"])
 
 
 def cmd_train(cfg: RunConfig) -> int:
     chash = config_hash(cfg)
-    train_pairs, _ = _split_pairs(dat.load_dataset(_manifest_path(cfg), cfg.schema))
-    net1, net2, losses1, losses2 = _train_both(cfg, train_pairs)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    train_pairs, _ = _split_pairs(dat.load_dataset(_manifest_path(cfg), cfg.schema))
+    net1, net2, losses1, losses2 = _train_both(cfg, train_pairs)
     meta = {"seed": cfg.train.seed, "feature_kind": cfg.feature_kind}
     net.save_checkpoint(net1, _checkpoint_path(cfg, 1), config_hash=chash, meta=meta)
     net.save_checkpoint(net2, _checkpoint_path(cfg, 2), config_hash=chash, meta=meta)
@@ -172,8 +167,7 @@ def cmd_detect(cfg: RunConfig, stream_path: str, dump_features: str | None) -> i
     chash = config_hash(cfg)
     phase1, phase2 = _load_models(cfg)
     stream = dat.ingest_stream(stream_path, cfg.schema, sample_rate_hz=cfg.synthetic.sample_rate_hz)
-    scores = det.score_windows(stream, phase1, cfg.feature_kind, cfg.detector, cfg.threads)
-    events = det.events_from_scores(stream, scores, phase2, cfg.detector, cfg.feature_kind)
+    scores, events = det.detect(stream, phase1, phase2, cfg.detector, cfg.feature_kind, cfg.threads)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(stream_path).stem
@@ -200,7 +194,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     text = ev.render_report(report1, report2, model_name)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(f"# config_hash={chash}\n{text}", encoding="utf-8")
+    dat.write_lines(out / "report.txt", text.splitlines(), [f"config_hash={chash}"])
     doc = {
         "config_hash": chash,
         "config": asdict(cfg),
@@ -215,8 +209,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_gradcheck(cfg: RunConfig) -> int:
     rng = np.random.default_rng([cfg.seed, 5])
     checks = [
-        ("fc", net.vector_model_spec(5, dropout_rate=0.0), rng.normal(0.5, 0.2, (4, 16))),
-        ("cnn", net.image_model_spec(5, dropout_rate=0.0), rng.normal(0.5, 0.2, (4, 50, 8, 1))),
+        ("fc", net.vector_model_spec(5), rng.normal(0.5, 0.2, (4, 16))),
+        ("cnn", net.image_model_spec(5), rng.normal(0.5, 0.2, (4, 50, 8, 1))),
     ]
     worst = 0.0
     for name, spec, x in checks:
@@ -254,7 +248,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IalError as exc:
+    except (IalError, OSError) as exc:  # OSError: a path that cannot be opened or created
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -266,12 +266,17 @@ def ingest_stream(
     return Stream(subject_id, stream_id, t, arr[:, 1:], sample_rate_hz)
 
 
+def write_lines(path, lines: Iterable[str], comments: Sequence[str] = ()) -> None:
+    """Write one ``# comment`` line per comment, then ``lines``, each ending in
+    a newline, as UTF-8."""
+    text = "\n".join([*(f"# {c}" for c in comments), *lines])
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
 def write_stream(stream: Stream, path, comments: Sequence[str] = ()) -> None:
     """Write a stream in the ingestible CSV format; floats round-trip exactly."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(STREAM_FIELDS))
-    lines += [",".join(map(repr, row)) for row in np.column_stack([stream.t, stream.values]).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.column_stack([stream.t, stream.values]).tolist()
+    write_lines(path, [",".join(STREAM_FIELDS), *(",".join(map(repr, row)) for row in rows)], comments)
 
 
 def parse_labels(path) -> list[GroundTruthEvent]:
@@ -302,11 +307,11 @@ def parse_labels(path) -> list[GroundTruthEvent]:
 
 
 def write_labels(events: Sequence[GroundTruthEvent], path, comments: Sequence[str] = ()) -> None:
-    lines = [f"# {c}" for c in comments]
-    for ev in sorted(events, key=lambda e: e.start):
-        label_id = INTEREST_CLASSES.index(ev.label) + 1
-        lines.append(f"{label_id} {ev.start!r} {ev.end!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [
+        f"{INTEREST_CLASSES.index(ev.label) + 1} {ev.start!r} {ev.end!r}"
+        for ev in sorted(events, key=lambda e: e.start)
+    ]
+    write_lines(path, lines, comments)
 
 
 def split_dataset(streams: Sequence[Stream]) -> tuple[list[Stream], list[Stream]]:

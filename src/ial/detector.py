@@ -4,7 +4,8 @@ Each stream is windowed and featurized once into one window table
 (``WindowScores``).  Phase one scores every sliding window with a binary
 interest model; runs of positive windows become candidate intervals.  Phase
 two classifies each interval with a 5-class model on the same window features.
-This module also assembles the per-window training sets for both phases from
+``detect`` runs both phases and returns the table with the events.  This
+module also assembles the per-window training sets for both phases from
 labeled streams.
 
 The window rules, each written once: a window spans ``WINDOW_FRAMES`` samples
@@ -26,12 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import INTEREST_CLASSES, ActionClass, GroundTruthEvent, Stream
-from .errors import (
-    ConfigError,
-    IntervalOutsideStreamError,
-    ModelFeatureMismatchError,
-)
+from .data import INTEREST_CLASSES, ActionClass, GroundTruthEvent, Stream, write_lines
+from .errors import ConfigError, ModelFeatureMismatchError
 from .features import vector_batch
 from .net import CNN_KIND, FC_KIND, Network
 from .signal import WINDOW_FRAMES, window_images, window_starts
@@ -119,17 +116,13 @@ def _centered_in(centers: np.ndarray, start: float, end: float) -> np.ndarray:
     return (start <= centers) & (centers <= end)
 
 
-def featurize_stream(
-    stream: Stream, feature_kind: str, stride_frames: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every window of the stream as one model input batch: ``(start_frames, x)``
-    with x of shape (n, 50, 8, 1) or (n, 16)."""
+def featurize_stream(stream: Stream, feature_kind: str, stride_frames: int) -> np.ndarray:
+    """Every window of the stream as one model input batch, of shape
+    (n, 50, 8, 1) or (n, 16)."""
     if feature_kind not in MODEL_FOR_FEATURE:
         raise ConfigError(f"unknown feature kind {feature_kind!r}")
-    starts, images = window_images(stream, stride_frames)
-    if feature_kind == IMAGE_KIND:
-        return starts, images[..., None]
-    return starts, vector_batch(images)
+    _, images = window_images(stream, stride_frames)
+    return images[..., None] if feature_kind == IMAGE_KIND else vector_batch(images)
 
 
 def _check_model(model: Network, feature_kind: str, n_classes: int) -> None:
@@ -163,7 +156,7 @@ def score_windows(
 ) -> WindowScores:
     """The stream's window table: one interest probability per sliding window."""
     _check_model(phase1_model, feature_kind, 2)
-    _, x = featurize_stream(stream, feature_kind, cfg.stride_frames)
+    x = featurize_stream(stream, feature_kind, cfg.stride_frames)
     probs = _batched_proba(phase1_model, x, threads)
     start_t, window_s = _window_times(stream, cfg.stride_frames)
     return WindowScores(start_t, probs[:, INTEREST_IDX], x, window_s)
@@ -191,35 +184,6 @@ def segment_events(scores: WindowScores, cfg: DetectorConfig) -> list[tuple[floa
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def classify_event(
-    stream: Stream,
-    scores: WindowScores,
-    interval: tuple[float, float],
-    phase2_model: Network,
-    cfg: DetectorConfig,
-    feature_kind: str,
-) -> tuple[ActionClass, float]:
-    """Assign one of the 5 classes to a candidate interval.
-
-    ``scores`` are the stream's phase-one window scores; phase two classifies
-    their feature rows.  center-window mode classifies the single window whose
-    center is nearest the interval midpoint; mean-probability mode averages
-    the softmax vectors of all windows whose center falls inside the interval
-    (falling back to the center window when none does).  Argmax ties go to the
-    lowest class index.
-    """
-    _check_model(phase2_model, feature_kind, len(INTEREST_CLASSES))
-    start, end = interval
-    if end <= float(stream.t[0]) or start >= float(stream.t[-1]):
-        raise IntervalOutsideStreamError(f"[{start}, {end}] outside stream span")
-    chosen = np.flatnonzero(_centered_in(scores.centers, start, end))
-    if cfg.classification_mode == "center-window" or not len(chosen):
-        chosen = [int(np.argmin(np.abs(scores.centers - 0.5 * (start + end))))]
-    mean_probs = phase2_model.predict_proba(scores.x[chosen]).mean(axis=0)
-    idx = int(np.argmax(mean_probs))
-    return INTEREST_CLASSES[idx], float(mean_probs[idx])
-
-
 def detect(
     stream: Stream,
     phase1_model: Network,
@@ -227,29 +191,30 @@ def detect(
     cfg: DetectorConfig,
     feature_kind: str,
     threads: int = 1,
-) -> list[DetectedEvent]:
-    """Full two-phase pass: score, segment, classify.  Events come out sorted
-    by start and pairwise disjoint."""
+) -> tuple[WindowScores, list[DetectedEvent]]:
+    """Full two-phase pass over one stream: its window table and its events.
+
+    Phase one scores the table and segments it into intervals, each clipped
+    to the stream's last timestamp.  Phase two classifies each interval on the
+    table's feature rows: center-window mode takes the single window whose
+    center is nearest the interval midpoint; mean-probability mode averages
+    the softmax vectors of all windows whose center falls inside the interval
+    (falling back to the center window when none does).  Argmax ties go to the
+    lowest class index.  Events come out sorted by start and pairwise disjoint.
+    """
     scores = score_windows(stream, phase1_model, feature_kind, cfg, threads)
-    return events_from_scores(stream, scores, phase2_model, cfg, feature_kind)
-
-
-def events_from_scores(
-    stream: Stream,
-    scores: WindowScores,
-    phase2_model: Network,
-    cfg: DetectorConfig,
-    feature_kind: str,
-) -> list[DetectedEvent]:
-    """Segment the stream's window table and classify each interval, clipped
-    to the stream's last timestamp."""
+    _check_model(phase2_model, feature_kind, len(INTEREST_CLASSES))
     stream_end = float(stream.t[-1])
     events = []
     for start, end in segment_events(scores, cfg):
-        interval = (start, min(end, stream_end))
-        label, confidence = classify_event(stream, scores, interval, phase2_model, cfg, feature_kind)
-        events.append(DetectedEvent(label, *interval, confidence))
-    return events
+        end = min(end, stream_end)
+        chosen = np.flatnonzero(_centered_in(scores.centers, start, end))
+        if cfg.classification_mode == "center-window" or not len(chosen):
+            chosen = [int(np.argmin(np.abs(scores.centers - 0.5 * (start + end))))]
+        mean_probs = phase2_model.predict_proba(scores.x[chosen]).mean(axis=0)
+        idx = int(np.argmax(mean_probs))
+        events.append(DetectedEvent(INTEREST_CLASSES[idx], start, end, float(mean_probs[idx])))
+    return scores, events
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +263,7 @@ def build_phase1_dataset(
     pos_rows, neg_rows = [], []
     for (stream, _), pos, neg in zip(pairs, np.split(positive, bounds), np.split(negative, bounds)):
         if pos.any() or neg.any():
-            _, x = featurize_stream(stream, feature_kind, cfg.stride_frames)
+            x = featurize_stream(stream, feature_kind, cfg.stride_frames)
             pos_rows.append(x[pos])
             neg_rows.append(x[neg])
     x = np.concatenate(pos_rows + neg_rows) if pos_rows else np.empty((0,))
@@ -322,8 +287,7 @@ def build_phase2_dataset(
             label[inside] = INTEREST_CLASSES.index(ev.label)
         chosen = label >= 0
         if chosen.any():
-            _, x = featurize_stream(stream, feature_kind, cfg.stride_frames)
-            feats.append(x[chosen])
+            feats.append(featurize_stream(stream, feature_kind, cfg.stride_frames)[chosen])
             labels.extend(label[chosen].tolist())
     x = np.concatenate(feats) if feats else np.empty((0,))
     return x, np.array(labels)
@@ -336,10 +300,8 @@ def build_phase2_dataset(
 
 def write_events_tsv(events: Sequence[DetectedEvent], path, comments: Sequence[str] = ()) -> None:
     """One ``label start_s end_s confidence`` line per event, tab-separated."""
-    lines = [f"# {c}" for c in comments]
-    for ev in events:
-        lines.append(f"{ev.label.name}\t{ev.start!r}\t{ev.end!r}\t{ev.confidence!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [f"{ev.label.name}\t{ev.start!r}\t{ev.end!r}\t{ev.confidence!r}" for ev in events]
+    write_lines(path, lines, comments)
 
 
 def write_events_json(

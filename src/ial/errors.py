@@ -107,10 +107,6 @@ class ModelFeatureMismatchError(DataError):
     pass
 
 
-class IntervalOutsideStreamError(DataError):
-    pass
-
-
 class UnsortedInputError(DataError):
     pass
 

@@ -25,14 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import INTEREST_CLASSES, GroundTruthEvent, Stream
-from .detector import (
-    DetectedEvent,
-    DetectorConfig,
-    WindowScores,
-    events_from_scores,
-    score_windows,
-    window_labels,
-)
+from .detector import DetectedEvent, DetectorConfig, WindowScores, detect, window_labels
 from .errors import ConfigError, UnsortedInputError
 from .net import Network
 
@@ -213,8 +206,8 @@ def evaluate_run(
     detections, truths = [], []
     window_counts = ConfusionCounts()
     for stream, truth in pairs:
-        scores = score_windows(stream, phase1_model, feature_kind, cfg, threads)
-        detections.append(events_from_scores(stream, scores, phase2_model, cfg, feature_kind))
+        scores, events = detect(stream, phase1_model, phase2_model, cfg, feature_kind, threads)
+        detections.append(events)
         truths.append(list(truth))
         window_counts += _window_diagnostics(truth, scores, cfg)
     report1, report2 = aggregate_run(detections, truths, rule=rule, iou_threshold=iou_threshold)

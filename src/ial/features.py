@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .data import write_lines
 from .signal import DOWNSAMPLE_FACTOR, SignalWindow, median_downsample
 
 IMAGE_ROWS = 50
@@ -64,7 +64,5 @@ def write_vector_csv(
     header = "start_t," + ",".join(
         [f"mean_{c}" for c in range(N_CHANNELS)] + [f"var_{c}" for c in range(N_CHANNELS)]
     )
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
-    lines += [",".join(map(repr, row)) for row in np.column_stack([start_t, vectors]).tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.column_stack([start_t, vectors]).tolist()
+    write_lines(path, [header, *(",".join(map(repr, row)) for row in rows)], comments)

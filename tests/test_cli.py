@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -104,6 +105,8 @@ def test_full_pipeline_train_detect_eval(tmp_path, capsys):
     assert main(["--config", str(cfg), "train"]) == 0
     assert (out / "phase1_fc.json").is_file() and (out / "phase2_fc.json").is_file()
 
+    for phase in (1, 2):  # one line ending throughout
+        assert b"\r" not in (out / f"loss_phase{phase}.csv").read_bytes()
     loss_lines = (out / "loss_phase1.csv").read_text().splitlines()
     assert loss_lines[0].startswith("# config_hash=")
     assert loss_lines[1] == "epoch,mean_loss"
@@ -216,6 +219,22 @@ def test_detect_reads_columns_through_the_schema(tmp_path):
     assert json.loads((out / "s01_r10.events.json").read_text())["events"] == expected
 
 
+def test_detect_with_a_phase1_checkpoint_as_phase2_exits_two(tmp_path, capsys):
+    # phase 2 is checked once per stream, so a stream with no interval catches it too
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    phase1 = build_network(vector_model_spec(2))
+    phase1.layers[-1].b[:] = [100.0, -100.0]  # no window is ever positive
+    save_checkpoint(phase1, out / "phase1_fc.json")
+    shutil.copy(out / "phase1_fc.json", out / "phase2_fc.json")
+    stream, _ = generate_synthetic_stream(SyntheticConfig(stream_duration_s=12.0, events_per_stream=0))
+    write_stream(stream, tmp_path / "quiet.csv")
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "detect", str(tmp_path / "quiet.csv")]) == 2
+    assert capsys.readouterr().err == "error: expected a 5-class model, got 2\n"
+
+
 def malformed_manifests(out):
     doc = json.loads((out / "manifest.json").read_text())
     no_labels = json.loads(json.dumps(doc))
@@ -288,6 +307,10 @@ BAD_INPUTS = [
     *(pytest.param("manifest", kv, 2, id=f"manifest.{kv[0]}={kv[1]!r}") for kv in (
         ("sample_rate_hz", "50"), ("sample_rate_hz", True), ("notes", "x"))),
     *(pytest.param("file", (name, b"\xff"), 2, id=f"non-utf8-{name}") for name in ("a.csv", "a.labels.txt")),
+    *(pytest.param("output", (bad, args), 2, id=f"output-{command}") for command, bad, args in (
+        ("synth", "blocker", ("--out", "{tmp}/blocker/out", "synth")),
+        ("train", "blocker", ("--out", "{tmp}/blocker/out", "--set", "manifest={tmp}/out/manifest.json", "train")),
+        ("detect", "no_such_dir", ("detect", "{tmp}/out/a.csv", "--dump-features", "{tmp}/no_such_dir/d.csv")))),
 ]
 
 
@@ -295,7 +318,8 @@ BAD_INPUTS = [
 def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
     # each case fails as soon as its input is read: a config value or a checkpoint
     # spec or array in `detect` of a missing stream, a manifest field or a stream or
-    # labels file with a byte appended in `train`
+    # labels file with a byte appended in `train`; or as soon as its output path is
+    # written: under the regular file "blocker" or in a missing directory
     args = ["--config", str(write_config(tmp_path))]
     out = tmp_path / "out"
     out.mkdir()
@@ -315,9 +339,14 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
         write_stream(stream, out / "a.csv")
         write_labels(events, out / "a.labels.txt")
         write_manifest(out / "manifest.json", [ManifestEntry(1, 1, "a.csv", "a.labels.txt")])
+    if where == "file":
         with open(out / value[0], "ab") as fh:
             fh.write(value[1])
-    args += ["train"] if where in ("manifest", "file") else ["detect", str(tmp_path / "missing.csv")]
+    if where == "output":
+        (tmp_path / "blocker").write_text("")
+        args += [arg.format(tmp=tmp_path) for arg in value[1]]
+    else:
+        args += ["train"] if where in ("manifest", "file") else ["detect", str(tmp_path / "missing.csv")]
     capsys.readouterr()
     assert main(args) == code
     err = capsys.readouterr().err

@@ -10,7 +10,6 @@ from ial.detector import (
     WindowScores,
     build_phase1_dataset,
     build_phase2_dataset,
-    classify_event,
     detect,
     featurize_stream,
     score_windows,
@@ -19,12 +18,7 @@ from ial.detector import (
     write_events_json,
     write_events_tsv,
 )
-from ial.errors import (
-    ConfigError,
-    IntervalOutsideStreamError,
-    ModelFeatureMismatchError,
-    StreamTooShortError,
-)
+from ial.errors import ConfigError, ModelFeatureMismatchError, StreamTooShortError
 from ial.evaluation import evaluate_run
 from ial.net import TrainConfig, build_network, image_model_spec, train, vector_model_spec
 
@@ -214,22 +208,20 @@ def test_segment_threshold_monotonicity():
 
 
 # ---------------------------------------------------------------------------
-# classify_event
+# phase two inside detect
 # ---------------------------------------------------------------------------
 
 
-def classify(stream, interval, phase2, cfg):
-    """classify_event on the window rows of a phase-one pass over the stream."""
-    scores = score_windows(stream, constant_model("fc", 2, [0.0, 1.0]), "vector", cfg)
-    return classify_event(stream, scores, interval, phase2, cfg, "vector")
+def positive_at(n_windows, chosen):
+    """Phase-one stub: window i is positive iff i is in ``chosen``."""
+    return scripted_model(2, [[0.0, 1.0] if i in chosen else [1.0, 0.0] for i in range(n_windows)])
 
 
 def test_classify_constant_one_hot():
-    stream = make_stream(n=400)
+    stream = make_stream(n=400)  # 17 windows, starts 0.0, 0.3, .., 4.8 s
     model = constant_model("fc", 5, [0.0, 0.0, 1.0, 0.0, 0.0])
-    label, conf = classify(stream, (1.0, 4.0), model, DetectorConfig())
-    assert label is ActionClass.WAVE  # class index 2
-    assert conf == 1.0
+    _, events = detect(stream, positive_at(17, range(3, 10)), model, DetectorConfig(), "vector")
+    assert [(ev.label, ev.confidence) for ev in events] == [(ActionClass.WAVE, 1.0)]  # class index 2
 
 
 def test_classify_center_equals_mean_for_constant_probs():
@@ -237,25 +229,25 @@ def test_classify_center_equals_mean_for_constant_probs():
     model = constant_model("fc", 5, [0.1, 0.2, 0.3, 0.25, 0.15])
     mean_cfg = DetectorConfig(classification_mode="mean-probability")
     center_cfg = DetectorConfig(classification_mode="center-window")
-    assert classify(stream, (1.0, 4.0), model, mean_cfg) == classify(
-        stream, (1.0, 4.0), model, center_cfg
-    )
+    # positives at starts 0.0-0.9 s: the interval [0.0, 3.9] centres the 9 windows at 0.0-2.4 s
+    mean = detect(stream, positive_at(17, range(4)), model, mean_cfg, "vector")[1]
+    center = detect(stream, positive_at(17, range(4)), model, center_cfg, "vector")[1]
+    assert len(mean) == 1 and mean == center
 
 
 def test_classify_tie_breaks_to_lowest_index():
     stream = make_stream(n=400)
-    # interval [1.4, 2.0] contains exactly the window centers 1.5 and 1.8
-    model = scripted_model(5, [[0.6, 0.4, 0.0, 0.0, 0.0], [0.4, 0.6, 0.0, 0.0, 0.0]])
-    label, conf = classify(stream, (1.4, 2.0), model, DetectorConfig())
-    assert label is ActionClass.SWIPE_LEFT
-    assert conf == pytest.approx(0.5)
+    # positives at starts 0.0-0.6 s: the interval [0.0, 3.6] centres the 8 windows at 0.0-2.1 s,
+    # whose rows alternate between favouring class 0 and class 1
+    rows = [[0.75, 0.25, 0.0, 0.0, 0.0], [0.25, 0.75, 0.0, 0.0, 0.0]] * 4
+    _, events = detect(stream, positive_at(17, range(3)), scripted_model(5, rows), DetectorConfig(), "vector")
+    assert [(ev.label, ev.confidence) for ev in events] == [(ActionClass.SWIPE_LEFT, 0.5)]
 
 
-def test_classify_interval_outside_stream():
+def test_detect_checks_the_phase2_model_without_an_interval():
     stream = make_stream(n=400)
-    model = constant_model("fc", 5, [1.0, 0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(IntervalOutsideStreamError):
-        classify(stream, (100.0, 102.0), model, DetectorConfig())
+    with pytest.raises(ModelFeatureMismatchError):
+        detect(stream, positive_at(17, []), constant_model("fc", 2, [0.5, 0.5]), DetectorConfig(), "vector")
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +283,25 @@ def test_detect_empty_when_phase1_negative():
     stream = make_stream(n=400)
     phase1 = constant_model("fc", 2, [1.0, 0.0])
     phase2 = constant_model("fc", 5, [1.0, 0.0, 0.0, 0.0, 0.0])
-    assert detect(stream, phase1, phase2, DetectorConfig(), "vector") == []
+    assert detect(stream, phase1, phase2, DetectorConfig(), "vector")[1] == []
 
 
 def test_detect_finds_planted_gestures():
     net1, net2, det_cfg = trained_fc_models()
     stream, truth = generate_synthetic_stream(synth_cfg(100), 1, 9)
-    events = detect(stream, net1, net2, det_cfg, "vector")
+    events = detect(stream, net1, net2, det_cfg, "vector")[1]
     assert len(events) == len(truth)
     for ev, gt in zip(events, truth):
         assert gt.start <= ev.midpoint <= gt.end
     # deterministic rerun
-    again = detect(stream, net1, net2, det_cfg, "vector")
+    again = detect(stream, net1, net2, det_cfg, "vector")[1]
     assert events == again
 
 
 def test_detect_events_sorted_disjoint_in_bounds():
     net1, net2, det_cfg = trained_fc_models()
     stream, _ = generate_synthetic_stream(synth_cfg(100), 1, 10)
-    events = detect(stream, net1, net2, det_cfg, "vector")
+    events = detect(stream, net1, net2, det_cfg, "vector")[1]
     assert events
     for a, b in zip(events, events[1:]):
         assert a.start < b.start and a.end <= b.start
@@ -387,7 +379,7 @@ def test_detect_featurizes_the_stream_once(featurized):
     stream, _ = stream_with_event()
     phase1 = constant_model("fc", 2, [0.0, 1.0])  # every window positive: one event
     phase2 = constant_model("fc", 5, [0.0, 0.0, 1.0, 0.0, 0.0])
-    events = detect(stream, phase1, phase2, DetectorConfig(), "vector")
+    _, events = detect(stream, phase1, phase2, DetectorConfig(), "vector")
     assert len(events) == 1
     assert featurized == [stream]
 

@@ -211,7 +211,7 @@ def eval_pairs():
 @pytest.mark.parametrize("kind", ["image", "vector"])
 def test_detected_events_match_the_per_window_path(kind):
     net1, net2 = trained(kind)
-    got = [repr(detect(stream, net1, net2, DetectorConfig(), kind)) for stream, _ in eval_pairs()]
+    got = [repr(detect(stream, net1, net2, DetectorConfig(), kind)[1]) for stream, _ in eval_pairs()]
     assert all(r != "[]" for r in got)
     assert got == EVENT_REPRS[kind]
 
@@ -219,7 +219,7 @@ def test_detected_events_match_the_per_window_path(kind):
 def test_folded_inference_matches_the_layer_walk():
     for net in trained("image"):
         for stream, _ in eval_pairs():
-            x = featurize_stream(stream, "image", DetectorConfig().stride_frames)[1]
+            x = featurize_stream(stream, "image", DetectorConfig().stride_frames)
             logits = x
             for layer in net.layers:  # each layer's own inference forward
                 logits = layer.forward(logits, False)

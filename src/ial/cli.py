@@ -171,13 +171,13 @@ def cmd_detect(cfg: RunConfig, stream_path: str, dump_features: str | None) -> i
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(stream_path).stem
-    det.write_events_tsv(events, out / f"{stem}.events.tsv", [f"config_hash={chash}"])
-    det.write_events_json(events, out / f"{stem}.events.json", chash)
-    if dump_features:
+    if dump_features:  # first, so a dump that fails leaves no event files behind
         from .features import vector_batch, write_vector_csv
 
         vectors = scores.x if cfg.feature_kind == det.VECTOR_KIND else vector_batch(scores.x[..., 0])
         write_vector_csv(scores.start_t, vectors, dump_features, [f"config_hash={chash}"])
+    det.write_events_tsv(events, out / f"{stem}.events.tsv", [f"config_hash={chash}"])
+    det.write_events_json(events, out / f"{stem}.events.json", chash)
     print(f"{len(events)} events -> {out / (stem + '.events.tsv')} (config {chash})")
     return EXIT_OK
 

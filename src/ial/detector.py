@@ -42,8 +42,13 @@ MODEL_FOR_FEATURE = {IMAGE_KIND: CNN_KIND, VECTOR_KIND: FC_KIND}
 NON_INTEREST_IDX = 0
 INTEREST_IDX = 1
 
-# windows per predict_proba call; with threads > 1 the chunks run in parallel
-PROBA_CHUNK = 256
+# Windows per predict_proba call; with threads > 1 the chunks run in parallel.
+# Sized to the cache: at 32 windows block 2's im2col columns, a chunk's largest
+# CNN array, take 3.7 MB (29.5 MB at 256) and the others 0.1-1.8 MB.  Phase-1
+# scoring of a 391-window stream (2 MB L2 per core, BLAS at 1 thread, median
+# of 20 interleaved rounds) took 50/48/51/58/80 ms at 16/32/64/128/256; at
+# every multiple of 8 tried, the probabilities were byte-equal to 256's.
+PROBA_CHUNK = 32
 
 
 @dataclass(frozen=True, eq=False)

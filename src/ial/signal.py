@@ -97,14 +97,17 @@ def window_images(stream: Stream, stride_frames: int) -> tuple[np.ndarray, np.nd
     channels, by comparison, and each window gathers its 50 rows from it.  That
     is exact: subtracting ``lo`` and dividing by a positive span are both
     monotone under IEEE rounding, so the middle of three values stays the
-    middle, and a median of 3 commutes with the per-window min-max.
+    middle, and a median of 3 commutes with the per-window min-max.  Each
+    window's per-channel min and max are read from a contiguous channel-major
+    copy of the stream, which is exact too: a min or max does not round.
     """
     starts = np.asarray(window_starts(len(stream), stride_frames))
     channels = eight_channels(stream.values[: starts[-1] + WINDOW_FRAMES])
-    # (count, 8, 150) view: one strided slice per window, nothing copied
-    spans = sliding_window_view(channels, WINDOW_FRAMES, axis=0)[::stride_frames]
-    lo = spans.min(axis=2)[:, None, :]
-    hi = spans.max(axis=2)[:, None, :]
+    # (8, count, 150) view of a contiguous (8, n) copy: each min and max runs
+    # over unit-stride frames instead of the 64-byte stride of (n, 8)
+    spans = sliding_window_view(np.ascontiguousarray(channels.T), WINDOW_FRAMES, axis=1)[:, ::stride_frames]
+    lo = spans.min(axis=2).T[:, None, :]
+    hi = spans.max(axis=2).T[:, None, :]
     a, b, c = channels[:-2], channels[1:-1], channels[2:]
     # + 0.0 turns a -0.0 median into 0.0, as np.median's mean of one value does
     triple_medians = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c)) + 0.0

@@ -352,6 +352,7 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: " if code == 1 else "error: ")
     assert (value.split("=")[0] if where == "config" else value[0]) in err  # names the bad field
+    assert not list(out.glob("a.events.*"))  # a failed run leaves no event files
 
 
 def test_gradcheck_passes(tmp_path, capsys):

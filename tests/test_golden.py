@@ -44,7 +44,15 @@ import numpy as np
 import pytest
 
 from ial.data import ActionClass, SyntheticConfig, generate_synthetic_stream
-from ial.detector import DetectorConfig, build_phase1_dataset, build_phase2_dataset, detect, featurize_stream
+from ial import detector
+from ial.detector import (
+    DetectorConfig,
+    _batched_proba,
+    build_phase1_dataset,
+    build_phase2_dataset,
+    detect,
+    featurize_stream,
+)
 from ial.evaluation import evaluate_run
 from ial.net import TrainConfig, image_model_spec, load_checkpoint, save_checkpoint, softmax, train, vector_model_spec
 
@@ -224,6 +232,27 @@ def test_folded_inference_matches_the_layer_walk():
             for layer in net.layers:  # each layer's own inference forward
                 logits = layer.forward(logits, False)
             assert np.abs(net.predict_proba(x) - softmax(logits)).max() <= 1e-12
+
+
+def test_phase1_probabilities_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Phase one scores a stream in chunks of ``PROBA_CHUNK`` windows; the
+    golden phase-1 network gives the same bytes at that size and at 256,
+    where each eval stream is one chunk.
+
+    Phase two keeps one ``predict_proba`` call per event instead of one
+    batched call per stream.  The 5-class network's probabilities move in
+    their last bits with the composition of the batch (by up to 1.7e-16 on
+    three seeded 120 s streams), which would move the event confidences, and
+    one batched call saved little: over 6-7 events it took 12.0-14.7 ms
+    against 10.7-14.3 ms per event at one BLAS thread, and about 1 ms less
+    at two (2 vCPU).
+    """
+    net1, _ = trained("image")
+    xs = [featurize_stream(stream, "image", DetectorConfig().stride_frames) for stream, _ in eval_pairs()]
+    assert all(len(x) > detector.PROBA_CHUNK for x in xs)
+    got = [_batched_proba(net1, x).tobytes() for x in xs]
+    monkeypatch.setattr(detector, "PROBA_CHUNK", 256)
+    assert got == [_batched_proba(net1, x).tobytes() for x in xs]
 
 
 @pytest.mark.parametrize("kind", ["image", "vector"])

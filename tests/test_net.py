@@ -777,7 +777,8 @@ def awkward_cnn(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n", [1, 2, PROBA_CHUNK + 1])
+# PROBA_CHUNK + 1 ends in a one-window chunk; 257 spans several chunks and a ragged tail
+@pytest.mark.parametrize("n", [1, 2, PROBA_CHUNK + 1, 257])
 def test_folded_inference_matches_the_layer_walk(seed, n):
     net = awkward_cnn(seed)
     x = np.random.default_rng([seed, n]).normal(0.5, 0.3, (n, 50, 8, 1))

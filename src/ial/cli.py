@@ -63,28 +63,23 @@ def _build_parser() -> _Parser:
         help="override any config field, e.g. --set train.epochs=5",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("synth", help="generate synthetic streams, labels, and a manifest")
-    sub.add_parser("train", help="train the phase-1 and phase-2 models")
+    sub.add_parser("synth", help="generate synthetic streams, labels, and a manifest").set_defaults(run=cmd_synth)
+    sub.add_parser("train", help="train the phase-1 and phase-2 models").set_defaults(run=cmd_train)
     p_detect = sub.add_parser("detect", help="run detection on one stream file")
     p_detect.add_argument("stream", help="stream CSV path")
     p_detect.add_argument("--dump-features", metavar="PATH", help="also dump per-window vectors")
-    sub.add_parser("eval", help="evaluate on the test split of the manifest")
-    sub.add_parser("gradcheck", help="verify backprop against finite differences")
+    p_detect.set_defaults(run=cmd_detect)
+    sub.add_parser("eval", help="evaluate on the test split of the manifest").set_defaults(run=cmd_eval)
+    sub.add_parser("gradcheck", help="verify backprop against finite differences").set_defaults(run=cmd_gradcheck)
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
     path = args.config or os.environ.get(ENV_CONFIG)
-    overrides: dict[str, object] = {}
-    for item in args.set:
-        key, value = _parse_override(item)
-        overrides[key] = value
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["out_dir"] = args.out
+    overrides = dict(_parse_override(item) for item in args.set)
+    for key, value in (("seed", args.seed), ("threads", args.threads), ("out_dir", args.out)):
+        if value is not None:
+            overrides[key] = value
     return load_run_config(path, overrides)
 
 
@@ -97,7 +92,7 @@ def _manifest_path(cfg: RunConfig) -> Path:
     return Path(cfg.manifest) if cfg.manifest else Path(cfg.out_dir) / "manifest.json"
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     out = Path(cfg.out_dir)
     data_dir = out / "data"
@@ -141,7 +136,7 @@ def _write_loss_csv(path: Path, losses: list, chash: str) -> None:
     dat.write_lines(path, ["epoch,mean_loss", *rows], [f"config_hash={chash}"])
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -163,29 +158,31 @@ def _load_models(cfg: RunConfig) -> tuple[net.Network, net.Network]:
     return net.load_checkpoint(_checkpoint_path(cfg, 1)), net.load_checkpoint(_checkpoint_path(cfg, 2))
 
 
-def cmd_detect(cfg: RunConfig, stream_path: str, dump_features: str | None) -> int:
+def cmd_detect(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     phase1, phase2 = _load_models(cfg)
-    stream = dat.ingest_stream(stream_path, cfg.schema, sample_rate_hz=cfg.synthetic.sample_rate_hz)
+    stream = dat.ingest_stream(args.stream, cfg.schema, sample_rate_hz=cfg.synthetic.sample_rate_hz)
     scores, events = det.detect(stream, phase1, phase2, cfg.detector, cfg.feature_kind, cfg.threads)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = Path(stream_path).stem
-    if dump_features:  # first, so a dump that fails leaves no event files behind
+    stem = Path(args.stream).stem
+    if args.dump_features:  # first, so a dump that fails leaves no event files behind
         from .features import vector_batch, write_vector_csv
 
         vectors = scores.x if cfg.feature_kind == det.VECTOR_KIND else vector_batch(scores.x[..., 0])
-        write_vector_csv(scores.start_t, vectors, dump_features, [f"config_hash={chash}"])
+        write_vector_csv(scores.start_t, vectors, args.dump_features, [f"config_hash={chash}"])
     det.write_events_tsv(events, out / f"{stem}.events.tsv", [f"config_hash={chash}"])
     det.write_events_json(events, out / f"{stem}.events.json", chash)
     print(f"{len(events)} events -> {out / (stem + '.events.tsv')} (config {chash})")
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
-    phase1, phase2 = _load_models(cfg)
     _, test_pairs = _split_pairs(dat.load_dataset(_manifest_path(cfg), cfg.schema))
+    if not test_pairs:
+        raise EmptyDatasetError("no test streams in the manifest")
+    phase1, phase2 = _load_models(cfg)
     report1, report2 = ev.evaluate_run(
         test_pairs, phase1, phase2, cfg.detector, cfg.feature_kind,
         rule=cfg.eval.match_rule, iou_threshold=cfg.eval.iou_threshold, threads=cfg.threads,
@@ -206,7 +203,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig) -> int:
+def cmd_gradcheck(cfg: RunConfig, args) -> int:
     rng = np.random.default_rng([cfg.seed, 5])
     checks = [
         ("fc", net.vector_model_spec(5), rng.normal(0.5, 0.2, (4, 16))),
@@ -233,18 +230,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or EXIT_OK)
     try:
-        cfg = _resolve_config(args)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "detect":
-            return cmd_detect(cfg, args.stream, args.dump_features)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(_resolve_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

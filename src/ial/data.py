@@ -169,14 +169,16 @@ def _parses_as_float(token: str) -> bool:
     return True
 
 
-def _read_text(p: Path) -> str:
-    """The text of file ``p``, which must exist and be UTF-8."""
+def _data_lines(p: Path) -> list[str]:
+    """The stripped lines of file ``p``, which must exist and be UTF-8, that are
+    neither blank nor ``#`` comments.  Lines end only at "\n", "\r\n" or "\r"."""
     if not p.is_file():
         raise MissingFileError(str(p))
     try:
-        return p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8")  # turns "\r\n" and "\r" into "\n"
     except UnicodeDecodeError as exc:
         raise DataError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    return [line for raw in text.split("\n") if (line := raw.strip()) and not line.startswith("#")]
 
 
 def _parse_rows(lines: Sequence[str], cols: Sequence[int]) -> np.ndarray:
@@ -239,8 +241,7 @@ def ingest_stream(
         raise ConfigError(f"schema columns must be >= 0, got {min(schema.values())}")
 
     p = Path(path)
-    # read_text turns "\r\n" and "\r" into "\n"
-    lines = [line for raw in _read_text(p).split("\n") if (line := raw.strip()) and not line.startswith("#")]
+    lines = _data_lines(p)
     # a header line has at least one non-numeric cell
     if lines and not all(_parses_as_float(tok.strip()) for tok in lines[0].split(",")):
         del lines[0]
@@ -282,12 +283,7 @@ def write_stream(stream: Stream, path, comments: Sequence[str] = ()) -> None:
 def parse_labels(path) -> list[GroundTruthEvent]:
     """Read ``label_id start_s end_s`` lines into events sorted by start."""
     events: list[GroundTruthEvent] = []
-    row_no = 0
-    for raw in _read_text(Path(path)).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        row_no += 1
+    for row_no, line in enumerate(_data_lines(Path(path)), 1):
         parts = line.split()
         if len(parts) != 3:
             raise MalformedRowError(row_no, f"expected 3 tokens, got {len(parts)}")

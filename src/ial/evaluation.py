@@ -102,6 +102,13 @@ def match_events(
     for a pair to appear in the list)."""
     if phase not in (PHASE_ONE, PHASE_TWO):
         raise ConfigError(f"unknown phase {phase!r}")
+    rules = {
+        MIDPOINT_RULE: lambda det, ev: ev.start <= det.midpoint <= ev.end,
+        IOU_RULE: lambda det, ev: _interval_iou(det.start, det.end, ev.start, ev.end) >= iou_threshold,
+    }
+    if rule not in rules:
+        raise ConfigError(f"unknown matching rule {rule!r}")
+    hits = rules[rule]
     _check_sorted_disjoint(detected, "detected")
     _check_sorted_disjoint(truth, "truth")
 
@@ -109,15 +116,7 @@ def match_events(
     matches: list[tuple[int, int]] = []
     for i, det in enumerate(detected):
         for j, ev in enumerate(truth):
-            if taken[j]:
-                continue
-            if rule == MIDPOINT_RULE:
-                hit = ev.start <= det.midpoint <= ev.end
-            elif rule == IOU_RULE:
-                hit = _interval_iou(det.start, det.end, ev.start, ev.end) >= iou_threshold
-            else:
-                raise ConfigError(f"unknown matching rule {rule!r}")
-            if hit:
+            if not taken[j] and hits(det, ev):
                 taken[j] = True
                 matches.append((i, j))
                 break

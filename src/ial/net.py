@@ -188,15 +188,6 @@ class Layer:
     STATE: tuple[str, ...] = ()
     input_grad = True
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.PARAMS}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, "d_" + name) for name in self.PARAMS}
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.STATE}
-
 
 class Conv2D(Layer):
     """Same-padded convolution without a bias: every conv here feeds a
@@ -437,23 +428,23 @@ class Network:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return softmax(self.forward(x, train=False))
 
-    def _named(self, kind: str) -> list[tuple[str, np.ndarray]]:
-        """Each layer's ``params``, ``grads`` or ``state`` arrays, named "<layer index>.<name>"."""
+    def _named(self, kind: str, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+        """Each layer's ``prefix + name`` per name in its ``kind`` tuple, named "<layer index>.<name>"."""
         return [
-            (f"{i}.{name}", arr)
+            (f"{i}.{name}", getattr(layer, prefix + name))
             for i, layer in enumerate(self.layers)
-            for name, arr in getattr(layer, kind)().items()
+            for name in getattr(layer, kind)
         ]
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        return self._named("params")
+        return self._named("PARAMS")
 
     def gradients(self) -> list[tuple[str, np.ndarray]]:
-        return self._named("grads")
+        return self._named("PARAMS", "d_")
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         """Parameters followed by running statistics: the contents of a checkpoint."""
-        return self._named("params") + self._named("state")
+        return self._named("PARAMS") + self._named("STATE")
 
     def activation_signature(self) -> list[np.ndarray]:
         """ReLU masks and pooling argmax indices from the last training forward.

@@ -63,6 +63,8 @@ def test_bad_config_key_exits_one(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"no_such_key": 1}))
     assert main(["--config", str(path), "synth"]) == 1
+    path.write_text("[1, 2]")  # a config must be a JSON object
+    assert main(["--config", str(path), "synth"]) == 1
 
 
 def test_feature_model_conflict_exits_one(tmp_path):
@@ -132,8 +134,15 @@ def test_full_pipeline_train_detect_eval(tmp_path, capsys):
     assert starts == sorted(starts)
 
     first = tsv.read_bytes()
+    first_json = (out / "s01_r10.events.json").read_bytes()
     assert main(["--config", str(cfg), "detect", str(stream_path)]) == 0
     assert tsv.read_bytes() == first  # deterministic rerun
+    # worker threads change the config hash that both files embed, and nothing else
+    chash = json.loads(first_json)["config_hash"]
+    assert main(["--config", str(cfg), "--threads", "2", "detect", str(stream_path)]) == 0
+    chash2 = config_hash(load_run_config(cfg, {"threads": 2}))
+    assert tsv.read_bytes() == first.replace(chash.encode(), chash2.encode())
+    assert (out / "s01_r10.events.json").read_bytes() == first_json.replace(chash.encode(), chash2.encode())
 
     assert main(["--config", str(cfg), "eval"]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -141,6 +150,16 @@ def test_full_pipeline_train_detect_eval(tmp_path, capsys):
     assert report["config"]["feature_kind"] == "vector"
     assert set(report["phase_one"]["counts"]) == {"tp", "fp", "fn", "tn"}
     assert (out / "report.txt").read_text().startswith("# config_hash=")
+
+
+def test_eval_without_a_test_stream_exits_two(tmp_path, capsys):
+    args = ["--config", str(write_config(tmp_path)), "--set", "synthetic.n_streams=9"]
+    assert main([*args, "synth"]) == 0
+    assert main([*args, "train"]) == 0
+    capsys.readouterr()
+    assert main([*args, "eval"]) == 2
+    assert capsys.readouterr().err == "error: no test streams in the manifest\n"
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_detect_dump_windows_the_stream_once(tmp_path, monkeypatch):
@@ -253,12 +272,13 @@ def malformed_manifests(out):
         bad = json.loads(json.dumps(doc))
         bad["streams"][0][key] = value
         cases[case] = json.dumps(bad)
+    cases["test-stream-only"] = json.dumps({**doc, "streams": [e for e in doc["streams"] if e["stream_id"] == 10]})
     return cases
 
 
 @pytest.mark.parametrize(
     "case", ["invalid-json", "no-labels-path", "stream-id-11", "stream-id-string", "stream-id-bool",
-             "stream-path-int", "rate-zero"],
+             "stream-path-int", "rate-zero", "test-stream-only"],
 )
 def test_malformed_manifest_exits_two(tmp_path, capsys, case):
     cfg = write_config(tmp_path)
@@ -298,7 +318,8 @@ BAD_INPUTS = [
     *(pytest.param("config", s, 1, id=s) for s in (
         "train.epochs=1.5", "train.batch_size=2.5", "synthetic.n_streams=2.0", 'threads="x"', "schema=[1,2]",
         "synthetic.amplitude_range=5", 'seed="3"', "seed=true",
-        'schema={"t": -1, "ax": 1, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 0}')),
+        'schema={"t": -1, "ax": 1, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 0}', 'schema={"t": 0}',
+        'schema={"t": 0, "ax": 0, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 6}', "train.epochs")),
     *(pytest.param("spec", kv, 2, id=f"spec.{kv[0]}={kv[1]!r}") for kv in (
         ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]))),
     *(pytest.param("state", ("7.b", entry), 2, id=f"state.7.b={name}") for name, entry in (

@@ -305,6 +305,17 @@ def test_parse_labels_sorted_and_touching_ok(tmp_path):
     assert [ev.start for ev in events] == [2.0, 6.0]
 
 
+@pytest.mark.parametrize("sep", ["\x85", "\u2028"], ids=["NEL", "LS"])
+def test_labels_and_streams_end_lines_only_at_newlines(tmp_path, sep):
+    # separators that str.splitlines() breaks at stay inside their line in both readers
+    labels = tmp_path / "l.txt"
+    labels.write_text(f"1 3.0{sep}5.0\n", encoding="utf-8")
+    assert parse_labels(labels) == [GroundTruthEvent(ActionClass.SWIPE_LEFT, 3.0, 5.0)]
+    stream = tmp_path / "s.csv"
+    stream.write_text(f"t,ax,ay,az,gx,gy,gz\n0.0,1,2,3{sep},4,5,6\n0.02,1,2,3,4,5,6\n", encoding="utf-8")
+    assert ingest_stream(stream).values.tolist() == [[1, 2, 3, 4, 5, 6]] * 2
+
+
 def test_labels_round_trip(tmp_path):
     events = [
         GroundTruthEvent(ActionClass.WAVE, 1.25, 3.5),

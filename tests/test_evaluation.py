@@ -6,7 +6,7 @@ import pytest
 
 from ial.data import ActionClass, GroundTruthEvent, INTEREST_CLASSES, Stream
 from ial.detector import DetectedEvent, DetectorConfig
-from ial.errors import UnsortedInputError
+from ial.errors import ConfigError, UnsortedInputError
 from ial.evaluation import (
     ConfusionCounts,
     aggregate_run,
@@ -78,6 +78,17 @@ def test_match_iou_rule():
     assert counts.n_tp == 1
     counts, _ = match_events([det(L, 10, 13)], [gt(L, 9, 14)], "one", rule="iou", iou_threshold=0.7)
     assert counts.n_tp == 0 and counts.n_fp == 1 and counts.n_fn == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: match_events([], [gt(L, 1, 2)], rule="bogus"),
+    lambda: match_events([det(L, 1, 2)], [], rule="bogus"),
+    lambda: match_events([det(L, 1, 2)], [gt(L, 1, 2)], "three"),
+    lambda: aggregate_run([[]], [[gt(L, 1, 2)]], rule="bogus"),
+], ids=["rule-no-detections", "rule-no-truth", "phase", "aggregate-rule"])
+def test_unknown_rule_or_phase_raises_on_every_input(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -624,6 +624,20 @@ def test_train_errors():
         train(spec, np.empty((0, 16)), np.empty(0, dtype=int), cfg)
     with pytest.raises(LabelOutOfRangeError):
         train(spec, np.zeros((4, 16)), np.array([0, 1, 2, 0]), cfg)
+    with pytest.raises(BatchTooSmallError):  # a batch of one is skipped, so one sample trains nothing
+        train(spec, np.zeros((1, 16)), np.array([0]), cfg)
+
+
+def test_train_skips_a_trailing_batch_of_one():
+    rng = np.random.default_rng(17)
+    x, y = separable_vector_dataset(rng, n=33)
+    spec = vector_model_spec(2)
+    cfg = TrainConfig(epochs=1, batch_size=32, seed=5)
+    net, losses = train(spec, x, y, cfg)
+    x[np.random.default_rng([cfg.seed, 2]).permutation(len(x))[-1]] = np.nan  # the one sample left over
+    net_nan, losses_nan = train(spec, x, y, cfg)
+    assert losses_nan == losses
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(net.arrays(), net_nan.arrays(), strict=True))
 
 
 def test_train_config_validation():
@@ -724,7 +738,7 @@ def test_cnn_structure():
     assert [c.kernels.shape[0] for c in convs] == [16, 32, 64]
     # each conv feeds a BatchNorm, which would cancel a bias
     assert all(isinstance(net.layers[net.layers.index(c) + 1], BatchNorm) for c in convs)
-    assert all(set(c.params()) == {"kernels"} for c in convs)
+    assert all(c.PARAMS == ("kernels",) for c in convs)
     assert not any(name.endswith(".bias") for name, _ in net.parameters())
     final = [l for l in net.layers if isinstance(l, Dense)]
     assert len(final) == 1 and final[0].w.shape == (5, 384)
@@ -843,7 +857,8 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
     with pytest.raises(CheckpointMismatchError):
         load_checkpoint(path)
     for broken in ("{broken", "[]", json.dumps({**good, "version": 4}), json.dumps({**good, "version": True}),
-                   json.dumps({**good, "version": 2.0}), json.dumps({**good, "spec": {"kind": "fc"}})):
+                   json.dumps({**good, "version": 2.0}), json.dumps({**good, "spec": {"kind": "fc"}}),
+                   json.dumps({**good, "state": {**good["state"], "9.w": good["state"]["7.b"]}})):  # unused array
         path.write_text(broken)
         with pytest.raises(CheckpointMismatchError):
             load_checkpoint(path)

@@ -237,6 +237,9 @@ def main(argv=None) -> int:
     except (IalError, OSError) as exc:  # OSError: a path that cannot be opened or created
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # an array larger than the machine can hold, e.g. from an oversized config
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def entry() -> None:

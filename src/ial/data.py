@@ -355,11 +355,15 @@ def generate_synthetic_stream(
     n = int(round(cfg.stream_duration_s * cfg.sample_rate_hz))
     t = np.arange(n, dtype=np.float64) / cfg.sample_rate_hz
     k = cfg.events_per_stream
+    gap, lo = cfg.min_gap_s, cfg.event_duration_range[0]
+    if k > 0 and k * lo + (k + 1) * gap > cfg.stream_duration_s:  # before any draw, however large k is
+        raise InfeasiblePackingError(
+            f"{k} events of at least {lo}s with {gap}s gaps do not fit in {cfg.stream_duration_s}s"
+        )
 
     class_ids = rng.integers(0, len(INTEREST_CLASSES), k)
     classes = [INTEREST_CLASSES[i] for i in class_ids]
     durations = rng.uniform(cfg.event_duration_range[0], cfg.event_duration_range[1], k)
-    gap = cfg.min_gap_s
     slack = cfg.stream_duration_s - float(durations.sum()) - (k + 1) * gap
     if k > 0 and slack < 0:
         raise InfeasiblePackingError(

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import (
     BatchTooSmallError,
@@ -91,18 +92,22 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _conv_forward(x: np.ndarray, kernels: np.ndarray):
-    n, h, w, c_in = x.shape
-    c_out, kh, kw, kc = kernels.shape
+def _padded(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """``x`` zero-padded by half of each odd kernel side: np.pad's bytes, without its per-call overhead."""
+    (n, h, w, c_in), (_, kh, kw, kc) = x.shape, kernels.shape
     if kc != c_in:
         raise ShapeMismatchError(f"kernel expects {kc} input channels, input has {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeMismatchError("same padding requires odd kernel sides")
-    ph, pw = kh // 2, kw // 2
-    # the bytes of np.pad(x, ...), without its per-call overhead
-    padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c_in))
-    padded[:, ph : ph + h, pw : pw + w, :] = x
-    view = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    padded = np.zeros((n, h + kh - 1, w + kw - 1, c_in))
+    padded[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x
+    return padded
+
+
+def _conv_forward(x: np.ndarray, kernels: np.ndarray):
+    n, h, w, c_in = x.shape
+    c_out, kh, kw, _ = kernels.shape
+    view = sliding_window_view(_padded(x, kernels), (kh, kw), axis=(1, 2))
     # view: (N, H, W, C_in, kh, kw) -> columns (N*H*W, kh*kw*C_in)
     cols = view.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, kh * kw * c_in)
     wmat = kernels.transpose(1, 2, 3, 0).reshape(kh * kw * c_in, c_out)
@@ -158,10 +163,27 @@ def _folded_block(x: np.ndarray, kernels: np.ndarray, bn: BatchNorm) -> np.ndarr
     shift), 0) never decreases as z grows, so it commutes with the max, and a
     negative s is already in the kernels.  Only the fold, conv(x, k * s) for
     conv(x, k) * s, reassociates.
+
+    The im2col rows come in pool-cell order (2 di + dj, n, r2, c2) for output
+    pixel (2 r2 + di, 2 c2 + dj): the pool is a max over four contiguous slabs
+    in ``_pool_max``'s order, and the rows it drops are never computed.  Each
+    output is ``_conv_forward``'s dot product over the same (i, j, c) order, so
+    the bytes are unchanged where BLAS rounds a row alike in any position, as
+    OpenBLAS does in whole 4-row tiles: 4 n (H//2) (W//2) rows always are.
     """
+    n, h, w, c_in = x.shape
+    if h < 2 or w < 2:
+        raise InputTooSmallError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
     scale, shift = bn.folded()
-    y, _ = _conv_forward(x, kernels * scale[:, None, None, None])
-    out, _ = _pool_max(y)
+    c_out, kh, kw, _ = kernels.shape
+    padded = _padded(x, kernels)
+    sn, sr, sc, sk = padded.strides
+    # view[di, dj, b, r2, c2, i, j, c] = padded[b, 2 r2 + di + i, 2 c2 + dj + j, c]
+    view = as_strided(padded, (2, 2, n, h // 2, w // 2, kh, kw, c_in), (sr, sc, sn, 2 * sr, 2 * sc, sr, sc, sk))
+    wmat = (kernels * scale[:, None, None, None]).transpose(1, 2, 3, 0).reshape(kh * kw * c_in, c_out)
+    y = (view.reshape(-1, kh * kw * c_in) @ wmat).reshape(*view.shape[:5], c_out)
+    out = np.maximum(y[0, 0], y[0, 1], out=y[0, 0])
+    np.maximum(out, np.maximum(y[1, 0], y[1, 1], out=y[1, 0]), out=out)
     out += shift
     return np.maximum(out, 0.0, out=out)
 

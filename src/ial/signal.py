@@ -61,6 +61,8 @@ def eight_channels(values: np.ndarray) -> np.ndarray:
     g = values[:, 3:6]
     a_mag = np.sqrt(np.einsum("ij,ij->i", a, a))
     g_mag = np.sqrt(np.einsum("ij,ij->i", g, g))
+    if not (np.isfinite(a_mag).all() and np.isfinite(g_mag).all()):
+        raise NonFiniteInputError("sample values so large that the magnitude |a| or |g| overflows")
     return np.column_stack([a, a_mag, g, g_mag])
 
 

@@ -3,6 +3,7 @@ import json
 import re
 import shutil
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,18 @@ def test_synth_infeasible_exits_two(tmp_path):
     cfg = write_config(tmp_path)
     code = main(["--config", str(cfg), "--set", "synthetic.events_per_stream=50", "synth"])
     assert code == 2
+
+
+# sizes numpy refuses at once: 1e14 events are refused before any draw (728 TiB
+# of class ids), and a 1e12 s stream's time axis would take 364 TiB, more than a
+# 64-bit process can map, so `synth` ends in a MemoryError
+@pytest.mark.parametrize("setting", ["synthetic.events_per_stream=100000000000000", "synthetic.stream_duration_s=1e12"])
+def test_oversized_synth_config_exits_two_with_one_line(tmp_path, capsys, setting):
+    cfg = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--set", setting, "synth"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_full_pipeline_train_detect_eval(tmp_path, capsys):
@@ -332,6 +345,7 @@ BAD_INPUTS = [
         ("synth", "blocker", ("--out", "{tmp}/blocker/out", "synth")),
         ("train", "blocker", ("--out", "{tmp}/blocker/out", "--set", "manifest={tmp}/out/manifest.json", "train")),
         ("detect", "no_such_dir", ("detect", "{tmp}/out/a.csv", "--dump-features", "{tmp}/no_such_dir/d.csv")))),
+    pytest.param("stream", ("magnitude", 1e200), 2, id="stream-magnitude-overflows"),
 ]
 
 
@@ -340,7 +354,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
     # each case fails as soon as its input is read: a config value or a checkpoint
     # spec or array in `detect` of a missing stream, a manifest field or a stream or
     # labels file with a byte appended in `train`; or as soon as its output path is
-    # written: under the regular file "blocker" or in a missing directory
+    # written: under the regular file "blocker" or in a missing directory; or in
+    # `detect` of a stream whose finite values are so large that |a| overflows
     args = ["--config", str(write_config(tmp_path))]
     out = tmp_path / "out"
     out.mkdir()
@@ -357,6 +372,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
         (out / "manifest.json").write_text(json.dumps({"streams": [entry], value[0]: value[1]}))
     else:
         stream, events = generate_synthetic_stream(SyntheticConfig(stream_duration_s=12.0, events_per_stream=1))
+        if where == "stream":
+            stream = replace(stream, values=stream.values * value[1])
         write_stream(stream, out / "a.csv")
         write_labels(events, out / "a.labels.txt")
         write_manifest(out / "manifest.json", [ManifestEntry(1, 1, "a.csv", "a.labels.txt")])
@@ -366,6 +383,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
     if where == "output":
         (tmp_path / "blocker").write_text("")
         args += [arg.format(tmp=tmp_path) for arg in value[1]]
+    elif where == "stream":
+        args += ["detect", str(out / "a.csv")]
     else:
         args += ["train"] if where in ("manifest", "file") else ["detect", str(tmp_path / "missing.csv")]
     capsys.readouterr()

@@ -418,6 +418,14 @@ def test_synthetic_infeasible_packing():
         generate_synthetic_stream(cfg)
 
 
+def test_synthetic_packing_bound_is_checked_before_any_draw():
+    # k events need at least k * 1.5 s + (k + 1) * 3 s, 16.5 s for k = 3; k = 1e14
+    # would draw 728 TiB of class ids, more than a 64-bit process can map
+    for k, duration in ((10**14, 120.0), (3, 16.4)):
+        with pytest.raises(InfeasiblePackingError, match="at least"):
+            generate_synthetic_stream(SyntheticConfig(events_per_stream=k, stream_duration_s=duration))
+
+
 def test_synthetic_templates_raise_energy_inside_events():
     cfg = SyntheticConfig(seed=9, events_per_stream=4, noise_std=0.1)
     stream, events = generate_synthetic_stream(cfg)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ from ial.net import (
     ModelSpec,
     ReLU,
     TrainConfig,
+    _conv_forward,
+    _folded_block,
+    _pool_max,
     build_network,
     conv2d,
     gradient_check,
@@ -768,12 +772,12 @@ def layer_walk(net, x):
     return out
 
 
-def awkward_cnn(seed):
+def awkward_cnn(seed, spec=image_model_spec(3)):
     """A CNN whose every BatchNorm has a negative gamma (channel 0), a zero running
     variance, so only eps is left (channel 1), and |beta| = 20 (channels 2, 3); the
     output layer is scaled so that the logits span a few units."""
     rng = np.random.default_rng(seed)
-    net = build_network(image_model_spec(3), seed=seed)
+    net = build_network(spec, seed=seed)
     for layer in net.layers:
         if isinstance(layer, BatchNorm):
             c = layer.gamma.shape
@@ -784,23 +788,60 @@ def awkward_cnn(seed):
             layer.running_mean = rng.normal(0, 0.3, c)
             layer.running_var = rng.uniform(0.05, 0.5, c)
             layer.running_var[1] = 0.0
-    x = rng.normal(0.5, 0.3, (64, 50, 8, 1))
+    x = rng.normal(0.5, 0.3, (256, *spec.input_shape))
     logits = layer_walk(net, x)
-    net.layers[-1].w *= 3.0 / np.abs(logits - logits.mean(1, keepdims=True)).max()
+    net.layers[-1].w *= 1.5 / np.abs(logits - logits.mean(1, keepdims=True)).max()
     return net
+
+
+# the paper's spec; a 50x10 input, whose block 2 sees 25x5 and drops a row and a
+# column; and kernels of side 1 and 5, which pad by 0 and 2
+FOLDED_SPECS = [image_model_spec(3), *(replace(image_model_spec(3), **kw) for kw in (
+    {"input_shape": (50, 10, 1)}, {"kernel": 1}, {"kernel": 5}))]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 # PROBA_CHUNK + 1 ends in a one-window chunk; 257 spans several chunks and a ragged tail
 @pytest.mark.parametrize("n", [1, 2, PROBA_CHUNK + 1, 257])
 def test_folded_inference_matches_the_layer_walk(seed, n):
-    net = awkward_cnn(seed)
-    x = np.random.default_rng([seed, n]).normal(0.5, 0.3, (n, 50, 8, 1))
-    reference = softmax(layer_walk(net, x))
-    assert reference.min() > 1e-3  # no class is saturated, so a wrong block shows in p
-    for p in (net.predict_proba(x), _batched_proba(net, x, threads=2)):
-        assert np.abs(p - reference).max() <= 1e-12
-        assert np.array_equal(p.argmax(1), reference.argmax(1))
+    for spec in FOLDED_SPECS:
+        net = awkward_cnn(seed, spec)
+        x = np.random.default_rng([seed, n]).normal(0.5, 0.3, (n, *spec.input_shape))
+        reference = softmax(layer_walk(net, x))
+        assert reference.min() > 1e-3, spec  # no class is saturated, so a wrong block shows in p
+        for p in (net.predict_proba(x), _batched_proba(net, x, threads=2)):
+            assert np.abs(p - reference).max() <= 1e-12, spec
+            assert np.array_equal(p.argmax(1), reference.argmax(1)), spec
+
+
+def unfused_block(x, kernels, bn):
+    """The folded block as separate steps: conv with the scaled kernels, pool, shift, ReLU."""
+    scale, shift = bn.folded()
+    y, _ = _conv_forward(x, kernels * scale[:, None, None, None])
+    return np.maximum(_pool_max(y)[0] + shift, 0.0)
+
+
+@pytest.mark.parametrize("h, w, c_in, c_out", [(50, 8, 1, 16), (25, 4, 16, 32), (12, 2, 32, 64)])
+def test_folded_block_gives_the_bytes_of_the_unfused_steps(h, w, c_in, c_out):
+    """Pool-cell-order rows give the bytes of conv then pool on the paper's three
+    block shapes, at every batch size a phase-1 chunk or a training set can have."""
+    rng = np.random.default_rng([h, w])
+    kernels = rng.normal(0, 0.3, (c_out, 3, 3, c_in))
+    gamma = rng.uniform(0.5, 1.5, c_out) * np.where(np.arange(c_out) % 3 == 0, -1.0, 1.0)
+    bn = BatchNorm(gamma, rng.normal(0, 0.3, c_out), rng.normal(0, 0.3, c_out), rng.uniform(0.05, 0.5, c_out))
+    x = rng.normal(0.5, 0.3, (400, h, w, c_in))
+    for n in range(1, 401):
+        assert _folded_block(x[:n], kernels, bn).tobytes() == unfused_block(x[:n], kernels, bn).tobytes(), n
+
+
+def test_folded_block_rejects_what_the_layers_reject():
+    bn = BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
+    with pytest.raises(InputTooSmallError):
+        _folded_block(np.zeros((2, 1, 8, 1)), np.zeros((4, 3, 3, 1)), bn)
+    with pytest.raises(ShapeMismatchError):
+        _folded_block(np.zeros((2, 4, 4, 2)), np.zeros((4, 3, 3, 1)), bn)
+    with pytest.raises(ShapeMismatchError):
+        _folded_block(np.zeros((2, 4, 4, 1)), np.zeros((4, 2, 3, 1)), bn)
 
 
 @pytest.mark.parametrize("spec", [image_model_spec(2), vector_model_spec(5)], ids=["cnn", "fc"])

@@ -234,11 +234,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IalError, OSError) as exc:  # OSError: a path that cannot be opened or created
+    except (IalError, OSError, MemoryError) as exc:  # a path that cannot be opened; an array larger than memory
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except MemoryError as exc:  # an array larger than the machine can hold, e.g. from an oversized config
-        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -357,9 +357,7 @@ def generate_synthetic_stream(
     k = cfg.events_per_stream
     gap, lo = cfg.min_gap_s, cfg.event_duration_range[0]
     if k > 0 and k * lo + (k + 1) * gap > cfg.stream_duration_s:  # before any draw, however large k is
-        raise InfeasiblePackingError(
-            f"{k} events of at least {lo}s with {gap}s gaps do not fit in {cfg.stream_duration_s}s"
-        )
+        raise InfeasiblePackingError(f"{k} events of at least {lo}s and {gap}s gaps exceed {cfg.stream_duration_s}s")
 
     class_ids = rng.integers(0, len(INTEREST_CLASSES), k)
     classes = [INTEREST_CLASSES[i] for i in class_ids]

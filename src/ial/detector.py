@@ -44,12 +44,10 @@ INTEREST_IDX = 1
 
 # Windows per predict_proba call; with threads > 1 the chunks run in parallel.
 # Sized to the cache: at 32 windows block 2's im2col columns, a chunk's largest
-# CNN array, take 3.5 MB (28.3 MB at 256) and the others 0.1-1.8 MB.  Phase-1
-# scoring of a 391-window stream (2 MB L2 per core, BLAS at 1 thread, median
-# of 20 interleaved rounds) took 50/48/51/58/80 ms at 16/32/64/128/256; with
-# pool-cell-order columns, every multiple of 8 from 16 to 64 took within 1 ms
-# of 32's 38 ms, inside the spread of the rounds.  At every size tried, the
-# probabilities were byte-equal to 256's.
+# CNN array, take 3.5 MB (28.3 MB at 256).  Phase-1 scoring of a 391-window
+# stream (BLAS at 1 thread, median of 20 interleaved rounds) took 48 ms at 32
+# against 50-80 ms at 16/64/128/256; with pool-cell-order columns, 38-39 ms at
+# every multiple of 8 from 16 to 64.  Probabilities were byte-equal to 256's.
 PROBA_CHUNK = 32
 
 

@@ -165,11 +165,10 @@ def _folded_block(x: np.ndarray, kernels: np.ndarray, bn: BatchNorm) -> np.ndarr
     conv(x, k) * s, reassociates.
 
     The im2col rows come in pool-cell order (2 di + dj, n, r2, c2) for output
-    pixel (2 r2 + di, 2 c2 + dj): the pool is a max over four contiguous slabs
-    in ``_pool_max``'s order, and the rows it drops are never computed.  Each
-    output is ``_conv_forward``'s dot product over the same (i, j, c) order, so
-    the bytes are unchanged where BLAS rounds a row alike in any position, as
-    OpenBLAS does in whole 4-row tiles: 4 n (H//2) (W//2) rows always are.
+    pixel (2 r2 + di, 2 c2 + dj): the pool runs over four contiguous slabs, and
+    the rows it drops are never computed.  Each output is the dot product and
+    max of conv then ``_pool_max``, so the bytes match where BLAS rounds a row
+    alike anywhere, as OpenBLAS does in whole 4-row tiles (4 n (H//2) (W//2) rows).
     """
     n, h, w, c_in = x.shape
     if h < 2 or w < 2:
@@ -182,8 +181,7 @@ def _folded_block(x: np.ndarray, kernels: np.ndarray, bn: BatchNorm) -> np.ndarr
     view = as_strided(padded, (2, 2, n, h // 2, w // 2, kh, kw, c_in), (sr, sc, sn, 2 * sr, 2 * sc, sr, sc, sk))
     wmat = (kernels * scale[:, None, None, None]).transpose(1, 2, 3, 0).reshape(kh * kw * c_in, c_out)
     y = (view.reshape(-1, kh * kw * c_in) @ wmat).reshape(*view.shape[:5], c_out)
-    out = np.maximum(y[0, 0], y[0, 1], out=y[0, 0])
-    np.maximum(out, np.maximum(y[1, 0], y[1, 1], out=y[1, 0]), out=out)
+    out = np.maximum(np.maximum(y[0, 0], y[0, 1], out=y[0, 0]), np.maximum(y[1, 0], y[1, 1], out=y[1, 0]), out=y[0, 0])
     out += shift
     return np.maximum(out, 0.0, out=out)
 

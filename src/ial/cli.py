@@ -96,12 +96,12 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     out = Path(cfg.out_dir)
     data_dir = out / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     sy = cfg.synthetic
     for subject in range(1, sy.n_subjects + 1):
         for stream_id in range(1, sy.n_streams + 1):
             stream, events = dat.generate_synthetic_stream(sy, subject, stream_id)
+            data_dir.mkdir(parents=True, exist_ok=True)  # only once the first stream exists
             stem = f"s{subject:02d}_r{stream_id:02d}"
             dat.write_stream(stream, data_dir / f"{stem}.csv", [f"config_hash={chash}"])
             dat.write_labels(events, data_dir / f"{stem}.labels.txt", [f"config_hash={chash}"])

@@ -54,7 +54,8 @@ AX, AY, AZ, GX, GY, GZ = range(6)
 
 
 class ActionClass(Enum):
-    """Gesture classes; NON_INTEREST marks background and is only used by phase one."""
+    """Gesture classes; a value is the class's id in label files.  NON_INTEREST
+    marks background and is only used by phase one."""
 
     NON_INTEREST = 0
     SWIPE_LEFT = 1
@@ -64,20 +65,14 @@ class ActionClass(Enum):
     CIRCLE_CCW = 5
 
 
-INTEREST_CLASSES: tuple[ActionClass, ...] = (
-    ActionClass.SWIPE_LEFT,
-    ActionClass.SWIPE_RIGHT,
-    ActionClass.WAVE,
-    ActionClass.CIRCLE_CW,
-    ActionClass.CIRCLE_CCW,
-)
+INTEREST_CLASSES: tuple[ActionClass, ...] = tuple(ActionClass)[1:]  # in label-id order
 
 
 def action_from_label_id(label_id: int) -> ActionClass:
     """Map a 1..5 label file id onto its ActionClass."""
     if not 1 <= label_id <= len(INTEREST_CLASSES):
         raise UnknownLabelError(f"label id {label_id} outside 1..{len(INTEREST_CLASSES)}")
-    return INTEREST_CLASSES[label_id - 1]
+    return ActionClass(label_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,7 +299,7 @@ def parse_labels(path) -> list[GroundTruthEvent]:
 
 def write_labels(events: Sequence[GroundTruthEvent], path, comments: Sequence[str] = ()) -> None:
     lines = [
-        f"{INTEREST_CLASSES.index(ev.label) + 1} {ev.start!r} {ev.end!r}"
+        f"{ev.label.value} {ev.start!r} {ev.end!r}"
         for ev in sorted(events, key=lambda e: e.start)
     ]
     write_lines(path, lines, comments)
@@ -320,23 +315,15 @@ def split_dataset(streams: Sequence[Stream]) -> tuple[list[Stream], list[Stream]
     return train, test
 
 
-def _add_template(block: np.ndarray, cls: ActionClass, t_rel: np.ndarray, dur: float, amp: float) -> None:
-    """Add one gesture template in place onto a (k, 6) signal slice."""
-    phase = t_rel / dur
-    if cls is ActionClass.SWIPE_LEFT:
-        block[:, AX] -= amp * np.sin(np.pi * phase)
-    elif cls is ActionClass.SWIPE_RIGHT:
-        block[:, AX] += amp * np.sin(np.pi * phase)
-    elif cls is ActionClass.WAVE:
-        block[:, GZ] += amp * np.sin(2.0 * np.pi * 3.0 * phase)
-    elif cls is ActionClass.CIRCLE_CW:
-        block[:, GX] += amp * np.sin(2.0 * np.pi * phase)
-        block[:, GY] += amp * np.cos(2.0 * np.pi * phase)
-    elif cls is ActionClass.CIRCLE_CCW:
-        block[:, GX] += amp * np.cos(2.0 * np.pi * phase)
-        block[:, GY] += amp * np.sin(2.0 * np.pi * phase)
-    else:  # pragma: no cover - guarded by GroundTruthEvent
-        raise UnknownLabelError(str(cls))
+# each class's template: (channel, sign, waveform, cycles) terms, each adding
+# sign * amp * waveform(2 pi cycles phase) over the event, phase running 0..1
+_TEMPLATES = {
+    ActionClass.SWIPE_LEFT: ((AX, -1.0, np.sin, 0.5),),
+    ActionClass.SWIPE_RIGHT: ((AX, 1.0, np.sin, 0.5),),
+    ActionClass.WAVE: ((GZ, 1.0, np.sin, 3.0),),
+    ActionClass.CIRCLE_CW: ((GX, 1.0, np.sin, 1.0), (GY, 1.0, np.cos, 1.0)),
+    ActionClass.CIRCLE_CCW: ((GX, 1.0, np.cos, 1.0), (GY, 1.0, np.sin, 1.0)),
+}
 
 
 def generate_synthetic_stream(
@@ -344,12 +331,10 @@ def generate_synthetic_stream(
 ) -> tuple[Stream, list[GroundTruthEvent]]:
     """Generate one seeded stream with embedded gesture templates.
 
-    Background is i.i.d. Gaussian noise per channel.  Templates: swipe
-    left/right puts a signed half-sine pulse on ax, wave a 3-cycle sinusoid
-    on gz, circles quadrature sinusoids on gx/gy whose lead channel flips
-    between clockwise and counterclockwise.  Events keep at least
-    ``min_gap_s`` between each other and from the stream edges; the returned
-    ground truth intervals are the exact embedded ones.
+    Background is i.i.d. Gaussian noise per channel, and each event adds its
+    class's ``_TEMPLATES`` terms.  Events keep at least ``min_gap_s`` between
+    each other and from the stream edges; the returned ground truth intervals
+    are the exact embedded ones.
     """
     rng = np.random.default_rng([cfg.seed, subject_id, stream_id])
     n = int(round(cfg.stream_duration_s * cfg.sample_rate_hz))
@@ -380,7 +365,9 @@ def generate_synthetic_stream(
         end = start + float(durations[i])
         lo = int(np.searchsorted(t, start, "left"))
         hi = int(np.searchsorted(t, end, "right"))
-        _add_template(sig[lo:hi], classes[i], t[lo:hi] - start, float(durations[i]), float(amps[i]))
+        phase = (t[lo:hi] - start) / float(durations[i])
+        for channel, sign, wave, cycles in _TEMPLATES[classes[i]]:
+            sig[lo:hi, channel] += sign * float(amps[i]) * wave(2.0 * np.pi * cycles * phase)
         events.append(GroundTruthEvent(classes[i], start, end))
         cursor += float(durations[i]) + gap
 
@@ -420,6 +407,8 @@ def load_manifest(path) -> tuple[list[ManifestEntry], float]:
     p = Path(path)
     doc = read_json(p, MalformedManifestError, MissingFileError)
     manifest = from_json(Manifest, doc, lambda message: MalformedManifestError(f"{p}: {message}"))
+    if manifest.version != 1:
+        raise MalformedManifestError(f"{p}: unsupported manifest version {manifest.version}")
     if not manifest.sample_rate_hz > 0:
         raise MalformedManifestError(f"{p}: sample_rate_hz must be > 0, got {manifest.sample_rate_hz}")
     return list(manifest.streams), manifest.sample_rate_hz

@@ -113,6 +113,14 @@ def test_oversized_synth_config_exits_two_with_one_line(tmp_path, capsys, settin
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# a stream too long to allocate, and more events than any stream can hold
+@pytest.mark.parametrize("setting", ["synthetic.stream_duration_s=1e12", "synthetic.events_per_stream=100"])
+def test_synth_that_fails_on_its_first_stream_leaves_no_directory(tmp_path, setting):
+    cfg = write_config(tmp_path)
+    assert main(["--config", str(cfg), "--set", setting, "synth"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_full_pipeline_train_detect_eval(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -275,6 +283,7 @@ def malformed_manifests(out):
         "invalid-json": "{not json",
         "no-labels-path": json.dumps(no_labels),
         "rate-zero": json.dumps({**doc, "sample_rate_hz": 0}),
+        "version-7": json.dumps({**doc, "version": 7}),
     }
     for case, key, value in [
         ("stream-id-11", "stream_id", 11),
@@ -291,7 +300,7 @@ def malformed_manifests(out):
 
 @pytest.mark.parametrize(
     "case", ["invalid-json", "no-labels-path", "stream-id-11", "stream-id-string", "stream-id-bool",
-             "stream-path-int", "rate-zero", "test-stream-only"],
+             "stream-path-int", "rate-zero", "version-7", "test-stream-only"],
 )
 def test_malformed_manifest_exits_two(tmp_path, capsys, case):
     cfg = write_config(tmp_path)

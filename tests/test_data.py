@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 import ial.data as data_module
 from ial.data import (
+    AX,
+    GX,
+    GY,
+    GZ,
     STREAM_FIELDS,
     ActionClass,
     GroundTruthEvent,
@@ -443,6 +447,52 @@ def test_synthetic_config_validation():
         SyntheticConfig(events_per_stream=-1)
     with pytest.raises(ConfigError):
         SyntheticConfig(noise_std=-0.1)
+
+
+def test_synthetic_packing_is_checked_again_after_the_duration_draw():
+    # 3 events at the 1.5 s lower bound just fit 16.5 s; durations drawn up to 10 s cannot
+    cfg = SyntheticConfig(events_per_stream=3, stream_duration_s=16.5, event_duration_range=(1.5, 10.0))
+    with pytest.raises(InfeasiblePackingError, match="do not fit"):
+        generate_synthetic_stream(cfg)
+
+
+def test_each_template_adds_its_waveform_on_its_channels():
+    # noiseless streams at amplitude 3; phase runs 0..1 over each event
+    flat = {c.name.lower(): (3.0, 3.0) for c in INTEREST_CLASSES}
+    expected = {
+        ActionClass.SWIPE_LEFT: lambda p: {AX: -3.0 * np.sin(np.pi * p)},
+        ActionClass.SWIPE_RIGHT: lambda p: {AX: 3.0 * np.sin(np.pi * p)},
+        ActionClass.WAVE: lambda p: {GZ: 3.0 * np.sin(6.0 * np.pi * p)},
+        ActionClass.CIRCLE_CW: lambda p: {GX: 3.0 * np.sin(2.0 * np.pi * p), GY: 3.0 * np.cos(2.0 * np.pi * p)},
+        ActionClass.CIRCLE_CCW: lambda p: {GX: 3.0 * np.cos(2.0 * np.pi * p), GY: 3.0 * np.sin(2.0 * np.pi * p)},
+    }
+    seen = set()
+    for seed in range(4):
+        cfg = SyntheticConfig(seed=seed, events_per_stream=8, stream_duration_s=60.0, noise_std=0.0, amplitude_range=flat)
+        stream, events = generate_synthetic_stream(cfg)
+        for ev in events:
+            inside = (stream.t >= ev.start) & (stream.t <= ev.end)
+            want = np.zeros((inside.sum(), 6))
+            for channel, column in expected[ev.label]((stream.t[inside] - ev.start) / (ev.end - ev.start)).items():
+                want[:, channel] = column
+            np.testing.assert_allclose(stream.values[inside], want, rtol=0, atol=1e-12)
+            seen.add(ev.label)
+    assert seen == set(INTEREST_CLASSES)
+
+
+def test_label_ids_are_the_action_class_values(tmp_path):
+    path = tmp_path / "l.txt"
+    write_labels([GroundTruthEvent(cls, 2.0 * cls.value, 2.0 * cls.value + 1.0) for cls in INTEREST_CLASSES], path)
+    assert [line.split()[0] for line in path.read_text().splitlines()] == ["1", "2", "3", "4", "5"]
+    assert [ev.label for ev in parse_labels(path)] == list(INTEREST_CLASSES)
+    assert [cls.name for cls in INTEREST_CLASSES] == ["SWIPE_LEFT", "SWIPE_RIGHT", "WAVE", "CIRCLE_CW", "CIRCLE_CCW"]
+
+
+def test_stream_and_truth_event_refuse_what_they_cannot_hold():
+    with pytest.raises(ValueError, match="stream arrays"):
+        Stream(1, 1, np.arange(4.0), np.zeros((4, 5)))
+    with pytest.raises(UnknownLabelError, match="not an interest class"):
+        GroundTruthEvent(ActionClass.NON_INTEREST, 0.0, 1.0)
 
 
 def test_interest_classes_are_exactly_five():

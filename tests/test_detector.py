@@ -87,6 +87,11 @@ def test_score_windows_feature_mismatch():
         score_windows(stream, five_class, "vector", DetectorConfig())
 
 
+def test_score_windows_unknown_kind():
+    with pytest.raises(ConfigError, match="unknown feature kind 'bogus'"):
+        score_windows(make_stream(n=200), build_network(vector_model_spec(2), seed=0), "bogus", DetectorConfig())
+
+
 def test_score_windows_threads_match_sequential():
     stream = make_stream(n=3000)
     model = build_network(image_model_spec(2), seed=1)

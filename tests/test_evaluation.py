@@ -219,6 +219,11 @@ def test_counts_add():
     assert (s.n_tp, s.n_fp, s.n_fn, s.n_tn) == (6, 8, 10, 12)
 
 
+def test_counts_refuse_a_negative_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        ConfusionCounts(1, -1, 0)
+
+
 def test_micro_aggregation_matches_concatenation():
     rng = np.random.default_rng(45)
     for _ in range(50):

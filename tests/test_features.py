@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ial.features import ImageFeature, image_feature, vector_feature, write_vector_csv
+from ial.features import ImageFeature, VectorFeature, image_feature, vector_feature, write_vector_csv
 from ial.signal import SignalWindow, make_window
 from ial.data import Stream
 
@@ -20,6 +20,13 @@ def test_image_constant_window():
     img = image_feature(window_from(np.full((150, 8), 0.3)))
     assert img.pixels.shape == (50, 8)
     assert np.all(img.pixels == 0.3)
+
+
+def test_features_refuse_a_wrong_shape():
+    with pytest.raises(ValueError, match="image must be 50x8"):
+        ImageFeature(np.zeros((49, 8)), 0.0)
+    with pytest.raises(ValueError, match="vector must have 16 values"):
+        VectorFeature(np.zeros(15), 0.0)
 
 
 def test_image_ramp_column_medians():

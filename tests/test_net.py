@@ -632,6 +632,21 @@ def test_train_errors():
         train(spec, np.zeros((1, 16)), np.array([0]), cfg)
 
 
+def test_train_refuses_labels_that_do_not_pair_with_samples():
+    with pytest.raises(ShapeMismatchError, match="4 samples vs 3 labels"):
+        train(vector_model_spec(2), np.zeros((4, 16)), np.array([0, 1, 0]), TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("kind, n_classes, input_shape, message", [
+    ("fc", 1, (16,), "at least 2 classes"),
+    ("cnn", 2, (16,), r"cnn input must be \(H, W, C\)"),
+    ("fc", 2, (50, 8, 1), r"fc input must be \(D,\)"),
+], ids=["one-class", "cnn-vector-input", "fc-image-input"])
+def test_model_spec_refuses_what_no_network_can_take(kind, n_classes, input_shape, message):
+    with pytest.raises(ConfigError, match=message):
+        ModelSpec(kind, n_classes, input_shape)
+
+
 def test_train_skips_a_trailing_batch_of_one():
     rng = np.random.default_rng(17)
     x, y = separable_vector_dataset(rng, n=33)

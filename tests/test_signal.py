@@ -132,6 +132,11 @@ def test_median_indivisible_rows():
         median_downsample(np.zeros((149, 8)))
 
 
+def test_median_needs_a_matrix():
+    with pytest.raises(ValueError, match="2-D"):
+        median_downsample(np.zeros(150))
+
+
 def test_median_constant_idempotent():
     out = median_downsample(np.full((150, 8), 0.37))
     assert np.all(out == 0.37)
@@ -209,6 +214,11 @@ def test_slide_too_short():
     stream = make_stream(np.zeros((149, 6)))
     with pytest.raises(StreamTooShortError):
         window_images(stream, 15)
+
+
+def test_window_starts_refuse_a_stride_below_one():
+    with pytest.raises(ValueError, match="stride_frames"):
+        window_starts(6000, 0)
 
 
 def test_slide_start_times():

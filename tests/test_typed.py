@@ -104,6 +104,38 @@ def test_bad_values_name_their_dotted_path():
         load_run_config(overrides={"synthetic.event_duration_range": [1.0, True]})
 
 
+# one value of the right type that each section's own check refuses
+@pytest.mark.parametrize("key, value, message", [
+    ("eval.match_rule", "nearest", "unknown match_rule 'nearest'"),
+    ("eval.iou_threshold", 0.0, "iou_threshold must be in"),
+    ("feature_kind", "spectrogram", "unknown feature_kind 'spectrogram'"),
+    ("model", "rnn", "unknown model 'rnn'"),
+    ("threads", 0, "threads must be >= 1"),
+    ("synthetic.seed", -1, "seed must be non-negative"),
+    ("synthetic.stream_duration_s", 0.0, "duration and sample rate must be positive"),
+    ("synthetic.event_duration_range", [2.0, 1.0], "event_duration_range must satisfy"),
+    ("synthetic.amplitude_range.wave", [0.0, 1.0], "amplitude range for wave"),
+    ("synthetic.n_streams", 0, "n_subjects and n_streams must be >= 1"),
+    ("detector.interest_threshold", 1.0, "interest_threshold must be in"),
+    ("detector.min_event_windows", 0, "min_event_windows must be >= 1"),
+    ("detector.merge_gap_windows", -1, "merge_gap_windows must be >= 0"),
+    ("detector.stride_frames", 0, "stride_frames must be >= 1"),
+    ("detector.classification_mode", "vote", "unknown classification_mode 'vote'"),
+    ("train.batch_size", 1, "batch_size must be >= 2"),
+    ("train.epochs", -1, "epochs must be >= 0"),
+    ("train.seed", -1, "seed must be non-negative"),
+])
+def test_each_section_check_refuses_its_value(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        load_run_config(overrides={key: value})
+
+
+def test_run_config_refuses_a_negative_seed():
+    # load_run_config hands the top-level seed to train and synthetic, whose checks fire first
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        RunConfig(seed=-1)
+
+
 def test_an_int_in_a_float_field_becomes_a_float():
     as_int = load_run_config(overrides={"synthetic.stream_duration_s": 30})
     assert type(as_int.synthetic.stream_duration_s) is float

@@ -140,6 +140,10 @@ class SyntheticConfig:
             raise ConfigError("seed must be non-negative")
         if self.stream_duration_s <= 0 or self.sample_rate_hz <= 0:
             raise ConfigError("duration and sample rate must be positive")
+        frames = self.stream_duration_s * self.sample_rate_hz
+        if not frames <= 2**53:  # beyond it, float timestamps arange(n) / rate no longer tell frames apart
+            raise ConfigError(
+                f"synthetic.stream_duration_s * synthetic.sample_rate_hz is {frames:g} frames, over 2**53")
         if self.events_per_stream < 0:
             raise ConfigError("events_per_stream must be >= 0")
         if self.noise_std < 0:

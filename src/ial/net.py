@@ -25,6 +25,7 @@ from .errors import (
     BatchTooSmallError,
     CheckpointMismatchError,
     ConfigError,
+    DataError,
     EmptyDatasetError,
     InputTooSmallError,
     InvalidRateError,
@@ -466,20 +467,6 @@ class Network:
         """Parameters followed by running statistics: the contents of a checkpoint."""
         return self._named("PARAMS") + self._named("STATE")
 
-    def activation_signature(self) -> list[np.ndarray]:
-        """ReLU masks and pooling argmax indices from the last training forward.
-
-        Two inputs with equal signatures lie in the same piecewise-smooth
-        region of the network, so finite differences between them are valid.
-        """
-        sig = []
-        for layer in self.layers:
-            if isinstance(layer, ReLU):
-                sig.append(layer.mask)
-            elif isinstance(layer, MaxPool2):
-                sig.append(layer.argmax)
-        return sig
-
 
 def _assemble(spec: ModelSpec, take, seed: int) -> Network:
     """The one walk over a spec: ``make`` takes a layer's ``PARAMS`` then ``STATE``
@@ -579,7 +566,8 @@ def train(
 
     Returns the trained network and the per-epoch mean loss.  Deterministic
     for a fixed seed and OpenBLAS thread count.  A trailing batch of one
-    sample is skipped (batch statistics need >= 2 samples).
+    sample is skipped (batch statistics need >= 2 samples).  An epoch whose
+    mean loss is not finite raises DataError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -596,7 +584,7 @@ def train(
     shuffle_rng = np.random.default_rng([cfg.seed, 2])
 
     losses: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(x))
         total, seen = 0.0, 0
         for lo in range(0, len(order), cfg.batch_size):
@@ -612,6 +600,8 @@ def train(
         if seen == 0:
             raise BatchTooSmallError("need at least 2 samples to train")
         losses.append(total / seen)
+        if not math.isfinite(losses[-1]):
+            raise DataError(f"training diverged: epoch {epoch} has mean loss {losses[-1]}")
     return net, losses
 
 
@@ -640,9 +630,11 @@ def gradient_check(
     A central difference only estimates the derivative where the loss is
     smooth across [theta - h, theta + h]; a perturbation that flips a ReLU
     sign or a pooling argmax puts a kink inside that bracket.  Indices whose
-    two evaluations land in different piecewise-smooth regions (detected by
-    comparing activation signatures) are skipped; a wrong-but-smooth backward
-    pass leaves signatures untouched, so real gradient bugs are not masked.
+    two evaluations give different ReLU masks or pooling argmaxes are skipped;
+    a wrong-but-smooth backward pass leaves those untouched, so real gradient
+    bugs are not masked.  Perturbing an array of layer k reruns only layers k
+    onward, from layer k's unperturbed input.  That is exact: no layer writes
+    into its input, and no running statistic or rate-0 dropout draw enters the loss.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -652,38 +644,43 @@ def gradient_check(
             layer.rate = 0.0
     pick_rng = np.random.default_rng([seed, 3])
 
-    def loss_and_signature() -> tuple[float, list[np.ndarray]]:
-        logits = net.forward(x, train=True)
-        loss, _ = softmax_cross_entropy(logits, y)
-        return loss, net.activation_signature()
-
-    logits = net.forward(x, train=True)
-    _, dlogits = softmax_cross_entropy(logits, y)
+    inputs = [x]  # inputs[k] is layer k's input, inputs[-1] the logits
+    for layer in net.layers:
+        inputs.append(layer.forward(inputs[-1], train=True))
+    _, dlogits = softmax_cross_entropy(inputs[-1], y)
     net.backward(dlogits)
-    analytic = {name: arr.copy() for name, arr in net.gradients()}
+
+    def loss_and_kinks(k: int) -> tuple[float, list[np.ndarray]]:
+        out = inputs[k]
+        for layer in net.layers[k:]:
+            out = layer.forward(out, train=True)
+        kinks = [layer.mask if isinstance(layer, ReLU) else layer.argmax
+                 for layer in net.layers[k:] if isinstance(layer, (ReLU, MaxPool2))]
+        return softmax_cross_entropy(out, y)[0], kinks
 
     worst = 0.0
-    for name, arr in net.parameters():
-        flat = arr.reshape(-1)
-        n_vals = flat.shape[0]
-        if n_vals > max_per_param:
-            indices = pick_rng.choice(n_vals, size=max_per_param, replace=False)
-        else:
-            indices = np.arange(n_vals)
-        a_flat = analytic[name].reshape(-1)
-        for i in indices:
-            orig = flat[i]
-            flat[i] = orig + step
-            up, sig_up = loss_and_signature()
-            flat[i] = orig - step
-            down, sig_down = loss_and_signature()
-            flat[i] = orig
-            if not all(np.array_equal(a, b) for a, b in zip(sig_up, sig_down)):
-                continue  # kink inside the bracket
-            numeric = (up - down) / (2.0 * step)
-            a = a_flat[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-            worst = max(worst, rel)
+    for k, layer in enumerate(net.layers):
+        for name in layer.PARAMS:
+            flat = getattr(layer, name).reshape(-1)
+            a_flat = getattr(layer, "d_" + name).reshape(-1)  # no later call runs backward
+            n_vals = flat.shape[0]
+            if n_vals > max_per_param:
+                indices = pick_rng.choice(n_vals, size=max_per_param, replace=False)
+            else:
+                indices = np.arange(n_vals)
+            for i in indices:
+                orig = flat[i]
+                flat[i] = orig + step
+                up, kinks_up = loss_and_kinks(k)
+                flat[i] = orig - step
+                down, kinks_down = loss_and_kinks(k)
+                flat[i] = orig
+                if not all(np.array_equal(a, b) for a, b in zip(kinks_up, kinks_down)):
+                    continue  # kink inside the bracket
+                numeric = (up - down) / (2.0 * step)
+                a = a_flat[i]
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
+                worst = max(worst, rel)
     return worst
 
 
@@ -761,7 +758,9 @@ def load_checkpoint(path) -> Network:
             found = "no array" if arr is None else f"shape {arr.shape}"
             raise CheckpointMismatchError(f"{p}: {i}.{name}: {found} where the spec needs {shape}")
         if version == 1 and name == "running_mean":
-            return arr - take(i - 1, "bias", shape, None)
+            arr = arr - take(i - 1, "bias", shape, None)
+        if not np.isfinite(arr).all():
+            raise CheckpointMismatchError(f"{p}: {i}.{name}: non-finite values")
         return arr
 
     net = _assemble(spec, take, seed=0)

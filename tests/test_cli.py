@@ -341,7 +341,8 @@ BAD_INPUTS = [
         "train.epochs=1.5", "train.batch_size=2.5", "synthetic.n_streams=2.0", 'threads="x"', "schema=[1,2]",
         "synthetic.amplitude_range=5", 'seed="3"', "seed=true",
         'schema={"t": -1, "ax": 1, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 0}', 'schema={"t": 0}',
-        'schema={"t": 0, "ax": 0, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 6}', "train.epochs")),
+        'schema={"t": 0, "ax": 0, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 6}', "train.epochs",
+        "synthetic.stream_duration_s=1e18", "synthetic.sample_rate_hz=1e300", "synthetic.stream_duration_s=1.7e308")),
     *(pytest.param("spec", kv, 2, id=f"spec.{kv[0]}={kv[1]!r}") for kv in (
         ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]))),
     *(pytest.param("state", ("7.b", entry), 2, id=f"state.7.b={name}") for name, entry in (

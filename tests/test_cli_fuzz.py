@@ -63,7 +63,7 @@ def run_dir(tmp_path_factory):
     return root, config, {name: (root / name).read_bytes() for name in ("s.csv", "s.labels.txt")}
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(
     command_target=st.sampled_from([("detect", "s.csv"), ("eval", "s.csv"), ("eval", "s.labels.txt")]),
     mutations=st.lists(MUTATION, min_size=1, max_size=3),

@@ -235,7 +235,7 @@ def _no_loadtxt(*args, **kwargs):
     raise ValueError("bulk parse disabled")
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=stream_texts())
 def test_bulk_parse_equals_the_row_loop(tmp_path, case):
     """Every file reads to the same bytes, or fails with the same error, as with the row loop alone."""

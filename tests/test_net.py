@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from dataclasses import replace
@@ -10,6 +11,7 @@ from ial.errors import (
     BatchTooSmallError,
     CheckpointMismatchError,
     ConfigError,
+    DataError,
     EmptyDatasetError,
     InputTooSmallError,
     InvalidRateError,
@@ -659,6 +661,14 @@ def test_train_skips_a_trailing_batch_of_one():
     assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(net.arrays(), net_nan.arrays(), strict=True))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows that make the loss NaN
+def test_train_stops_at_the_first_epoch_whose_loss_is_not_finite():
+    rng = np.random.default_rng(18)
+    x, y = separable_vector_dataset(rng, n=40)
+    with pytest.raises(DataError, match=r"^training diverged: epoch 1 has mean loss nan$"):  # exit 2, not 1
+        train(vector_model_spec(2), x, y, TrainConfig(learning_rate=1e308, epochs=2, seed=3))
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(learning_rate=0.0)
@@ -730,6 +740,53 @@ def test_gradient_check_detects_corrupted_conv_backward(monkeypatch):
 
     monkeypatch.setattr(Conv2D, "backward", corrupted)
     assert gradient_check(net, x, y, max_per_param=60, seed=15) > 1e-4
+
+
+def full_forward_gradient_check(net, x, y, *, step=1e-5, max_per_param=200, seed=0):
+    """``gradient_check`` as one full training forward per evaluation, comparing
+    every ReLU mask and pooling argmax of the network."""
+    net = copy.deepcopy(net)
+    for layer in net.layers:
+        if isinstance(layer, Dropout):
+            layer.rate = 0.0
+    pick_rng = np.random.default_rng([seed, 3])
+
+    def loss_and_kinks():
+        loss, _ = softmax_cross_entropy(net.forward(x, train=True), y)
+        return loss, [l.mask if isinstance(l, ReLU) else l.argmax for l in net.layers if isinstance(l, (ReLU, MaxPool2))]
+
+    _, dlogits = softmax_cross_entropy(net.forward(x, train=True), y)
+    net.backward(dlogits)
+    analytic = {name: g.copy() for name, g in net.gradients()}
+    worst = 0.0
+    for name, arr in net.parameters():
+        flat = arr.reshape(-1)
+        n = flat.shape[0]
+        indices = pick_rng.choice(n, size=max_per_param, replace=False) if n > max_per_param else np.arange(n)
+        for i in indices:
+            orig = flat[i]
+            flat[i] = orig + step
+            up, kinks_up = loss_and_kinks()
+            flat[i] = orig - step
+            down, kinks_down = loss_and_kinks()
+            flat[i] = orig
+            if all(np.array_equal(a, b) for a, b in zip(kinks_up, kinks_down)):
+                numeric = (up - down) / (2.0 * step)
+                a = analytic[name].reshape(-1)[i]
+                worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("spec", [image_model_spec(5), vector_model_spec(5)], ids=["cnn", "fc"])
+def test_gradient_check_rerunning_from_the_perturbed_layer_equals_a_full_forward(spec, seed):
+    rng = np.random.default_rng([seed, 5])
+    x = rng.normal(0.5, 0.2, (4, *spec.input_shape))
+    y = rng.integers(0, spec.n_classes, 4)
+    net = build_network(spec, seed=seed)
+    got = gradient_check(net, x, y, max_per_param=20, seed=seed)
+    assert got == full_forward_gradient_check(net, x, y, max_per_param=20, seed=seed)
+    assert 0.0 < got < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -950,6 +1007,21 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
         load_checkpoint(path)
     path.write_text(json.dumps(good))
     assert np.array_equal(load_checkpoint(path).layers[7].b, net.layers[7].b)
+
+
+@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_a_non_finite_array_is_refused(tmp_path, version, value):
+    net = build_network(vector_model_spec(2), seed=1)
+    net.layers[7].b[1] = value
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(net, path)
+    if version == 2:
+        doc = json.loads(path.read_text())
+        doc["version"], doc["state"] = 2, {name: arr.tolist() for name, arr in net.arrays()}
+        path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointMismatchError, match=r"ckpt\.json: 7\.b: non-finite values$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("spec", [image_model_spec(3), vector_model_spec(5)], ids=["cnn", "fc"])

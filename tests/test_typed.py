@@ -83,7 +83,7 @@ def assert_typed(value, tp):
         assert isinstance(value, tp) and not (tp is int and isinstance(value, bool))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.lists(OVERRIDES, max_size=4).map(dict))
 def test_random_overrides_give_a_typed_config_or_a_config_error(overrides):
     try:
@@ -113,6 +113,9 @@ def test_bad_values_name_their_dotted_path():
     ("threads", 0, "threads must be >= 1"),
     ("synthetic.seed", -1, "seed must be non-negative"),
     ("synthetic.stream_duration_s", 0.0, "duration and sample rate must be positive"),
+    ("synthetic.stream_duration_s", 1e18, r"is 5e\+19 frames, over 2\*\*53"),
+    ("synthetic.sample_rate_hz", 1e300, r"is 1\.2e\+302 frames, over 2\*\*53"),
+    ("synthetic.stream_duration_s", 1.7e308, r"is inf frames, over 2\*\*53"),
     ("synthetic.event_duration_range", [2.0, 1.0], "event_duration_range must satisfy"),
     ("synthetic.amplitude_range.wave", [0.0, 1.0], "amplitude range for wave"),
     ("synthetic.n_streams", 0, "n_subjects and n_streams must be >= 1"),
@@ -173,7 +176,7 @@ def array_values():
 ARRAY_MUTATIONS = st.tuples(st.integers(0, 20), st.sampled_from(["shape", "f64le", "bogus", None]), array_values())
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(sorted(SPECS)), key=st.sampled_from(SPEC_KEYS), value=json_values(),
        array=st.none() | ARRAY_MUTATIONS)
 def test_mutated_checkpoint_spec_raises_only_ial_errors(tmp_path, kind, key, value, array):
@@ -212,7 +215,7 @@ def manifest_dir(tmp_path_factory):
     return root
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     target=st.sampled_from(["entry", "document"]),
     key=st.sampled_from(ENTRY_KEYS + ["sample_rate_hz", "version", "config_hash", "streams"]),

@@ -113,12 +113,12 @@ def test_bad_values_name_their_dotted_path():
     ("threads", 0, "threads must be >= 1"),
     ("synthetic.seed", -1, "seed must be non-negative"),
     ("synthetic.stream_duration_s", 0.0, "duration and sample rate must be positive"),
-    ("synthetic.stream_duration_s", 1e18, r"is 5e\+19 frames, over 2\*\*53"),
-    ("synthetic.sample_rate_hz", 1e300, r"is 1\.2e\+302 frames, over 2\*\*53"),
-    ("synthetic.stream_duration_s", 1.7e308, r"is inf frames, over 2\*\*53"),
     ("synthetic.event_duration_range", [2.0, 1.0], "event_duration_range must satisfy"),
     ("synthetic.amplitude_range.wave", [0.0, 1.0], "amplitude range for wave"),
     ("synthetic.n_streams", 0, "n_subjects and n_streams must be >= 1"),
+    ("synthetic.stream_duration_s", 1e18, r"is 5e\+19 frames, over 2\*\*53"),
+    ("synthetic.sample_rate_hz", 1e300, r"is 1\.2e\+302 frames, over 2\*\*53"),
+    ("synthetic.stream_duration_s", 1.7e308, r"is inf frames, over 2\*\*53"),
     ("detector.interest_threshold", 1.0, "interest_threshold must be in"),
     ("detector.min_event_windows", 0, "min_event_windows must be >= 1"),
     ("detector.merge_gap_windows", -1, "merge_gap_windows must be >= 0"),

@@ -8,14 +8,3 @@ classification), and evaluated with event-level precision/recall/F1.
 """
 
 __version__ = "0.1.0"
-
-from .data import (  # noqa: F401
-    ActionClass,
-    GroundTruthEvent,
-    Stream,
-    SyntheticConfig,
-    generate_synthetic_stream,
-    ingest_stream,
-    parse_labels,
-    split_dataset,
-)

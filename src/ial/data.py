@@ -141,9 +141,10 @@ class SyntheticConfig:
         if self.stream_duration_s <= 0 or self.sample_rate_hz <= 0:
             raise ConfigError("duration and sample rate must be positive")
         frames = self.stream_duration_s * self.sample_rate_hz
-        if not frames <= 2**53:  # beyond it, float timestamps arange(n) / rate no longer tell frames apart
-            raise ConfigError(
-                f"synthetic.stream_duration_s * synthetic.sample_rate_hz is {frames:g} frames, over 2**53")
+        # under 1 a stream has no rows; beyond 2**53, float timestamps arange(n) / rate no longer tell frames apart
+        if not 1 <= frames <= 2**53:
+            raise ConfigError(f"synthetic.stream_duration_s * synthetic.sample_rate_hz is {frames:g} frames, "
+                              + ("under 1" if frames < 1 else "over 2**53"))
         if self.events_per_stream < 0:
             raise ConfigError("events_per_stream must be >= 0")
         if self.noise_std < 0:
@@ -200,14 +201,15 @@ def _parse_bulk(lines: Sequence[str], cols: Sequence[int]) -> np.ndarray:
     """The data ``lines`` as an array in one loadtxt call, or by the row loop if that fails.
 
     loadtxt accepts no token that float() rejects and reads every other to the
-    same value, so what it refuses (a malformed row, or a token such as 1_0
-    that only float() reads) goes to the row loop, which alone reports errors.
+    same value, so what it refuses (a malformed row, a token such as 1_0 that
+    only float() reads, or a column past its index range) goes to the row
+    loop, which alone reports errors.
     ``comments=None``: a ``#`` inside a row is an error, not a comment.
     """
     if lines:  # loadtxt warns when given no lines
         try:
             return np.loadtxt(lines, delimiter=",", comments=None, usecols=cols, ndmin=2)
-        except ValueError:
+        except (ValueError, OverflowError):
             pass
     return _parse_rows(lines, cols)
 

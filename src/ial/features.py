@@ -17,10 +17,9 @@ VECTOR_DIM = 2 * N_CHANNELS
 
 @dataclass(frozen=True, eq=False)
 class ImageFeature:
-    """50x8 image in [0, 1] of the window starting at ``start_t``."""
+    """50x8 image in [0, 1] of one window."""
 
     pixels: np.ndarray
-    start_t: float
 
     def __post_init__(self):
         if self.pixels.shape != (IMAGE_ROWS, N_CHANNELS):
@@ -32,7 +31,6 @@ class VectorFeature:
     """16 values: per-channel means then per-channel population variances."""
 
     values: np.ndarray
-    start_t: float
 
     def __post_init__(self):
         if self.values.shape != (VECTOR_DIM,):
@@ -41,7 +39,7 @@ class VectorFeature:
 
 def image_feature(window: SignalWindow) -> ImageFeature:
     """Median-downsample a 150x8 window by 3 into the 50x8 image."""
-    return ImageFeature(median_downsample(window.frames, DOWNSAMPLE_FACTOR), window.start_t)
+    return ImageFeature(median_downsample(window.frames, DOWNSAMPLE_FACTOR))
 
 
 def vector_batch(images: np.ndarray) -> np.ndarray:
@@ -54,7 +52,7 @@ def vector_feature(image: ImageFeature) -> VectorFeature:
     [means | variances]; the per-image reference for ``vector_batch``."""
     means = image.pixels.mean(axis=0)
     variances = image.pixels.var(axis=0)
-    return VectorFeature(np.concatenate([means, variances]), image.start_t)
+    return VectorFeature(np.concatenate([means, variances]))
 
 
 def write_vector_csv(

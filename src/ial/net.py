@@ -409,6 +409,8 @@ class ModelSpec:
             raise ConfigError("input_shape, conv_filters and hidden_units must be >= 1")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError("kernel must be odd and >= 1")
+        if not self.bn_eps > 0:
+            raise ConfigError("bn_eps must be > 0")
 
 
 def image_model_spec(n_classes: int, dropout_rate: float = 0.5) -> ModelSpec:
@@ -541,6 +543,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if not self.bn_eps > 0:
+            raise ConfigError("bn_eps must be > 0")
 
 
 class SGD:

@@ -28,10 +28,9 @@ DOWNSAMPLE_FACTOR = 3
 
 @dataclass(frozen=True, eq=False)
 class SignalWindow:
-    """150 frames x 8 normalized channels starting at ``start_t`` seconds."""
+    """150 frames x 8 normalized channels."""
 
     frames: np.ndarray
-    start_t: float
 
 
 def _unit_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -77,7 +76,7 @@ def make_window(stream: Stream, start_frame: int) -> SignalWindow:
         )
     raw = eight_channels(stream.values[start_frame : start_frame + WINDOW_FRAMES])
     frames = _unit_scale(raw, raw.min(axis=0), raw.max(axis=0))
-    return SignalWindow(frames, float(stream.t[start_frame]))
+    return SignalWindow(frames)
 
 
 def window_starts(n_frames: int, stride_frames: int) -> range:

@@ -342,9 +342,11 @@ BAD_INPUTS = [
         "synthetic.amplitude_range=5", 'seed="3"', "seed=true",
         'schema={"t": -1, "ax": 1, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 0}', 'schema={"t": 0}',
         'schema={"t": 0, "ax": 0, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 6}', "train.epochs",
-        "synthetic.stream_duration_s=1e18", "synthetic.sample_rate_hz=1e300", "synthetic.stream_duration_s=1.7e308")),
+        "synthetic.stream_duration_s=1e18", "synthetic.sample_rate_hz=1e300", "synthetic.stream_duration_s=1.7e308",
+        "synthetic.sample_rate_hz=1e-300")),
     *(pytest.param("spec", kv, 2, id=f"spec.{kv[0]}={kv[1]!r}") for kv in (
-        ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]))),
+        ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]),
+        ("bn_eps", -1.0))),
     *(pytest.param("state", ("7.b", entry), 2, id=f"state.7.b={name}") for name, entry in (
         ("list", [0.0, 0.0]), ("no-f64le", {"shape": [2]}), ("not-base64", {"shape": [2], "f64le": "!!!!"}),
         ("wrong-length", {"shape": [3], "f64le": "AAAAAAAAAAAAAAAAAAAAAA=="}), ("huge-shape", {"shape": [10**400], "f64le": ""}))),

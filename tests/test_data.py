@@ -162,6 +162,15 @@ def test_ingest_custom_schema(tmp_path):
     assert list(stream.values[0]) == [1.0, 2.0, 3.0, 4.0, 5.0, 9.0]  # ax ay az gx gy gz
 
 
+def test_ingest_schema_column_past_the_index_range_is_a_row_error(tmp_path):
+    # 10**20 does not fit numpy's index type: the bulk parse raises OverflowError, not ValueError
+    path = tmp_path / "s.csv"
+    path.write_text("t,ax,ay,az,gx,gy,gz\n" + GOOD_ROW + "\n")
+    schema = dict(zip(STREAM_FIELDS, range(7))) | {"gz": 10**20}
+    with pytest.raises(MalformedRowError, match=r"^data row 1: expected >= 100000000000000000001 columns, got 7$"):
+        ingest_stream(path, schema)
+
+
 def test_ingest_headerless_and_comments(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("# generated\n0.0,1,2,3,4,5,6\n0.02,1,2,3,4,5,6\n")

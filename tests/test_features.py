@@ -9,7 +9,7 @@ from ial.data import Stream
 
 
 def window_from(frames):
-    return SignalWindow(np.asarray(frames, dtype=np.float64), 0.0)
+    return SignalWindow(np.asarray(frames, dtype=np.float64))
 
 
 def random_window(rng):
@@ -24,9 +24,9 @@ def test_image_constant_window():
 
 def test_features_refuse_a_wrong_shape():
     with pytest.raises(ValueError, match="image must be 50x8"):
-        ImageFeature(np.zeros((49, 8)), 0.0)
+        ImageFeature(np.zeros((49, 8)))
     with pytest.raises(ValueError, match="vector must have 16 values"):
-        VectorFeature(np.zeros(15), 0.0)
+        VectorFeature(np.zeros(15))
 
 
 def test_image_ramp_column_medians():
@@ -48,7 +48,7 @@ def test_image_matches_nested_loop_oracle():
 
 
 def test_vector_constant_image():
-    img = ImageFeature(np.full((50, 8), 0.3), 0.0)
+    img = ImageFeature(np.full((50, 8), 0.3))
     v = vector_feature(img)
     assert v.values.shape == (16,)
     assert np.allclose(v.values[:8], 0.3, atol=1e-15)
@@ -58,7 +58,7 @@ def test_vector_constant_image():
 def test_vector_alternating_channel():
     pixels = np.full((50, 8), 0.5)
     pixels[:, 0] = ([0.0, 1.0] * 25)[:50]
-    v = vector_feature(ImageFeature(pixels, 0.0))
+    v = vector_feature(ImageFeature(pixels))
     assert v.values[0] == 0.5
     assert v.values[8] == 0.25
 
@@ -66,7 +66,7 @@ def test_vector_alternating_channel():
 def test_vector_matches_two_pass_oracle():
     rng = np.random.default_rng(33)
     pixels = rng.random((50, 8))
-    v = vector_feature(ImageFeature(pixels, 0.0))
+    v = vector_feature(ImageFeature(pixels))
     for c in range(8):
         total = 0.0
         for r in range(50):
@@ -91,8 +91,8 @@ def test_vector_bounds_for_unit_images():
 def test_vector_invariant_to_row_permutation():
     rng = np.random.default_rng(9)
     pixels = rng.random((50, 8))
-    v1 = vector_feature(ImageFeature(pixels, 0.0))
-    v2 = vector_feature(ImageFeature(pixels[rng.permutation(50)], 0.0))
+    v1 = vector_feature(ImageFeature(pixels))
+    v2 = vector_feature(ImageFeature(pixels[rng.permutation(50)]))
     assert np.allclose(v1.values, v2.values, atol=1e-15)
 
 
@@ -103,7 +103,6 @@ def test_pipeline_shape_contract():
     w = make_window(stream, 25)
     img = image_feature(w)
     assert img.pixels.shape == (50, 8)
-    assert img.start_t == 0.5
     assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0
 
 

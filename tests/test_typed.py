@@ -119,6 +119,8 @@ def test_bad_values_name_their_dotted_path():
     ("synthetic.stream_duration_s", 1e18, r"is 5e\+19 frames, over 2\*\*53"),
     ("synthetic.sample_rate_hz", 1e300, r"is 1\.2e\+302 frames, over 2\*\*53"),
     ("synthetic.stream_duration_s", 1.7e308, r"is inf frames, over 2\*\*53"),
+    ("synthetic.sample_rate_hz", 1e-300, r"is 1\.2e-298 frames, under 1"),
+    ("synthetic.stream_duration_s", 0.01, r"is 0\.5 frames, under 1"),
     ("detector.interest_threshold", 1.0, "interest_threshold must be in"),
     ("detector.min_event_windows", 0, "min_event_windows must be >= 1"),
     ("detector.merge_gap_windows", -1, "merge_gap_windows must be >= 0"),
@@ -127,6 +129,8 @@ def test_bad_values_name_their_dotted_path():
     ("train.batch_size", 1, "batch_size must be >= 2"),
     ("train.epochs", -1, "epochs must be >= 0"),
     ("train.seed", -1, "seed must be non-negative"),
+    ("train.bn_eps", -1.0, "bn_eps must be > 0"),
+    ("train.bn_eps", 0.0, "bn_eps must be > 0"),
 ])
 def test_each_section_check_refuses_its_value(key, value, message):
     with pytest.raises(ConfigError, match=message):

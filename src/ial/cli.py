@@ -20,7 +20,7 @@ from . import detector as det
 from . import evaluation as ev
 from . import net
 from .config import RunConfig, config_hash, load_run_config
-from .errors import ConfigError, EmptyDatasetError, IalError
+from .errors import ConfigError, DataError, IalError
 
 ENV_CONFIG = "IAL_CONFIG"
 
@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -121,7 +121,7 @@ def _split_pairs(pairs: list) -> tuple[list, list]:
 
 def _train_both(cfg: RunConfig, pairs) -> tuple[net.Network, net.Network, list, list]:
     if not pairs:
-        raise EmptyDatasetError("no training streams in the manifest")
+        raise DataError("no training streams in the manifest")
     x1, y1 = det.build_phase1_dataset(pairs, cfg.feature_kind, cfg.detector, seed=cfg.train.seed)
     x2, y2 = det.build_phase2_dataset(pairs, cfg.feature_kind, cfg.detector)
     spec = net.image_model_spec if cfg.feature_kind == det.IMAGE_KIND else net.vector_model_spec
@@ -181,7 +181,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     _, test_pairs = _split_pairs(dat.load_dataset(_manifest_path(cfg), cfg.schema))
     if not test_pairs:
-        raise EmptyDatasetError("no test streams in the manifest")
+        raise DataError("no test streams in the manifest")
     phase1, phase2 = _load_models(cfg)
     report1, report2 = ev.evaluate_run(
         test_pairs, phase1, phase2, cfg.detector, cfg.feature_kind,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .data import SyntheticConfig
 from .detector import IMAGE_KIND, MODEL_FOR_FEATURE, DetectorConfig
-from .errors import ConfigConflictError, ConfigError, MissingFileError
+from .errors import ConfigError
 from .net import CNN_KIND, FC_KIND, TrainConfig
 from .typed import from_json, read_json
 
@@ -51,7 +51,7 @@ class RunConfig:
         if self.model not in (CNN_KIND, FC_KIND):
             raise ConfigError(f"unknown model {self.model!r}")
         if MODEL_FOR_FEATURE[self.feature_kind] != self.model:
-            raise ConfigConflictError(
+            raise ConfigError(
                 f"{self.feature_kind} features pair with the "
                 f"{MODEL_FOR_FEATURE[self.feature_kind]} model, not {self.model}"
             )
@@ -76,7 +76,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     """
     doc: dict = {}
     if path is not None:
-        doc = read_json(Path(path), ConfigError, MissingFileError)
+        doc = read_json(Path(path), ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
     for key, value in (overrides or {}).items():

@@ -22,23 +22,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    InfeasiblePackingError,
-    InvertedIntervalError,
-    MalformedManifestError,
-    MalformedRowError,
-    MissingFileError,
-    NonMonotoneTimestampsError,
-    OutOfRangeError,
-    OverlappingEventsError,
-    TimestampRateError,
-    UnknownLabelError,
-)
+from .errors import ConfigError, DataError, MalformedRowError
 from .typed import from_json, read_json
 
 DEFAULT_SAMPLE_RATE_HZ = 50.0
+
+WINDOW_FRAMES = 150  # frames per detector window (3 s at 50 Hz); a shorter stream has none
 
 # ingest_stream's rate checks: the median timestamp step lies within
 # PERIOD_TOLERANCE of the sample period, and no step exceeds MAX_GAP_PERIODS
@@ -71,7 +60,7 @@ INTEREST_CLASSES: tuple[ActionClass, ...] = tuple(ActionClass)[1:]  # in label-i
 def action_from_label_id(label_id: int) -> ActionClass:
     """Map a 1..5 label file id onto its ActionClass."""
     if not 1 <= label_id <= len(INTEREST_CLASSES):
-        raise UnknownLabelError(f"label id {label_id} outside 1..{len(INTEREST_CLASSES)}")
+        raise DataError(f"label id {label_id} outside 1..{len(INTEREST_CLASSES)}")
     return ActionClass(label_id)
 
 
@@ -106,9 +95,9 @@ class GroundTruthEvent:
 
     def __post_init__(self):
         if self.label not in INTEREST_CLASSES:
-            raise UnknownLabelError(f"{self.label} is not an interest class")
+            raise DataError(f"{self.label} is not an interest class")
         if not self.start < self.end:
-            raise InvertedIntervalError(f"start {self.start} >= end {self.end}")
+            raise DataError(f"start {self.start} >= end {self.end}")
 
 
 @dataclass(frozen=True)
@@ -141,10 +130,10 @@ class SyntheticConfig:
         if self.stream_duration_s <= 0 or self.sample_rate_hz <= 0:
             raise ConfigError("duration and sample rate must be positive")
         frames = self.stream_duration_s * self.sample_rate_hz
-        # under 1 a stream has no rows; beyond 2**53, float timestamps arange(n) / rate no longer tell frames apart
-        if not 1 <= frames <= 2**53:
-            raise ConfigError(f"synthetic.stream_duration_s * synthetic.sample_rate_hz is {frames:g} frames, "
-                              + ("under 1" if frames < 1 else "over 2**53"))
+        # beyond 2**53, float timestamps arange(n) / rate no longer tell frames apart
+        if not WINDOW_FRAMES <= frames <= 2**53:
+            bound = f"under {WINDOW_FRAMES} (one window)" if frames < WINDOW_FRAMES else "over 2**53"
+            raise ConfigError(f"synthetic.stream_duration_s * synthetic.sample_rate_hz is {frames:g} frames, {bound}")
         if self.events_per_stream < 0:
             raise ConfigError("events_per_stream must be >= 0")
         if self.noise_std < 0:
@@ -173,7 +162,7 @@ def _data_lines(p: Path) -> list[str]:
     """The stripped lines of file ``p``, which must exist and be UTF-8, that are
     neither blank nor ``#`` comments.  Lines end only at "\n", "\r\n" or "\r"."""
     if not p.is_file():
-        raise MissingFileError(str(p))
+        raise DataError(str(p))
     try:
         text = p.read_text(encoding="utf-8")  # turns "\r\n" and "\r" into "\n"
     except UnicodeDecodeError as exc:
@@ -230,8 +219,8 @@ def ingest_stream(
     missing, unparseable, or non-finite values, or a negative timestamp, raise
     MalformedRowError with the 1-based data-row number; a row that does not
     parse is reported before any non-finite or negative value.
-    Then the timestamps must strictly increase (NonMonotoneTimestampsError)
-    and agree with ``sample_rate_hz`` (TimestampRateError).
+    Then the timestamps must strictly increase and agree with
+    ``sample_rate_hz``, or DataError is raised.
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     if sorted(schema) != sorted(STREAM_FIELDS):
@@ -256,12 +245,12 @@ def ingest_stream(
     dt = np.diff(t)
     if np.any(dt <= 0):
         i = int(np.argmax(dt <= 0))
-        raise NonMonotoneTimestampsError(f"{p}: data row {i + 2}: t = {t[i + 1]:.17g} after {t[i]:.17g}")
+        raise DataError(f"{p}: data row {i + 2}: t = {t[i + 1]:.17g} after {t[i]:.17g}")
     period = 1.0 / sample_rate_hz
     if len(dt) and (
         abs(np.median(dt) - period) > PERIOD_TOLERANCE * period or dt.max() > MAX_GAP_PERIODS * period
     ):
-        raise TimestampRateError(
+        raise DataError(
             f"{p}: timestamp steps (median {np.median(dt):.6g} s, longest {dt.max():.6g} s) "
             f"do not fit {sample_rate_hz:g} Hz"
         )
@@ -299,7 +288,7 @@ def parse_labels(path) -> list[GroundTruthEvent]:
     events.sort(key=lambda ev: ev.start)
     for prev, nxt in zip(events, events[1:]):
         if nxt.start < prev.end:
-            raise OverlappingEventsError(f"[{prev.start}, {prev.end}] overlaps [{nxt.start}, {nxt.end}]")
+            raise DataError(f"[{prev.start}, {prev.end}] overlaps [{nxt.start}, {nxt.end}]")
     return events
 
 
@@ -315,7 +304,7 @@ def split_dataset(streams: Sequence[Stream]) -> tuple[list[Stream], list[Stream]
     """Partition streams into train (ids 1..9) and test (id 10), per subject."""
     for s in streams:
         if not 1 <= s.stream_id <= 10:
-            raise OutOfRangeError(f"stream_id {s.stream_id} outside 1..10")
+            raise DataError(f"stream_id {s.stream_id} outside 1..10")
     train = [s for s in streams if s.stream_id <= 9]
     test = [s for s in streams if s.stream_id == 10]
     return train, test
@@ -348,14 +337,14 @@ def generate_synthetic_stream(
     k = cfg.events_per_stream
     gap, lo = cfg.min_gap_s, cfg.event_duration_range[0]
     if k > 0 and k * lo + (k + 1) * gap > cfg.stream_duration_s:  # before any draw, however large k is
-        raise InfeasiblePackingError(f"{k} events of at least {lo}s and {gap}s gaps exceed {cfg.stream_duration_s}s")
+        raise DataError(f"{k} events of at least {lo}s and {gap}s gaps exceed {cfg.stream_duration_s}s")
 
     class_ids = rng.integers(0, len(INTEREST_CLASSES), k)
     classes = [INTEREST_CLASSES[i] for i in class_ids]
     durations = rng.uniform(cfg.event_duration_range[0], cfg.event_duration_range[1], k)
     slack = cfg.stream_duration_s - float(durations.sum()) - (k + 1) * gap
     if k > 0 and slack < 0:
-        raise InfeasiblePackingError(
+        raise DataError(
             f"{k} events of total {durations.sum():.2f}s with {gap}s gaps do not fit in "
             f"{cfg.stream_duration_s}s"
         )
@@ -411,12 +400,12 @@ def write_manifest(
 
 def load_manifest(path) -> tuple[list[ManifestEntry], float]:
     p = Path(path)
-    doc = read_json(p, MalformedManifestError, MissingFileError)
-    manifest = from_json(Manifest, doc, lambda message: MalformedManifestError(f"{p}: {message}"))
+    doc = read_json(p, DataError)
+    manifest = from_json(Manifest, doc, lambda message: DataError(f"{p}: {message}"))
     if manifest.version != 1:
-        raise MalformedManifestError(f"{p}: unsupported manifest version {manifest.version}")
+        raise DataError(f"{p}: unsupported manifest version {manifest.version}")
     if not manifest.sample_rate_hz > 0:
-        raise MalformedManifestError(f"{p}: sample_rate_hz must be > 0, got {manifest.sample_rate_hz}")
+        raise DataError(f"{p}: sample_rate_hz must be > 0, got {manifest.sample_rate_hz}")
     return list(manifest.streams), manifest.sample_rate_hz
 
 

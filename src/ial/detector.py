@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import INTEREST_CLASSES, ActionClass, GroundTruthEvent, Stream, write_lines
-from .errors import ConfigError, ModelFeatureMismatchError
+from .errors import ConfigError, DataError
 from .features import vector_batch
 from .net import CNN_KIND, FC_KIND, Network
 from .signal import WINDOW_FRAMES, window_images, window_starts
@@ -135,13 +135,9 @@ def _check_model(model: Network, feature_kind: str, n_classes: int) -> None:
     if want_kind is None:
         raise ConfigError(f"unknown feature kind {feature_kind!r}")
     if model.spec.kind != want_kind:
-        raise ModelFeatureMismatchError(
-            f"{feature_kind} features need a {want_kind} model, got {model.spec.kind}"
-        )
+        raise DataError(f"{feature_kind} features need a {want_kind} model, got {model.spec.kind}")
     if model.spec.n_classes != n_classes:
-        raise ModelFeatureMismatchError(
-            f"expected a {n_classes}-class model, got {model.spec.n_classes}"
-        )
+        raise DataError(f"expected a {n_classes}-class model, got {model.spec.n_classes}")
 
 
 def _batched_proba(model: Network, x: np.ndarray, threads: int = 1) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import INTEREST_CLASSES, GroundTruthEvent, Stream
 from .detector import DetectedEvent, DetectorConfig, WindowScores, detect, window_labels
-from .errors import ConfigError, UnsortedInputError
+from .errors import ConfigError, DataError
 from .net import Network
 
 PHASE_ONE = "one"
@@ -84,9 +84,9 @@ def _interval_iou(a_start, a_end, b_start, b_end) -> float:
 def _check_sorted_disjoint(items, what: str) -> None:
     for prev, nxt in zip(items, items[1:]):
         if nxt.start < prev.start:
-            raise UnsortedInputError(f"{what} not sorted by start")
+            raise DataError(f"{what} not sorted by start")
         if nxt.start < prev.end:
-            raise UnsortedInputError(f"{what} intervals overlap")
+            raise DataError(f"{what} intervals overlap")
 
 
 def match_events(

@@ -21,18 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import (
-    BatchTooSmallError,
-    CheckpointMismatchError,
-    ConfigError,
-    DataError,
-    EmptyDatasetError,
-    InputTooSmallError,
-    InvalidRateError,
-    LabelOutOfRangeError,
-    MissingCheckpointError,
-    ShapeMismatchError,
-)
+from .errors import ConfigError, DataError
 from .typed import from_json, read_json
 
 # ---------------------------------------------------------------------------
@@ -97,9 +86,9 @@ def _padded(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """``x`` zero-padded by half of each odd kernel side: np.pad's bytes, without its per-call overhead."""
     (n, h, w, c_in), (_, kh, kw, kc) = x.shape, kernels.shape
     if kc != c_in:
-        raise ShapeMismatchError(f"kernel expects {kc} input channels, input has {c_in}")
+        raise DataError(f"kernel expects {kc} input channels, input has {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeMismatchError("same padding requires odd kernel sides")
+        raise DataError("same padding requires odd kernel sides")
     padded = np.zeros((n, h + kh - 1, w + kw - 1, c_in))
     padded[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x
     return padded
@@ -146,7 +135,7 @@ def _pool_cells(x: np.ndarray) -> list[np.ndarray]:
     each a strided (N, H//2, W//2, C) view; a trailing odd row/column is dropped."""
     h, w = x.shape[1:3]
     if h < 2 or w < 2:
-        raise InputTooSmallError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
+        raise DataError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
     return [x[:, i : h - h % 2 : 2, j : w - w % 2 : 2, :] for i in (0, 1) for j in (0, 1)]
 
 
@@ -173,7 +162,7 @@ def _folded_block(x: np.ndarray, kernels: np.ndarray, bn: BatchNorm) -> np.ndarr
     """
     n, h, w, c_in = x.shape
     if h < 2 or w < 2:
-        raise InputTooSmallError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
+        raise DataError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
     scale, shift = bn.folded()
     c_out, kh, kw, _ = kernels.shape
     padded = _padded(x, kernels)
@@ -239,7 +228,7 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if x.shape[-1] != self.w.shape[1]:
-            raise ShapeMismatchError(f"input width {x.shape[-1]} != {self.w.shape[1]}")
+            raise DataError(f"input width {x.shape[-1]} != {self.w.shape[1]}")
         if train:
             self._x = x
         return x @ self.w.T + self.b
@@ -310,7 +299,7 @@ class BatchNorm(Layer):
             s, shift = self.folded()
             return x * s + shift
         if x.shape[0] < 2:
-            raise BatchTooSmallError(f"batchnorm needs batch >= 2, got {x.shape[0]}")
+            raise DataError(f"batchnorm needs batch >= 2, got {x.shape[0]}")
         flat = x.reshape(-1, x.shape[-1])
         ones = np.full(len(flat), 1.0 / len(flat))
         mean = ones @ flat
@@ -348,7 +337,7 @@ class BatchNorm(Layer):
 class Dropout(Layer):
     def __init__(self, rate: float, rng: np.random.Generator):
         if not 0.0 <= rate < 1.0:
-            raise InvalidRateError(f"dropout rate {rate} outside [0, 1)")
+            raise DataError(f"dropout rate {rate} outside [0, 1)")
         self.rate = rate
         self.rng = rng
 
@@ -576,11 +565,11 @@ def train(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if len(x) == 0:
-        raise EmptyDatasetError("no training samples")
+        raise DataError("no training samples")
     if len(x) != len(y):
-        raise ShapeMismatchError(f"{len(x)} samples vs {len(y)} labels")
+        raise DataError(f"{len(x)} samples vs {len(y)} labels")
     if y.min() < 0 or y.max() >= spec.n_classes:
-        raise LabelOutOfRangeError(f"labels must lie in [0, {spec.n_classes})")
+        raise DataError(f"labels must lie in [0, {spec.n_classes})")
 
     spec = replace(spec, dropout_rate=cfg.dropout_rate, bn_eps=cfg.bn_eps)
     net = build_network(spec, seed=cfg.seed)
@@ -602,7 +591,7 @@ def train(
             total += loss * len(idx)
             seen += len(idx)
         if seen == 0:
-            raise BatchTooSmallError("need at least 2 samples to train")
+            raise DataError("need at least 2 samples to train")
         losses.append(total / seen)
         if not math.isfinite(losses[-1]):
             raise DataError(f"training diverged: epoch {epoch} has mean loss {losses[-1]}")
@@ -742,10 +731,10 @@ def load_checkpoint(path) -> Network:
     running mean, equal up to rounding.
     """
     p = Path(path)
-    doc = read_json(p, CheckpointMismatchError, MissingCheckpointError)
+    doc = read_json(p, DataError)
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
-        raise CheckpointMismatchError(f"unsupported checkpoint version {version}")
+        raise DataError(f"unsupported checkpoint version {version}")
     try:
         spec = from_json(ModelSpec, doc.get("spec"), ConfigError, "spec")
         entries = doc.get("state", {}).items()
@@ -754,20 +743,20 @@ def load_checkpoint(path) -> Network:
         else:
             state = {name: np.asarray(arr, dtype=np.float64) for name, arr in entries}
     except (ConfigError, TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointMismatchError(f"{p}: {exc}") from None
+        raise DataError(f"{p}: {exc}") from None
 
     def take(i: int, name: str, shape: tuple, fill: float | None) -> np.ndarray:
         arr = state.pop(f"{i}.{name}", None)
         if arr is None or arr.shape != shape:
             found = "no array" if arr is None else f"shape {arr.shape}"
-            raise CheckpointMismatchError(f"{p}: {i}.{name}: {found} where the spec needs {shape}")
+            raise DataError(f"{p}: {i}.{name}: {found} where the spec needs {shape}")
         if version == 1 and name == "running_mean":
             arr = arr - take(i - 1, "bias", shape, None)
         if not np.isfinite(arr).all():
-            raise CheckpointMismatchError(f"{p}: {i}.{name}: non-finite values")
+            raise DataError(f"{p}: {i}.{name}: non-finite values")
         return arr
 
     net = _assemble(spec, take, seed=0)
     if state:
-        raise CheckpointMismatchError(f"{p}: array {next(iter(state))} is not in the spec")
+        raise DataError(f"{p}: array {next(iter(state))} is not in the spec")
     return net

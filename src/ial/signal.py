@@ -14,15 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import Stream
-from .errors import (
-    LengthNotDivisibleError,
-    NonFiniteInputError,
-    OutOfRangeError,
-    StreamTooShortError,
-)
+from .data import WINDOW_FRAMES, Stream
+from .errors import DataError
 
-WINDOW_FRAMES = 150
 DOWNSAMPLE_FACTOR = 3
 
 
@@ -48,20 +42,20 @@ def median_downsample(matrix: np.ndarray, factor: int = DOWNSAMPLE_FACTOR) -> np
         raise ValueError("expected a 2-D matrix")
     rows = m.shape[0]
     if rows % factor != 0:
-        raise LengthNotDivisibleError(f"{rows} rows not divisible by {factor}")
+        raise DataError(f"{rows} rows not divisible by {factor}")
     return np.median(m.reshape(rows // factor, factor, m.shape[1]), axis=1)
 
 
 def eight_channels(values: np.ndarray) -> np.ndarray:
     """Expand (n, 6) raw samples to the (n, 8) channel layout with magnitudes."""
     if not np.all(np.isfinite(values)):
-        raise NonFiniteInputError("non-finite sample values")
+        raise DataError("non-finite sample values")
     a = values[:, 0:3]
     g = values[:, 3:6]
     a_mag = np.sqrt(np.einsum("ij,ij->i", a, a))
     g_mag = np.sqrt(np.einsum("ij,ij->i", g, g))
     if not (np.isfinite(a_mag).all() and np.isfinite(g_mag).all()):
-        raise NonFiniteInputError("sample values so large that the magnitude |a| or |g| overflows")
+        raise DataError("sample values so large that the magnitude |a| or |g| overflows")
     return np.column_stack([a, a_mag, g, g_mag])
 
 
@@ -71,9 +65,7 @@ def make_window(stream: Stream, start_frame: int) -> SignalWindow:
     The per-window reference for ``window_images``.
     """
     if start_frame < 0 or start_frame + WINDOW_FRAMES > len(stream):
-        raise OutOfRangeError(
-            f"window [{start_frame}, {start_frame + WINDOW_FRAMES}) outside stream of {len(stream)}"
-        )
+        raise DataError(f"window [{start_frame}, {start_frame + WINDOW_FRAMES}) outside stream of {len(stream)}")
     raw = eight_channels(stream.values[start_frame : start_frame + WINDOW_FRAMES])
     frames = _unit_scale(raw, raw.min(axis=0), raw.max(axis=0))
     return SignalWindow(frames)
@@ -83,7 +75,7 @@ def window_starts(n_frames: int, stride_frames: int) -> range:
     if stride_frames < 1:
         raise ValueError("stride_frames must be >= 1")
     if n_frames < WINDOW_FRAMES:
-        raise StreamTooShortError(f"{n_frames} frames < {WINDOW_FRAMES}")
+        raise DataError(f"{n_frames} frames < {WINDOW_FRAMES}")
     return range(0, n_frames - WINDOW_FRAMES + 1, stride_frames)
 
 

@@ -17,11 +17,13 @@ import typing
 from pathlib import Path
 from typing import Callable
 
+from .errors import DataError
 
-def read_json(path: Path, error: Callable[[str], Exception], missing: Callable[[str], Exception]):
-    """The parsed JSON file at ``path``; ``missing`` or ``error`` is raised if absent or not JSON."""
+
+def read_json(path: Path, error: Callable[[str], Exception]):
+    """The parsed JSON file at ``path``; DataError naming the path if it is absent, ``error`` if it is not JSON."""
     if not path.is_file():
-        raise missing(str(path))
+        raise DataError(str(path))
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:

@@ -60,6 +60,28 @@ def test_missing_command_exits_one():
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--bogus", "synth"], "ial: error: unrecognized arguments: --bogus"),
+    (["detect"], "ial detect: error: the following arguments are required: stream"),
+    (["frobnicate"], "ial: error: argument command: invalid choice: 'frobnicate'"),
+], ids=["unknown-flag", "missing-stream", "unknown-command"])
+def test_usage_error_says_what_was_wrong(capsys, argv, reason):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ial") and err.splitlines()[-1].startswith(reason)
+
+
+def test_synth_refuses_streams_shorter_than_one_window(tmp_path, capsys):
+    # 30 s at 1 Hz is 30 frames: no window to train or detect on
+    cfg = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--set", "synthetic.sample_rate_hz=1", "synth"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: synthetic.stream_duration_s * synthetic.sample_rate_hz is 30 frames, "
+                   "under 150 (one window)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_config_key_exits_one(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"no_such_key": 1}))
@@ -343,7 +365,7 @@ BAD_INPUTS = [
         'schema={"t": -1, "ax": 1, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 0}', 'schema={"t": 0}',
         'schema={"t": 0, "ax": 0, "ay": 2, "az": 3, "gx": 4, "gy": 5, "gz": 6}', "train.epochs",
         "synthetic.stream_duration_s=1e18", "synthetic.sample_rate_hz=1e300", "synthetic.stream_duration_s=1.7e308",
-        "synthetic.sample_rate_hz=1e-300")),
+        "synthetic.sample_rate_hz=1e-300", "synthetic.sample_rate_hz=1")),
     *(pytest.param("spec", kv, 2, id=f"spec.{kv[0]}={kv[1]!r}") for kv in (
         ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]),
         ("bn_eps", -1.0))),

@@ -18,7 +18,7 @@ from ial.detector import (
     write_events_json,
     write_events_tsv,
 )
-from ial.errors import ConfigError, ModelFeatureMismatchError, StreamTooShortError
+from ial.errors import ConfigError, DataError
 from ial.evaluation import evaluate_run
 from ial.net import TrainConfig, build_network, image_model_spec, train, vector_model_spec
 
@@ -73,17 +73,17 @@ def test_score_windows_count_and_range():
 def test_score_windows_short_stream():
     stream = make_stream(n=100)
     model = build_network(vector_model_spec(2), seed=0)
-    with pytest.raises(StreamTooShortError):
+    with pytest.raises(DataError, match=r"^100 frames < 150$"):
         score_windows(stream, model, "vector", DetectorConfig())
 
 
 def test_score_windows_feature_mismatch():
     stream = make_stream(n=200)
     fc_binary = build_network(vector_model_spec(2), seed=0)
-    with pytest.raises(ModelFeatureMismatchError):
+    with pytest.raises(DataError, match=r"^image features need a cnn model, got fc$"):
         score_windows(stream, fc_binary, "image", DetectorConfig())
     five_class = build_network(vector_model_spec(5), seed=0)
-    with pytest.raises(ModelFeatureMismatchError):
+    with pytest.raises(DataError, match=r"^expected a 2-class model, got 5$"):
         score_windows(stream, five_class, "vector", DetectorConfig())
 
 
@@ -251,7 +251,7 @@ def test_classify_tie_breaks_to_lowest_index():
 
 def test_detect_checks_the_phase2_model_without_an_interval():
     stream = make_stream(n=400)
-    with pytest.raises(ModelFeatureMismatchError):
+    with pytest.raises(DataError, match=r"^expected a 5-class model, got 2$"):
         detect(stream, positive_at(17, []), constant_model("fc", 2, [0.5, 0.5]), DetectorConfig(), "vector")
 
 

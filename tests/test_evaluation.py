@@ -6,7 +6,7 @@ import pytest
 
 from ial.data import ActionClass, GroundTruthEvent, INTEREST_CLASSES, Stream
 from ial.detector import DetectedEvent, DetectorConfig
-from ial.errors import ConfigError, UnsortedInputError
+from ial.errors import ConfigError, DataError
 from ial.evaluation import (
     ConfusionCounts,
     aggregate_run,
@@ -66,9 +66,9 @@ def test_match_extra_detection_same_truth_is_fp():
 
 
 def test_match_unsorted_rejected():
-    with pytest.raises(UnsortedInputError):
+    with pytest.raises(DataError, match=r"^detected not sorted by start$"):
         match_events([det(L, 5, 6), det(L, 1, 2)], [], "one")
-    with pytest.raises(UnsortedInputError):
+    with pytest.raises(DataError, match=r"^truth intervals overlap$"):
         match_events([], [gt(L, 1, 5), gt(W, 2, 6)], "one")
 
 

@@ -121,6 +121,9 @@ def test_bad_values_name_their_dotted_path():
     ("synthetic.stream_duration_s", 1.7e308, r"is inf frames, over 2\*\*53"),
     ("synthetic.sample_rate_hz", 1e-300, r"is 1\.2e-298 frames, under 1"),
     ("synthetic.stream_duration_s", 0.01, r"is 0\.5 frames, under 1"),
+    ("synthetic.sample_rate_hz", 0.01, r"^synthetic\.stream_duration_s \* synthetic\.sample_rate_hz is 1\.2 frames, "
+                                       r"under 150 \(one window\)$"),
+    ("synthetic.stream_duration_s", 2.98, r"is 149 frames, under 150 \(one window\)$"),
     ("detector.interest_threshold", 1.0, "interest_threshold must be in"),
     ("detector.min_event_windows", 0, "min_event_windows must be >= 1"),
     ("detector.merge_gap_windows", -1, "merge_gap_windows must be >= 0"),

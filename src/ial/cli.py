@@ -113,10 +113,12 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _split_pairs(pairs: list) -> tuple[list, list]:
-    """``split_dataset`` applied to (stream, events) pairs."""
-    train, test = dat.split_dataset([s for s, _ in pairs])
-    return [p for p in pairs if p[0] in train], [p for p in pairs if p[0] in test]
+def _load_split(cfg: RunConfig, test: bool) -> list:
+    """The (stream, events) pairs of the manifest's train or test split; the
+    streams of the other split are not read, but every stream id is checked."""
+    path = _manifest_path(cfg)
+    entries, rate = dat.load_manifest(path)
+    return dat.load_entries(path.parent, dat.split_dataset(entries)[1 if test else 0], rate, cfg.schema)
 
 
 def _train_both(cfg: RunConfig, pairs) -> tuple[net.Network, net.Network, list, list]:
@@ -140,7 +142,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_pairs, _ = _split_pairs(dat.load_dataset(_manifest_path(cfg), cfg.schema))
+    train_pairs = _load_split(cfg, test=False)
     net1, net2, losses1, losses2 = _train_both(cfg, train_pairs)
     meta = {"seed": cfg.train.seed, "feature_kind": cfg.feature_kind}
     net.save_checkpoint(net1, _checkpoint_path(cfg, 1), config_hash=chash, meta=meta)
@@ -179,7 +181,7 @@ def cmd_detect(cfg: RunConfig, args) -> int:
 
 def cmd_eval(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
-    _, test_pairs = _split_pairs(dat.load_dataset(_manifest_path(cfg), cfg.schema))
+    test_pairs = _load_split(cfg, test=True)
     if not test_pairs:
         raise DataError("no test streams in the manifest")
     phase1, phase2 = _load_models(cfg)

@@ -300,8 +300,9 @@ def write_labels(events: Sequence[GroundTruthEvent], path, comments: Sequence[st
     write_lines(path, lines, comments)
 
 
-def split_dataset(streams: Sequence[Stream]) -> tuple[list[Stream], list[Stream]]:
-    """Partition streams into train (ids 1..9) and test (id 10), per subject."""
+def split_dataset(streams: Sequence) -> tuple[list, list]:
+    """Partition streams, or manifest entries, into train (ids 1..9) and test
+    (id 10), per subject; only their ``stream_id`` is read."""
     for s in streams:
         if not 1 <= s.stream_id <= 10:
             raise DataError(f"stream_id {s.stream_id} outside 1..10")
@@ -409,12 +410,10 @@ def load_manifest(path) -> tuple[list[ManifestEntry], float]:
     return list(manifest.streams), manifest.sample_rate_hz
 
 
-def load_dataset(
-    manifest_path, schema: Mapping[str, int] | None = None
+def load_entries(
+    base: Path, entries: Sequence[ManifestEntry], rate: float, schema: Mapping[str, int] | None = None
 ) -> list[tuple[Stream, list[GroundTruthEvent]]]:
-    """Load every (stream, events) pair listed in a manifest."""
-    base = Path(manifest_path).parent
-    entries, rate = load_manifest(manifest_path)
+    """The (stream, events) pair of each manifest entry, its paths relative to ``base``."""
     out = []
     for e in entries:
         stream = ingest_stream(
@@ -426,3 +425,10 @@ def load_dataset(
         )
         out.append((stream, parse_labels(base / e.labels_path)))
     return out
+
+
+def load_dataset(
+    manifest_path, schema: Mapping[str, int] | None = None
+) -> list[tuple[Stream, list[GroundTruthEvent]]]:
+    """Load every (stream, events) pair listed in a manifest."""
+    return load_entries(Path(manifest_path).parent, *load_manifest(manifest_path), schema)

@@ -1,12 +1,12 @@
 """Minimal double-precision neural network stack with manual backpropagation.
 
 Two architectures are supported: a 3-block CNN (16/32/64 same-padded 3x3
-convolutions without bias, each with batchnorm, ReLU and 2x2 max-pooling, then
+convolutions without bias, each with batchnorm, 2x2 max-pooling and ReLU, then
 dropout and a single dense output layer) for 50x8x1 image inputs, and a
 4-layer dense network (three 128-unit hidden layers with ReLU, dropout, dense
 output) for 16-dim vector inputs.  Every layer's backward pass is verified
 against central finite differences by ``gradient_check``.  CNN inference runs
-each conv, batchnorm, ReLU and pool block as one folded step.
+each conv, batchnorm, pool and ReLU block as one folded step.
 """
 
 from __future__ import annotations
@@ -146,12 +146,12 @@ def _pool_max(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _folded_block(x: np.ndarray, kernels: np.ndarray, bn: BatchNorm) -> np.ndarray:
-    """Conv2D -> BatchNorm -> ReLU -> MaxPool2 at inference, as one step.
+    """Conv2D -> BatchNorm -> MaxPool2 -> ReLU at inference, as one step.
 
     BatchNorm's scale s goes into the kernels and its shift is added after the
-    pool, followed by ReLU in place.  Pooling first is exact: z -> max(fl(z +
-    shift), 0) never decreases as z grows, so it commutes with the max, and a
-    negative s is already in the kernels.  Only the fold, conv(x, k * s) for
+    pool, followed by ReLU in place.  Pooling before the shift is exact: z ->
+    fl(z + shift) never decreases as z grows, so it commutes with the max, and
+    a negative s is already in the kernels.  Only the fold, conv(x, k * s) for
     conv(x, k) * s, reassociates.
 
     The im2col rows come in pool-cell order (2 di + dj, n, r2, c2) for output
@@ -256,8 +256,8 @@ class MaxPool2(Layer):
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         y, (c0, c1, c2, _) = _pool_max(x)
-        if train:  # argmax: 0 if c0 holds the max, else 1 if c1 does, ... (np.argmax's first-tie order)
-            self.argmax, self._shape = (c0 != y) * (1 + (c1 != y) * (1 + (c2 != y))), x.shape
+        if train:  # int8 argmax: 0 if c0 holds the max, else 1 if c1 does, ... (np.argmax's first-tie order)
+            self.argmax, self._shape = (c0 != y) * (np.int8(1) + (c1 != y) * (np.int8(1) + (c2 != y))), x.shape
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -274,7 +274,10 @@ class BatchNorm(Layer):
     with momentum 0.9; infer mode is the affine map ``folded`` gives from the
     running statistics, which a CNN folds into the conv before it.  Train mode
     takes each per-channel mean over the m rows of the leading axes as one BLAS
-    product with ``ones`` = 1/m, and reuses its buffers in place.  The backward
+    product with ``ones`` = 1/m, and reuses its buffers in place.  It applies a
+    per-channel vector to the per-sample rows, with the vector tiled once per
+    pixel, not to the m rows of C channels: the same operation on the same
+    operands in long inner loops.  The backward
     pass is the full batch-coupled gradient of a training forward in closed form
     (Ioffe & Szegedy 2015).
     """
@@ -300,37 +303,41 @@ class BatchNorm(Layer):
             return x * s + shift
         if x.shape[0] < 2:
             raise DataError(f"batchnorm needs batch >= 2, got {x.shape[0]}")
-        flat = x.reshape(-1, x.shape[-1])
+        c = x.shape[-1]
+        flat = x.reshape(-1, c)
         ones = np.full(len(flat), 1.0 / len(flat))
+        reps = len(flat) // len(x)  # pixels per sample
         mean = ones @ flat
-        xhat = flat - mean
+        xhat = x.reshape(len(x), -1) - np.tile(mean, reps)
         # corrected two-pass: the mean of the centered input is what rounding left
         # in ``mean``, which a channel's offset over its spread would amplify
-        rest = ones @ xhat
+        rest = ones @ xhat.reshape(-1, c)
         out = np.square(xhat)
-        var = ones @ out - rest * rest
+        var = ones @ out.reshape(-1, c) - rest * rest
         self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * (mean + rest)
         self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat -= rest
-        xhat *= inv
+        xhat -= np.tile(rest, reps)
+        xhat *= np.tile(inv, reps)
         self._cache = (xhat, inv, ones)
-        np.multiply(xhat, self.gamma, out=out)  # into the buffer of the squares, now read
-        out += self.beta
+        np.multiply(xhat, np.tile(self.gamma, reps), out=out)  # into the buffer of the squares, now read
+        out += np.tile(self.beta, reps)
         return out.reshape(x.shape)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         """(inv * gamma) * (dy - mean(dy) - xhat * mean(dy * xhat)), built in one buffer."""
-        xhat, inv, ones = self._cache
-        flat = dy.reshape(xhat.shape)
-        mean_dy = ones @ flat
-        dx = flat * xhat
-        mean_dy_xhat = ones @ dx
+        xhat, inv, ones = self._cache  # xhat holds the per-sample rows
+        c = len(inv)
+        reps = xhat.shape[1] // c
+        rows = dy.reshape(xhat.shape)
+        mean_dy = ones @ rows.reshape(-1, c)
+        dx = rows * xhat
+        mean_dy_xhat = ones @ dx.reshape(-1, c)
         self.d_gamma, self.d_beta = len(ones) * mean_dy_xhat, len(ones) * mean_dy
-        np.multiply(xhat, mean_dy_xhat, out=dx)
-        np.subtract(flat, dx, out=dx)
-        dx -= mean_dy
-        dx *= inv * self.gamma
+        np.multiply(xhat, np.tile(mean_dy_xhat, reps), out=dx)
+        np.subtract(rows, dx, out=dx)
+        dx -= np.tile(mean_dy, reps)
+        dx *= np.tile(inv * self.gamma, reps)
         return dx.reshape(dy.shape)
 
 
@@ -423,7 +430,7 @@ class Network:
         out = np.asarray(x, dtype=np.float64)
         layers = iter(self.layers)
         for layer in layers:
-            if not train and isinstance(layer, Conv2D):  # _assemble follows it with BatchNorm, ReLU, MaxPool2
+            if not train and isinstance(layer, Conv2D):  # _assemble follows it with BatchNorm, MaxPool2, ReLU
                 bn, _, _ = next(layers), next(layers), next(layers)
                 out = _folded_block(out, layer.kernels, bn)
             else:
@@ -462,7 +469,15 @@ class Network:
 def _assemble(spec: ModelSpec, take, seed: int) -> Network:
     """The one walk over a spec: ``make`` takes a layer's ``PARAMS`` then ``STATE``
     arrays, in order, from ``take(layer index, name, shape, fill)``, given a (shape,
-    fill) each, where ``fill`` is the initial value and None is a Glorot-uniform draw."""
+    fill) each, where ``fill`` is the initial value and None is a Glorot-uniform draw.
+
+    A conv block pools before its ReLU, so the ReLU runs on a quarter of the
+    values.  The output is that of ReLU then pool: x -> max(x, 0) never
+    decreases as x grows, so it commutes with the 2x2 max.  So are the
+    gradients, except where a pooled BatchNorm output is exactly +-0 and no cell
+    of its block is positive: there the gradient reaches the block's first zero
+    cell, where ReLU first sent it to the block's first cell and kept it only if
+    that cell was zero."""
     layers: list = []
 
     def make(cls, *shape_fills: tuple, **options) -> Layer:
@@ -476,7 +491,7 @@ def _assemble(spec: ModelSpec, take, seed: int) -> Network:
             layers.append(make(Conv2D, ((filters, spec.kernel, spec.kernel, c), None)))
             layers.append(make(BatchNorm, (ch, 1.0), (ch, 0.0), (ch, 0.0), (ch, 1.0),
                                eps=spec.bn_eps, momentum=spec.bn_momentum))
-            layers += [ReLU(), MaxPool2()]
+            layers += [MaxPool2(), ReLU()]
             h, w, c = h // 2, w // 2, filters
         layers.append(Flatten())
         d = h * w * c
@@ -625,9 +640,13 @@ def gradient_check(
     sign or a pooling argmax puts a kink inside that bracket.  Indices whose
     two evaluations give different ReLU masks or pooling argmaxes are skipped;
     a wrong-but-smooth backward pass leaves those untouched, so real gradient
-    bugs are not masked.  Perturbing an array of layer k reruns only layers k
-    onward, from layer k's unperturbed input.  That is exact: no layer writes
-    into its input, and no running statistic or rate-0 dropout draw enters the loss.
+    bugs are not masked.  The kinks follow the layer order: a CNN block's ReLU
+    masks its pooled values, and its pool's argmaxes are taken before the ReLU,
+    so the indices skipped, and so the error returned, differ at some seeds
+    from a block that runs ReLU before the pool.  Perturbing an array of layer
+    k reruns only layers k onward, from layer k's unperturbed input.  That is
+    exact: no layer writes into its input, and no running statistic or rate-0
+    dropout draw enters the loss.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)

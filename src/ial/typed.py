@@ -17,13 +17,11 @@ import typing
 from pathlib import Path
 from typing import Callable
 
-from .errors import DataError
-
 
 def read_json(path: Path, error: Callable[[str], Exception]):
-    """The parsed JSON file at ``path``; DataError naming the path if it is absent, ``error`` if it is not JSON."""
+    """The parsed JSON file at ``path``; ``error`` naming the path if it is absent or not JSON."""
     if not path.is_file():
-        raise DataError(str(path))
+        raise error(str(path))
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:

@@ -90,6 +90,15 @@ def test_bad_config_key_exits_one(tmp_path):
     assert main(["--config", str(path), "synth"]) == 1
 
 
+def test_missing_config_file_exits_one_like_an_unreadable_one(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    assert main(["--config", str(path), "synth"]) == 1
+    assert capsys.readouterr().err == f"config error: {path}\n"
+    path.write_text("{bad")
+    assert main(["--config", str(path), "synth"]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}: invalid JSON (")
+
+
 def test_feature_model_conflict_exits_one(tmp_path):
     cfg = write_config(tmp_path, feature_kind="image", model="fc")
     assert main(["--config", str(cfg), "train"]) == 1
@@ -203,6 +212,27 @@ def test_eval_without_a_test_stream_exits_two(tmp_path, capsys):
     assert main([*args, "eval"]) == 2
     assert capsys.readouterr().err == "error: no test streams in the manifest\n"
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_train_and_eval_read_only_the_streams_of_their_split(tmp_path, capsys):
+    args = ["--config", str(write_config(tmp_path)), "--set", "train.epochs=2"]
+    assert main([*args, "synth"]) == 0
+    out = tmp_path / "out"
+    test_stream, train_stream = out / "data" / "s01_r10.csv", out / "data" / "s01_r01.csv"
+    good = test_stream.read_bytes()
+    test_stream.write_text("t,ax,ay,az,gx,gy,gz\n0.0,not,a,row\n")
+    assert main([*args, "train"]) == 0
+    assert main([*args, "eval"]) == 2  # eval does read the test stream
+    test_stream.write_bytes(good)
+    train_stream.unlink()
+    assert main([*args, "eval"]) == 0
+    # every entry's stream id is still checked, in either split
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["streams"][0]["stream_id"] = 11
+    (out / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([*args, "eval"]) == 2
+    assert capsys.readouterr().err == "error: stream_id 11 outside 1..10\n"
 
 
 def test_detect_dump_windows_the_stream_once(tmp_path, monkeypatch):

@@ -34,6 +34,8 @@ seeded image networks train to other arrays, and one event confidence moves
 in its last digit.  The vector pins hold at both.
 The array pins hash every ``Network.arrays()`` entry of the trained networks,
 so an exact change to the network code must leave checkpoints byte-identical.
+Training each CNN block pool-first (Conv2D, BatchNorm, MaxPool2, ReLU) left
+every pin unchanged.
 """
 
 import hashlib

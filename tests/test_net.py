@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ial.net as net_module
 from ial.detector import PROBA_CHUNK, _batched_proba
 from ial.errors import ConfigError, DataError
 from ial.net import (
@@ -276,7 +277,7 @@ def test_maxpool_matches_oracle():
         y = layer.forward(x, train=True)
         assert y.shape == dy.shape and y.tobytes() == want_y.tobytes()
         assert maxpool2(x[0]).tobytes() == want_y[0].tobytes()
-        assert np.array_equal(layer.argmax, want_argmax)
+        assert layer.argmax.dtype == np.int8 and np.array_equal(layer.argmax, want_argmax)
         assert layer.backward(dy).tobytes() == want_dx.tobytes()
 
 
@@ -427,6 +428,51 @@ def test_batchnorm_matches_the_per_axis_oracle(batch, block):
     for name, expect in want.items():
         assert got[name].shape == expect.shape, name
         assert np.abs(got[name] - expect).max() <= 1e-12 * max(np.abs(expect).max(), 1.0), name
+
+
+def batchnorm_row_oracle(x, dy, gamma, beta, running_mean, running_var, eps=1e-5, momentum=0.9):
+    """A BatchNorm training forward and backward with every per-channel vector
+    broadcast over the (m, C) rows of the leading axes, as named arrays: the
+    formulas, in their order of operations, that the per-sample-row broadcasts
+    must reproduce byte for byte."""
+    flat = x.reshape(-1, x.shape[-1])
+    ones = np.full(len(flat), 1.0 / len(flat))
+    mean = ones @ flat
+    centered = flat - mean
+    rest = ones @ centered
+    var = ones @ np.square(centered) - rest * rest
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (centered - rest) * inv
+    g = dy.reshape(flat.shape)
+    mean_dy, mean_dy_xhat = ones @ g, ones @ (g * xhat)
+    return {
+        "out": (xhat * gamma + beta).reshape(x.shape),
+        "running_mean": momentum * running_mean + (1.0 - momentum) * (mean + rest),
+        "running_var": momentum * running_var + (1.0 - momentum) * var,
+        "d_gamma": len(ones) * mean_dy_xhat,
+        "d_beta": len(ones) * mean_dy,
+        "dx": ((g - xhat * mean_dy_xhat - mean_dy) * (inv * gamma)).reshape(x.shape),
+    }
+
+
+@pytest.mark.parametrize("batch", [2, 16, 32])
+# the CNN's three block shapes, odd sides, one channel, and a 2-D input
+@pytest.mark.parametrize("block", [(50, 8, 16), (25, 4, 32), (12, 2, 64), (7, 5, 3), (9, 4, 1), (6,)],
+                         ids=["block1", "block2", "block3", "odd", "c1", "2d"])
+def test_batchnorm_row_broadcasts_give_the_bytes_of_the_channel_broadcasts(batch, block):
+    rng = np.random.default_rng([batch, *block, 1])
+    c = block[-1]
+    x = rng.normal(0.3, 1.0, (batch, *block))
+    x[..., -1] += 1e6  # a channel offset far from its spread
+    dy = rng.normal(0, 1, x.shape)
+    gamma = rng.uniform(0.5, 1.5, c) * np.where(np.arange(c) % 2 == 0, -1.0, 1.0)
+    beta, running_mean, running_var = rng.normal(0, 0.3, c), rng.normal(0, 0.3, c), rng.uniform(0.5, 1.5, c)
+    want = batchnorm_row_oracle(x, dy, gamma, beta, running_mean, running_var)
+    layer = BatchNorm(gamma.copy(), beta.copy(), running_mean.copy(), running_var.copy())
+    got = {"out": layer.forward(x, train=True), "dx": layer.backward(dy)}
+    got.update((name, getattr(layer, name)) for name in ("running_mean", "running_var", "d_gamma", "d_beta"))
+    for name, expect in want.items():
+        assert got[name].shape == expect.shape and got[name].tobytes() == expect.tobytes(), name
 
 
 def test_batchnorm_4d_channel_axis():
@@ -808,6 +854,34 @@ def test_cnn_structure():
     assert not any(name.endswith(".bias") for name, _ in net.parameters())
     final = [l for l in net.layers if isinstance(l, Dense)]
     assert len(final) == 1 and final[0].w.shape == (5, 384)
+
+
+def test_cnn_blocks_pool_before_relu():
+    net = build_network(image_model_spec(5), seed=0)
+    starts = [i for i, layer in enumerate(net.layers) if isinstance(layer, Conv2D)]
+    assert starts == [0, 4, 8]
+    for i in starts:
+        assert [type(l) for l in net.layers[i : i + 4]] == [Conv2D, BatchNorm, MaxPool2, ReLU]
+
+
+def test_training_pool_first_gives_the_bytes_of_relu_first(monkeypatch):
+    def relu_first(spec, seed=0):
+        net = build_network(spec, seed)
+        for i in [i for i, layer in enumerate(net.layers) if isinstance(layer, MaxPool2)]:
+            net.layers[i], net.layers[i + 1] = net.layers[i + 1], net.layers[i]
+        return net
+
+    rng = np.random.default_rng(27)
+    spec = image_model_spec(3)
+    x = rng.uniform(0.0, 1.0, (40, *spec.input_shape))
+    y = rng.integers(0, 3, 40)
+    cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=16, seed=8)  # batches of 16, 16 and 8
+    net, losses = train(spec, x, y, cfg)
+    monkeypatch.setattr(net_module, "build_network", relu_first)
+    swapped, swapped_losses = train(spec, x, y, cfg)
+    assert [type(l) for l in swapped.layers[:4]] == [Conv2D, BatchNorm, ReLU, MaxPool2]
+    assert swapped_losses == losses
+    assert [(name, a.tobytes()) for name, a in swapped.arrays()] == [(name, a.tobytes()) for name, a in net.arrays()]
 
 
 @pytest.mark.parametrize("spec", [image_model_spec(2), vector_model_spec(5)], ids=["cnn", "fc"])

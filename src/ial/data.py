@@ -129,11 +129,6 @@ class SyntheticConfig:
             raise ConfigError("seed must be non-negative")
         if self.stream_duration_s <= 0 or self.sample_rate_hz <= 0:
             raise ConfigError("duration and sample rate must be positive")
-        frames = self.stream_duration_s * self.sample_rate_hz
-        # beyond 2**53, float timestamps arange(n) / rate no longer tell frames apart
-        if not WINDOW_FRAMES <= frames <= 2**53:
-            bound = f"under {WINDOW_FRAMES} (one window)" if frames < WINDOW_FRAMES else "over 2**53"
-            raise ConfigError(f"synthetic.stream_duration_s * synthetic.sample_rate_hz is {frames:g} frames, {bound}")
         if self.events_per_stream < 0:
             raise ConfigError("events_per_stream must be >= 0")
         if self.noise_std < 0:
@@ -167,7 +162,7 @@ def _data_lines(p: Path) -> list[str]:
         text = p.read_text(encoding="utf-8")  # turns "\r\n" and "\r" into "\n"
     except UnicodeDecodeError as exc:
         raise DataError(f"{p}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-    return [line for raw in text.split("\n") if (line := raw.strip()) and not line.startswith("#")]
+    return [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
 
 
 def _parse_rows(lines: Sequence[str], cols: Sequence[int]) -> np.ndarray:
@@ -332,8 +327,14 @@ def generate_synthetic_stream(
     each other and from the stream edges; the returned ground truth intervals
     are the exact embedded ones.
     """
+    frames = cfg.stream_duration_s * cfg.sample_rate_hz
+    # checked here, not in SyntheticConfig, whose sample rate `detect` also reads;
+    # beyond 2**53, float timestamps arange(n) / rate no longer tell frames apart
+    if not WINDOW_FRAMES <= frames <= 2**53:
+        bound = f"under {WINDOW_FRAMES} (one window)" if frames < WINDOW_FRAMES else "over 2**53"
+        raise ConfigError(f"synthetic.stream_duration_s * synthetic.sample_rate_hz is {frames:g} frames, {bound}")
     rng = np.random.default_rng([cfg.seed, subject_id, stream_id])
-    n = int(round(cfg.stream_duration_s * cfg.sample_rate_hz))
+    n = int(round(frames))
     t = np.arange(n, dtype=np.float64) / cfg.sample_rate_hz
     k = cfg.events_per_stream
     gap, lo = cfg.min_gap_s, cfg.event_duration_range[0]

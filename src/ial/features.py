@@ -44,7 +44,11 @@ def image_feature(window: SignalWindow) -> ImageFeature:
 
 def vector_batch(images: np.ndarray) -> np.ndarray:
     """(n, 50, 8) images to (n, 16) rows: per-channel means, then population variances."""
-    return np.concatenate([images.mean(axis=1), images.var(axis=1)], axis=1)
+    n = images.shape[1]
+    means = images.sum(axis=1, keepdims=True) / n
+    deviations = images - means  # numpy's own var steps from the one sum, so the bytes equal .mean and .var
+    np.multiply(deviations, deviations, out=deviations)
+    return np.concatenate([means[:, 0], deviations.sum(axis=1) / n], axis=1)
 
 
 def vector_feature(image: ImageFeature) -> VectorFeature:

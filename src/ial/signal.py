@@ -29,10 +29,14 @@ class SignalWindow:
 
 def _unit_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Min-max scale ``x`` by per-channel extrema (broadcast against it); a
-    channel with hi == lo is constant and maps to 0.5."""
+    channel whose span hi - lo is not positive is constant and maps to 0.5."""
     span = hi - lo
-    shifted = x - lo
-    return np.divide(shifted, span, out=np.full_like(shifted, 0.5), where=span > 0)
+    constant = ~(span > 0)  # a NaN span too
+    out = x - lo
+    out /= np.where(constant, 1.0, span)
+    if constant.any():
+        np.copyto(out, 0.5, where=constant)
+    return out
 
 
 def median_downsample(matrix: np.ndarray, factor: int = DOWNSAMPLE_FACTOR) -> np.ndarray:

@@ -6,6 +6,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ial.detector
@@ -388,6 +389,21 @@ def test_detect_stream_off_the_sample_rate_exits_two(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "50 Hz" in err
 
 
+def test_detect_reads_a_recording_too_slow_to_synthesize(tmp_path, capsys):
+    # 30 s at 1 Hz is under one window of synthetic frames, but detect synthesizes nothing
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    for phase, n_classes in ((1, 2), (2, 5)):
+        save_checkpoint(build_network(vector_model_spec(n_classes)), out / f"phase{phase}_fc.json")
+    rows = np.column_stack([np.arange(200.0), np.random.default_rng(5).normal(0, 1, (200, 6))]).tolist()
+    stream = tmp_path / "1hz.csv"
+    stream.write_text("t,ax,ay,az,gx,gy,gz\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    assert main(["--config", str(cfg), "--set", "synthetic.sample_rate_hz=1", "detect", str(stream)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "1hz.events.tsv").is_file() and (out / "1hz.events.json").is_file()
+
+
 BAD_INPUTS = [
     *(pytest.param("config", s, 1, id=s) for s in (
         "train.epochs=1.5", "train.batch_size=2.5", "synthetic.n_streams=2.0", 'threads="x"', "schema=[1,2]",
@@ -416,7 +432,8 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("where, value, code", BAD_INPUTS)
 def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
     # each case fails as soon as its input is read: a config value or a checkpoint
-    # spec or array in `detect` of a missing stream, a manifest field or a stream or
+    # spec or array in `detect` of a missing stream (a synthetic value in `synth`,
+    # which checks the frame count as it makes streams), a manifest field or a stream or
     # labels file with a byte appended in `train`; or as soon as its output path is
     # written: under the regular file "blocker" or in a missing directory; or in
     # `detect` of a stream whose finite values are so large that |a| overflows
@@ -449,6 +466,8 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
         args += [arg.format(tmp=tmp_path) for arg in value[1]]
     elif where == "stream":
         args += ["detect", str(out / "a.csv")]
+    elif where == "config" and value.startswith("synthetic."):
+        args += ["synth"]
     else:
         args += ["train"] if where in ("manifest", "file") else ["detect", str(tmp_path / "missing.csv")]
     capsys.readouterr()

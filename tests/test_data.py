@@ -247,6 +247,22 @@ def test_bulk_parse_equals_the_row_loop(tmp_path, case):
         assert got == ingest_outcome(path, schema)
 
 
+LINE_TEXT = st.lists(
+    st.sampled_from(["\n", "\r\n", "\r", " ", "\t", "\x0b", "#", "\ufeff", "1", "a", ","]), max_size=40
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=LINE_TEXT)
+def test_data_lines_equal_the_walrus_filter(tmp_path, text):
+    """Blank, whitespace-only and "#" lines go, after any line ending and with a BOM kept as text."""
+    path = tmp_path / "lines.txt"
+    path.write_bytes(text.encode("utf-8"))
+    read = path.read_text(encoding="utf-8")
+    expected = [line for raw in read.split("\n") if (line := raw.strip()) and not line.startswith("#")]
+    assert data_module._data_lines(path) == expected
+
+
 def test_written_streams_take_the_bulk_path(tmp_path, monkeypatch):
     stream, _ = generate_synthetic_stream(SyntheticConfig(seed=4, stream_duration_s=12.0, events_per_stream=1), 1, 2)
     path = tmp_path / "s.csv"

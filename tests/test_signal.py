@@ -6,6 +6,7 @@ from ial.errors import DataError
 from ial.features import image_feature, vector_batch, vector_feature
 from ial.signal import (
     WINDOW_FRAMES,
+    _unit_scale,
     eight_channels,
     make_window,
     median_downsample,
@@ -253,3 +254,56 @@ def test_window_images_equal_the_per_window_reference(stride):
         assert images.tobytes() == np.stack([img.pixels for img in reference]).tobytes()  # zeros' signs too
         vectors = [vector_feature(img).values for img in reference]
         assert np.array_equal(vector_batch(images), np.stack(vectors))
+
+
+def masked_unit_scale(x, lo, hi):
+    """The min-max rule written as a masked division into a 0.5-filled buffer:
+    divide where the span is positive, 0.5 where it is not (zero or NaN)."""
+    span = hi - lo
+    return np.divide(x - lo, span, out=np.full_like(x - lo, 0.5), where=span > 0)
+
+
+def edge_span_streams():
+    """Seeded streams whose spans are one ULP near the smallest subnormal or near
+    1e150, alongside the constant channels and signed zeros of equivalence_streams."""
+    rng = np.random.default_rng(2113)
+    tiny = np.zeros((400, 6))
+    tiny[:, 0] = rng.choice([5e-324, 1e-323], 400)  # a span of one ULP at 5e-324
+    tiny[:, 1] = rng.choice([-0.0, 0.0, 5e-324], 400)  # signed zeros and one ULP
+    tiny[:, 3] = rng.choice([-5e-324, -0.0], 400)
+    tiny[200:, 4] = 5e-324  # constant from frame 200 on
+    huge = rng.normal(0, 1, (400, 6)) * 1e150  # spans near 1e150
+    huge[:, 2] = rng.choice([1e150, np.nextafter(1e150, np.inf)], 400)  # one ULP at 1e150
+    huge[:, 5] = -1e150  # constant everywhere
+    huge[:250, 3] = 3e149  # constant inside some windows
+    return [*equivalence_streams(), make_stream(tiny), make_stream(huge)]
+
+
+@pytest.mark.parametrize("stride", [1, 7, 15])
+def test_window_images_keep_the_masked_division_byte_for_byte(stride):
+    # the per-window reference above runs both sides through the same min-max
+    # code, so this one writes the rule out independently of ial.signal
+    for stream in edge_span_streams():
+        starts, images = window_images(stream, stride)
+        for start, image in zip(starts, images):
+            raw = eight_channels(stream.values[start : start + WINDOW_FRAMES])
+            expected = masked_unit_scale(median_downsample(raw), raw.min(axis=0), raw.max(axis=0))
+            assert image.tobytes() == expected.tobytes()
+        assert vector_batch(images).tobytes() == np.concatenate([images.mean(1), images.var(1)], 1).tobytes()
+
+
+def test_unit_scale_keeps_the_masked_division_for_non_finite_extrema():
+    # windows never reach these (eight_channels refuses non-finite values), but
+    # a NaN span still maps to 0.5 and a NaN or infinite quotient is kept
+    nan, inf = np.nan, np.inf
+    lo = np.array([0.0, nan, 0.0, -inf, inf, 1.0, 0.0, -0.0])
+    hi = np.array([inf, 1.0, nan, 0.0, inf, 1.0, 5e-324, 0.0])
+    x = np.array([[1.0, 0.5, 0.5, -1.0, inf, 1.0, 5e-324, -0.0], [inf, nan, 0.0, nan, 0.0, nan, 0.0, 0.0]])
+    with np.errstate(invalid="ignore"):
+        assert _unit_scale(x, lo, hi).tobytes() == masked_unit_scale(x, lo, hi).tobytes()
+
+
+def test_vector_batch_repeats_numpy_mean_and_var_byte_for_byte():
+    rng = np.random.default_rng(2114)
+    for images in (rng.random((37, 50, 8)), rng.normal(0, 1e150, (5, 50, 8)), np.full((3, 50, 8), 0.5)):
+        assert vector_batch(images).tobytes() == np.concatenate([images.mean(1), images.var(1)], 1).tobytes()

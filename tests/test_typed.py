@@ -136,8 +136,10 @@ def test_bad_values_name_their_dotted_path():
     ("train.bn_eps", 0.0, "bn_eps must be > 0"),
 ])
 def test_each_section_check_refuses_its_value(key, value, message):
+    # the synthetic frame count is checked as a stream is generated, since `detect`
+    # reads its ingest rate from the same section
     with pytest.raises(ConfigError, match=message):
-        load_run_config(overrides={key: value})
+        generate_synthetic_stream(load_run_config(overrides={key: value}).synthetic)
 
 
 def test_run_config_refuses_a_negative_seed():

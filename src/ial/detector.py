@@ -30,7 +30,7 @@ import numpy as np
 from .data import INTEREST_CLASSES, ActionClass, GroundTruthEvent, Stream, write_lines
 from .errors import ConfigError, DataError
 from .features import vector_batch
-from .net import CNN_KIND, FC_KIND, Network
+from .net import CNN_KIND, FC_KIND, Network, image_model_spec, vector_model_spec
 from .signal import WINDOW_FRAMES, window_images, window_starts
 
 IMAGE_KIND = "image"
@@ -43,11 +43,11 @@ NON_INTEREST_IDX = 0
 INTEREST_IDX = 1
 
 # Windows per predict_proba call; with threads > 1 the chunks run in parallel.
-# Sized to the cache: at 32 windows block 2's im2col columns, a chunk's largest
-# CNN array, take 3.5 MB (28.3 MB at 256).  Phase-1 scoring of a 391-window
-# stream (BLAS at 1 thread, median of 20 interleaved rounds) took 48 ms at 32
-# against 50-80 ms at 16/64/128/256; with pool-cell-order columns, 38-39 ms at
-# every multiple of 8 from 16 to 64.  Probabilities were byte-equal to 256's.
+# Sized to the cache: at 32 windows block 2's interior im2col gather, a chunk's
+# largest CNN array, takes 1.8 MB (14.2 MB at 256) against a 2 MB L2 per core.
+# Phase-1 scoring of a 391-window stream with valid-tap column groups (BLAS at
+# 1 thread, median of 20 interleaved rounds, three processes) took 41-62 ms at
+# 16, 40-64 ms at 32 and 72-99 ms at 64, with byte-equal probabilities.
 PROBA_CHUNK = 32
 
 
@@ -138,6 +138,9 @@ def _check_model(model: Network, feature_kind: str, n_classes: int) -> None:
         raise DataError(f"{feature_kind} features need a {want_kind} model, got {model.spec.kind}")
     if model.spec.n_classes != n_classes:
         raise DataError(f"expected a {n_classes}-class model, got {model.spec.n_classes}")
+    want_shape = (image_model_spec if feature_kind == IMAGE_KIND else vector_model_spec)(n_classes).input_shape
+    if model.spec.input_shape != want_shape:
+        raise DataError(f"{feature_kind} features have shape {want_shape}, the model takes {model.spec.input_shape}")
 
 
 def _batched_proba(model: Network, x: np.ndarray, threads: int = 1) -> np.ndarray:

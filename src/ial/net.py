@@ -16,6 +16,7 @@ import copy
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -154,26 +155,37 @@ def _folded_block(x: np.ndarray, kernels: np.ndarray, bn: BatchNorm) -> np.ndarr
     a negative s is already in the kernels.  Only the fold, conv(x, k * s) for
     conv(x, k) * s, reassociates.
 
-    The im2col rows come in pool-cell order (2 di + dj, n, r2, c2) for output
-    pixel (2 r2 + di, 2 c2 + dj): the pool runs over four contiguous slabs, and
-    the rows it drops are never computed.  Each output is the dot product and
-    max of conv then ``_pool_max``, so the bytes match where BLAS rounds a row
-    alike anywhere, as OpenBLAS does in whole 4-row tiles (4 n (H//2) (W//2) rows).
+    Only the rows are padded and only taps inside the input are multiplied:
+    output column c uses kernel columns J_c = [max(0, pw - c), min(kw, W + pw - c)),
+    and each run of columns sharing J_c (left edge, interior, right edge) is one
+    gather and one GEMM into y's (column, di, n, r2) rows; dropped pool rows are
+    never computed.  A dropped tap only added a padding zero, so the paper's
+    shapes give the bytes of conv then ``_pool_max`` and others agree within
+    1e-12.  A non-finite kernel entry no longer reaches a column where it meets
+    only padding (NaN * 0 was NaN); checkpoints and training refuse such entries.
     """
     n, h, w, c_in = x.shape
     if h < 2 or w < 2:
         raise DataError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
     scale, shift = bn.folded()
     c_out, kh, kw, _ = kernels.shape
-    padded = _padded(x, kernels)
+    padded = _padded(x, kernels[:, :, :1])  # checks the kernel; one kernel column pads no input column
+    if kw % 2 == 0:
+        raise DataError("same padding requires odd kernel sides")
     sn, sr, sc, sk = padded.strides
-    # view[di, dj, b, r2, c2, i, j, c] = padded[b, 2 r2 + di + i, 2 c2 + dj + j, c]
-    view = as_strided(padded, (2, 2, n, h // 2, w // 2, kh, kw, c_in), (sr, sc, sn, 2 * sr, 2 * sc, sr, sc, sk))
-    wmat = (kernels * scale[:, None, None, None]).transpose(1, 2, 3, 0).reshape(kh * kw * c_in, c_out)
-    y = (view.reshape(-1, kh * kw * c_in) @ wmat).reshape(*view.shape[:5], c_out)
-    out = np.maximum(np.maximum(y[0, 0], y[0, 1], out=y[0, 0]), np.maximum(y[1, 0], y[1, 1], out=y[1, 0]), out=y[0, 0])
+    scaled, pw, c0 = kernels * scale[:, None, None, None], kw // 2, 0
+    y = np.empty((w - w % 2, 2, n, h // 2, c_out))
+    for (j0, j1), run in groupby((max(0, pw - c), min(kw, w + pw - c)) for c in range(w - w % 2)):
+        c1 = c0 + len(list(run))
+        # view[col, di, b, r2, i, j, c] = padded[b, 2 r2 + di + i, c0 + col + j0 + j - pw, c]
+        view = as_strided(padded[:, :, c0 + j0 - pw :], (c1 - c0, 2, n, h // 2, kh, j1 - j0, c_in), (sc, sr, sn, 2 * sr, sr, sc, sk))
+        wmat = scaled[:, :, j0:j1].transpose(1, 2, 3, 0).reshape(-1, c_out)
+        np.matmul(view.reshape(-1, len(wmat)), wmat, out=y[c0:c1].reshape(-1, c_out))
+        c0 = c1
+    y = y.reshape(w // 2, 2, 2, n, h // 2, c_out)  # (c2, dj, di, b, r2, c)
+    out = np.maximum(np.maximum(y[:, 0, 0], y[:, 1, 0], out=y[:, 0, 0]), np.maximum(y[:, 0, 1], y[:, 1, 1], out=y[:, 0, 1]), out=y[:, 0, 0])
     out += shift
-    return np.maximum(out, 0.0, out=out)
+    return np.maximum(out, 0.0, out=out).transpose(1, 2, 0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,26 @@ def test_detect_corrupt_checkpoint_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind, model, spec, shape", [
+    ("image", "cnn", image_model_spec, (51, 9, 1)),  # pools to the same dense size as 50x8, so it would run
+    ("vector", "fc", vector_model_spec, (17,)),
+])
+def test_detect_refuses_a_model_declared_for_another_input_shape(tmp_path, capsys, kind, model, spec, shape):
+    stream, _ = generate_synthetic_stream(SyntheticConfig(stream_duration_s=30.0, events_per_stream=2), 1, 10)
+    write_stream(stream, tmp_path / "s.csv")
+    out = tmp_path / "out"
+    out.mkdir()
+    for phase, n_classes in ((1, 2), (2, 5)):
+        declared = replace(spec(n_classes), input_shape=shape)
+        save_checkpoint(build_network(declared, seed=phase), out / f"phase{phase}_{model}.json")
+    cfg = write_config(tmp_path, feature_kind=kind, model=model)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "detect", str(tmp_path / "s.csv")]) == 2
+    feature_shape = spec(2).input_shape
+    assert capsys.readouterr().err == f"error: {kind} features have shape {feature_shape}, the model takes {shape}\n"
+    assert sorted(p.name for p in out.iterdir()) == [f"phase1_{model}.json", f"phase2_{model}.json"]
+
+
 @pytest.mark.parametrize("text", ["t,ax,ay,az,gx,gy,gz\n", "# only\n# comments\n"], ids=["header-only", "comment-only"])
 def test_detect_of_an_empty_stream_exits_two_without_a_warning(tmp_path, capsys, text):
     cfg = write_config(tmp_path)

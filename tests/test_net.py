@@ -970,6 +970,31 @@ def test_folded_block_gives_the_bytes_of_the_unfused_steps(h, w, c_in, c_out):
         assert _folded_block(x[:n], kernels, bn).tobytes() == unfused_block(x[:n], kernels, bn).tobytes(), n
 
 
+@pytest.mark.parametrize("h, w, c_in, c_out, k", [
+    (12, 2, 32, 64, 3),  # W under the kernel side: two edge columns, no interior
+    (25, 4, 16, 32, 5),
+    (12, 2, 32, 64, 5),
+    (4, 2, 1, 4, 7),
+    (12, 3, 32, 64, 3),  # W equal to the kernel side
+    (25, 5, 16, 32, 3),  # an odd W, whose last column the pool drops
+    (50, 8, 1, 16, 1),  # one group, no padding
+])
+def test_folded_block_column_groups_match_the_unfused_steps(h, w, c_in, c_out, k):
+    """Every run of output columns that shares its valid kernel columns gives
+    conv then pool within 1e-12, and the same winner of a softmax over the block."""
+    rng = np.random.default_rng([h, w, k])
+    kernels = rng.normal(0, 0.3, (c_out, k, k, c_in))
+    gamma = rng.uniform(0.5, 1.5, c_out) * np.where(np.arange(c_out) % 3 == 0, -1.0, 1.0)
+    bn = BatchNorm(gamma, rng.normal(0, 0.3, c_out), rng.normal(0, 0.3, c_out), rng.uniform(0.05, 0.5, c_out))
+    x = rng.normal(0.5, 0.3, (40, h, w, c_in))
+    for n in range(1, 41):
+        got, want = _folded_block(x[:n], kernels, bn), unfused_block(x[:n], kernels, bn)
+        assert got.shape == want.shape == (n, h // 2, w // 2, c_out)
+        assert np.abs(got - want).max() <= 1e-12, n
+        flat = softmax(got.reshape(n, -1)), softmax(want.reshape(n, -1))
+        assert np.array_equal(flat[0].argmax(1), flat[1].argmax(1)), n
+
+
 def test_folded_block_rejects_what_the_layers_reject():
     bn = BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
     with pytest.raises(DataError, match=r"^maxpool2 needs H, W >= 2, got 1x8$"):

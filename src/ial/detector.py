@@ -19,6 +19,7 @@ least half of it overlaps a truth event (``window_labels``).
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,11 +44,12 @@ NON_INTEREST_IDX = 0
 INTEREST_IDX = 1
 
 # Windows per predict_proba call; with threads > 1 the chunks run in parallel.
-# Sized to the cache: at 32 windows block 2's interior im2col gather, a chunk's
-# largest CNN array, takes 1.8 MB (14.2 MB at 256) against a 2 MB L2 per core.
-# Phase-1 scoring of a 391-window stream with valid-tap column groups (BLAS at
-# 1 thread, median of 20 interleaved rounds, three processes) took 41-62 ms at
-# 16, 40-64 ms at 32 and 72-99 ms at 64, with byte-equal probabilities.
+# Sized to the cache: at 32 windows block 2's row bands, a chunk's largest CNN
+# array, take 1.2 MB (9.4 MB at 256) against a 2 MB L2 per core.  Phase-1
+# scoring of a 391-window stream (BLAS at 1 thread, medians of 20 interleaved
+# rounds in six processes that had run `ial train`) took 31-46 ms at 16, 34-47
+# ms at 32 and 37-51 ms at 64, with byte-equal probabilities; 16 beat 32 in
+# only 8-15 of the 20 rounds.
 PROBA_CHUNK = 32
 
 
@@ -144,9 +146,11 @@ def _check_model(model: Network, feature_kind: str, n_classes: int) -> None:
 
 
 def _batched_proba(model: Network, x: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Probabilities chunk by chunk, on at most ``threads`` workers, one per chunk and per CPU."""
     chunks = [x[lo : lo + PROBA_CHUNK] for lo in range(0, len(x), PROBA_CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return np.concatenate(list(pool.map(model.predict_proba, chunks)))
     return np.concatenate([model.predict_proba(chunk) for chunk in chunks])
 

@@ -5,8 +5,9 @@ convolutions without bias, each with batchnorm, 2x2 max-pooling and ReLU, then
 dropout and a single dense output layer) for 50x8x1 image inputs, and a
 4-layer dense network (three 128-unit hidden layers with ReLU, dropout, dense
 output) for 16-dim vector inputs.  Every layer's backward pass is verified
-against central finite differences by ``gradient_check``.  CNN inference runs
-each conv, batchnorm, pool and ReLU block as one folded step.
+against central finite differences by ``gradient_check``.  Every convolution
+is one GEMM of row bands and banded weights (``_row_bands``, ``_band_weights``),
+and CNN inference runs each conv, batchnorm, pool and ReLU block as one step.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import copy
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DataError
 from .typed import from_json, read_json
@@ -83,52 +83,69 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _padded(x: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """``x`` zero-padded by half of each odd kernel side: np.pad's bytes, without its per-call overhead."""
+# Rows per kernel-gradient product: the kernel gradient sums ``bands.T @ dy``
+# over fixed slices of this many rows, in order.  A slice is shorter than one
+# OpenBLAS K-block, so training gives the same bits at every BLAS thread count;
+# one product over all rows did not, at most batch sizes.  At 1 BLAS thread and
+# batch 32 the sliced gradient took 0.27-0.41/0.96-1.38/0.49-0.70 ms in blocks
+# 1/2/3, unsliced 0.35-0.49/0.94-1.34/0.51-0.69 ms (three processes).
+GRAD_ROWS = 256
+
+
+def _row_bands(x: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:
+    """The (N * rows, kh * W * C_in) bands of output rows 0 .. rows - 1, with only
+    the rows padded: output row (b, r) reads padded rows r .. r + kh - 1 of sample
+    b, one contiguous run of kh * W * C_in values, so the gather is a row copy."""
     (n, h, w, c_in), (_, kh, kw, kc) = x.shape, kernels.shape
     if kc != c_in:
         raise DataError(f"kernel expects {kc} input channels, input has {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise DataError("same padding requires odd kernel sides")
-    padded = np.zeros((n, h + kh - 1, w + kw - 1, c_in))
-    padded[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x
-    return padded
+    padded = np.zeros((n, h + kh - 1, w, c_in))
+    padded[:, kh // 2 : kh // 2 + h] = x
+    sn, sr = padded.strides[:2]
+    return as_strided(padded, (n, rows, kh * w * c_in), (sn, sr, padded.itemsize)).reshape(-1, kh * w * c_in)
+
+
+def _band_weights(kernels: np.ndarray, w: int) -> np.ndarray:
+    """The (kh * W * C_in, W * C_out) banded matrix of a same-padded conv over
+    rows of width W: entry ((i, w', c), (wo, co)) is ``kernels[co, i, w' - wo + pw, c]``
+    where that kernel column exists, and 0 elsewhere."""
+    c_out, kh, kw, c_in = kernels.shape
+    band, taps = np.zeros((kh, w, c_in, w, c_out)), kernels.transpose(1, 2, 3, 0)
+    for wo in range(w):
+        j0, j1 = max(0, kw // 2 - wo), min(kw, w + kw // 2 - wo)
+        band[:, wo + j0 - kw // 2 : wo + j1 - kw // 2, :, wo] = taps[:, j0:j1]
+    return band.reshape(kh * w * c_in, w * c_out)
 
 
 def _conv_forward(x: np.ndarray, kernels: np.ndarray):
-    n, h, w, c_in = x.shape
-    c_out, kh, kw, _ = kernels.shape
-    view = sliding_window_view(_padded(x, kernels), (kh, kw), axis=(1, 2))
-    # view: (N, H, W, C_in, kh, kw) -> columns (N*H*W, kh*kw*C_in)
-    cols = view.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, kh * kw * c_in)
-    wmat = kernels.transpose(1, 2, 3, 0).reshape(kh * kw * c_in, c_out)
-    y = (cols @ wmat).reshape(n, h, w, c_out)
-    return y, cols
+    """The conv output, one GEMM of row bands and band weights, and the bands."""
+    n, h, w, _ = x.shape
+    bands = _row_bands(x, kernels, h)
+    return (bands @ _band_weights(kernels, w)).reshape(n, h, w, len(kernels)), bands
 
 
-def _conv_backward(dy: np.ndarray, cols: np.ndarray, x_shape, kernels: np.ndarray, input_grad: bool):
+def _conv_backward(dy: np.ndarray, bands: np.ndarray, x_shape, kernels: np.ndarray, input_grad: bool):
     """The input gradient (None unless ``input_grad``) and the kernel gradient."""
     n, h, w, c_in = x_shape
     c_out, kh, kw, _ = kernels.shape
-    ph, pw = kh // 2, kw // 2
-    dy_flat = dy.reshape(n * h * w, c_out)
-    dwmat = cols.T @ dy_flat
-    dkernels = dwmat.reshape(kh, kw, c_in, c_out).transpose(3, 0, 1, 2)
+    dy_rows = dy.reshape(n * h, w * c_out)
+    dband = bands[:GRAD_ROWS].T @ dy_rows[:GRAD_ROWS]
+    for lo in range(GRAD_ROWS, n * h, GRAD_ROWS):
+        dband += bands[lo : lo + GRAD_ROWS].T @ dy_rows[lo : lo + GRAD_ROWS]
+    dband, dkernels = dband.reshape(kh, w, c_in, w, c_out), np.zeros((kh, kw, c_in, c_out))
+    for wo in range(w):  # fold the band over the output columns, in order
+        j0, j1 = max(0, kw // 2 - wo), min(kw, w + kw // 2 - wo)
+        dkernels[:, j0:j1] += dband[:, wo + j0 - kw // 2 : wo + j1 - kw // 2, :, wo]
     if not input_grad:
-        return None, dkernels
-    wmat = kernels.transpose(1, 2, 3, 0).reshape(kh * kw * c_in, c_out)
-    dcols = (dy_flat @ wmat.T).reshape(n, h, w, kh, kw, c_in)
-    # tap (i, j) of output (r, c) reads input (r + i - ph, c + j - pw); taps
-    # that fall in the padding are dropped, and every input cell sums its
-    # taps in the same (i, j) order as a padded buffer would
-    dx = np.zeros((n, h, w, c_in))
+        return None, dkernels.transpose(3, 0, 1, 2)
+    # band row (b, r) covers padded rows r .. r + kh - 1: kh contiguous slab adds
+    dbands = (dy_rows @ _band_weights(kernels, w).T).reshape(n, h, kh, w * c_in)
+    dx = np.zeros((n, h + kh - 1, w * c_in))
     for i in range(kh):
-        r0, r1 = max(ph - i, 0), min(h + ph - i, h)  # the dy rows whose tap i is inside
-        for j in range(kw):
-            c0, c1 = max(pw - j, 0), min(w + pw - j, w)
-            if r0 < r1 and c0 < c1:
-                dx[:, r0 + i - ph : r1 + i - ph, c0 + j - pw : c1 + j - pw] += dcols[:, r0:r1, c0:c1, i, j]
-    return dx, dkernels
+        dx[:, i : i + h] += dbands[:, :, i]
+    return dx[:, kh // 2 : kh // 2 + h].reshape(x_shape), dkernels.transpose(3, 0, 1, 2)
 
 
 def _pool_cells(x: np.ndarray) -> list[np.ndarray]:
@@ -153,39 +170,18 @@ def _folded_block(x: np.ndarray, kernels: np.ndarray, bn: BatchNorm) -> np.ndarr
     pool, followed by ReLU in place.  Pooling before the shift is exact: z ->
     fl(z + shift) never decreases as z grows, so it commutes with the max, and
     a negative s is already in the kernels.  Only the fold, conv(x, k * s) for
-    conv(x, k) * s, reassociates.
-
-    Only the rows are padded and only taps inside the input are multiplied:
-    output column c uses kernel columns J_c = [max(0, pw - c), min(kw, W + pw - c)),
-    and each run of columns sharing J_c (left edge, interior, right edge) is one
-    gather and one GEMM into y's (column, di, n, r2) rows; dropped pool rows are
-    never computed.  A dropped tap only added a padding zero, so the paper's
-    shapes give the bytes of conv then ``_pool_max`` and others agree within
-    1e-12.  A non-finite kernel entry no longer reaches a column where it meets
-    only padding (NaN * 0 was NaN); checkpoints and training refuse such entries.
+    conv(x, k) * s, reassociates.  The conv is the training one on the rows the
+    pool keeps, which gives the bytes of ``_conv_forward`` then ``_pool_max``.
     """
-    n, h, w, c_in = x.shape
+    n, h, w, _ = x.shape
     if h < 2 or w < 2:
         raise DataError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
     scale, shift = bn.folded()
-    c_out, kh, kw, _ = kernels.shape
-    padded = _padded(x, kernels[:, :, :1])  # checks the kernel; one kernel column pads no input column
-    if kw % 2 == 0:
-        raise DataError("same padding requires odd kernel sides")
-    sn, sr, sc, sk = padded.strides
-    scaled, pw, c0 = kernels * scale[:, None, None, None], kw // 2, 0
-    y = np.empty((w - w % 2, 2, n, h // 2, c_out))
-    for (j0, j1), run in groupby((max(0, pw - c), min(kw, w + pw - c)) for c in range(w - w % 2)):
-        c1 = c0 + len(list(run))
-        # view[col, di, b, r2, i, j, c] = padded[b, 2 r2 + di + i, c0 + col + j0 + j - pw, c]
-        view = as_strided(padded[:, :, c0 + j0 - pw :], (c1 - c0, 2, n, h // 2, kh, j1 - j0, c_in), (sc, sr, sn, 2 * sr, sr, sc, sk))
-        wmat = scaled[:, :, j0:j1].transpose(1, 2, 3, 0).reshape(-1, c_out)
-        np.matmul(view.reshape(-1, len(wmat)), wmat, out=y[c0:c1].reshape(-1, c_out))
-        c0 = c1
-    y = y.reshape(w // 2, 2, 2, n, h // 2, c_out)  # (c2, dj, di, b, r2, c)
-    out = np.maximum(np.maximum(y[:, 0, 0], y[:, 1, 0], out=y[:, 0, 0]), np.maximum(y[:, 0, 1], y[:, 1, 1], out=y[:, 0, 1]), out=y[:, 0, 0])
+    scaled = kernels * scale[:, None, None, None]
+    y = _row_bands(x, scaled, h - h % 2) @ _band_weights(scaled, w)
+    out, _ = _pool_max(y.reshape(n, h - h % 2, w, len(kernels)))
     out += shift
-    return np.maximum(out, 0.0, out=out).transpose(1, 2, 0, 3)
+    return np.maximum(out, 0.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +217,14 @@ class Conv2D(Layer):
         self.kernels = kernels  # (C_out, kh, kw, C_in)
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        y, cols = _conv_forward(x, self.kernels)
+        y, bands = _conv_forward(x, self.kernels)
         if train:
-            self._cache = (cols, x.shape)
+            self._cache = (bands, x.shape)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
-        cols, x_shape = self._cache
-        dx, self.d_kernels = _conv_backward(dy, cols, x_shape, self.kernels, self.input_grad)
+        bands, x_shape = self._cache
+        dx, self.d_kernels = _conv_backward(dy, bands, x_shape, self.kernels, self.input_grad)
         return dx
 
 
@@ -585,7 +581,7 @@ def train(
     """Mini-batch momentum-SGD training with seeded per-epoch shuffling.
 
     Returns the trained network and the per-epoch mean loss.  Deterministic
-    for a fixed seed and OpenBLAS thread count.  A trailing batch of one
+    for a fixed seed, at any OpenBLAS thread count.  A trailing batch of one
     sample is skipped (batch statistics need >= 2 samples).  An epoch whose
     mean loss is not finite raises DataError.
     """

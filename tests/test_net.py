@@ -19,6 +19,7 @@ from ial.net import (
     ModelSpec,
     ReLU,
     TrainConfig,
+    _band_weights,
     _conv_forward,
     _folded_block,
     _pool_max,
@@ -221,6 +222,74 @@ def test_conv_gradients_vs_finite_differences():
 def test_conv_shape_mismatch():
     with pytest.raises(DataError, match=r"^kernel expects 3 input channels, input has 2$"):
         conv2d(np.zeros((5, 5, 2)), np.zeros((1, 3, 3, 3)), np.zeros(1))
+
+
+@pytest.mark.parametrize("h, w, c_in, c_out, k", [
+    (6, 1, 2, 3, 3),  # W = 1: only the middle kernel column lands inside
+    (6, 2, 2, 3, 5),
+    (4, 2, 1, 4, 7),  # the kernel taller and wider than the input
+    (7, 5, 3, 2, 3),  # odd H and W
+    (5, 3, 2, 2, 5),
+])
+def test_conv_matches_the_oracle_where_the_kernel_overhangs_the_input(h, w, c_in, c_out, k):
+    rng = np.random.default_rng([h, w, k])
+    for _ in range(3):
+        x = rng.normal(0, 1, (h, w, c_in))
+        kernels = rng.normal(0, 1, (c_out, k, k, c_in))
+        bias = rng.normal(0, 1, c_out)
+        assert np.abs(conv2d(x, kernels, bias) - conv_oracle(x, kernels, bias)).max() <= 1e-12
+
+
+def test_conv_gradients_vs_finite_differences_where_the_kernel_overhangs_the_input():
+    rng = np.random.default_rng(6)
+    layer = Conv2D(rng.uniform(-0.4, 0.4, (3, 5, 5, 2)))
+    x = rng.normal(0, 1, (2, 5, 2, 2))
+    w = rng.normal(0, 1, (2, 5, 2, 3))
+
+    def loss():
+        return float((layer.forward(x, train=True) * w).sum())
+
+    loss()
+    dx = layer.backward(w)
+    d_kernels = layer.d_kernels
+    for arr, analytic in ((layer.kernels, d_kernels), (x, dx)):
+        numeric = central_diff(loss, arr)
+        rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric) + np.abs(analytic), 1e-8)
+        assert rel.max() < 1e-5
+
+
+@pytest.mark.parametrize("w, k", [(1, 3), (2, 3), (2, 5), (4, 3), (3, 7), (8, 1)])
+def test_band_weights_hold_each_kernel_column_or_zeros(w, k):
+    """Block (w', wo) of the band is kernel column w' - wo + k // 2 where that
+    column exists, and zeros elsewhere."""
+    c_out, c_in = 3, 2
+    kernels = np.random.default_rng([w, k]).normal(0, 1, (c_out, k, k, c_in))
+    band = _band_weights(kernels, w)
+    assert band.shape == (k * w * c_in, w * c_out)
+    blocks = band.reshape(k, w, c_in, w, c_out)
+    for w_in, wo in np.ndindex(w, w):
+        j = w_in - wo + k // 2
+        want = kernels[:, :, j].transpose(1, 2, 0) if 0 <= j < k else np.zeros((k, c_in, c_out))
+        assert np.array_equal(blocks[:, w_in, :, wo], want), (w_in, wo)
+
+
+@pytest.mark.parametrize("h, w, c_in, c_out, n", [
+    (25, 4, 16, 32, 10), (25, 4, 16, 32, 11), (25, 4, 16, 32, 21),  # 250, 275 and 525 rows
+    (12, 2, 32, 64, 21), (12, 2, 32, 64, 22), (12, 2, 32, 64, 43),  # 252, 264 and 516
+    (8, 8, 1, 16, 32), (8, 8, 1, 16, 33),  # 256 and 264
+])
+def test_sliced_kernel_gradient_matches_one_product(monkeypatch, h, w, c_in, c_out, n):
+    """Summed over ``GRAD_ROWS``-row slices, the kernel gradient is one product
+    over all n * h rows up to reassociation; the input gradient is unchanged."""
+    rng = np.random.default_rng([h, n])
+    layer = Conv2D(rng.normal(0, 0.3, (c_out, 3, 3, c_in)))
+    x, dy = rng.normal(0, 1, (n, h, w, c_in)), rng.normal(0, 1, (n, h, w, c_out))
+    layer.forward(x, train=True)
+    dx = layer.backward(dy)
+    sliced = layer.d_kernels
+    monkeypatch.setattr(net_module, "GRAD_ROWS", n * h)
+    assert np.array_equal(layer.backward(dy), dx)
+    assert np.abs(layer.d_kernels - sliced).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -980,8 +1049,9 @@ def test_folded_block_gives_the_bytes_of_the_unfused_steps(h, w, c_in, c_out):
     (50, 8, 1, 16, 1),  # one group, no padding
 ])
 def test_folded_block_column_groups_match_the_unfused_steps(h, w, c_in, c_out, k):
-    """Every run of output columns that shares its valid kernel columns gives
-    conv then pool within 1e-12, and the same winner of a softmax over the block."""
+    """Where the kernel overhangs the input's columns, or pads nothing, the folded
+    block's band GEMM over the pooled rows gives conv then pool within 1e-12,
+    and the same winner of a softmax over the block."""
     rng = np.random.default_rng([h, w, k])
     kernels = rng.normal(0, 0.3, (c_out, k, k, c_in))
     gamma = rng.uniform(0.5, 1.5, c_out) * np.where(np.arange(c_out) % 3 == 0, -1.0, 1.0)

@@ -45,6 +45,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -116,6 +117,27 @@ ARRAY_DIGESTS = {
         "65596823ea9c322175ba5b875524c7420a23a1e6cd3aa35a5c57b3c1870964fc",
     ],
 }
+
+# sha256 over the digests of ``_batched_proba`` on a 120 s eval stream's image windows,
+# split into batches of each size in INFER_BATCHES: phase-1 then phase-2 network
+INFER_BATCHES = (*range(1, 41), 64, 100, 391)
+PROBA_DIGESTS = [
+    "15d86ff562eb21d6fb9ee801dacd6e3532b7ac3fb0a54729c24909a9d0ac101a",
+    "276cb9498ff607d09def73f620971e0fa0a6345cb5b013a0fc00c7e0c6e23c8c",
+]
+
+# digest of each phase-2 ``predict_proba`` result that ``detect`` averages, one
+# per event, over the two eval streams and the 120 s one, with the image networks
+PHASE2_EVENT_DIGESTS = [
+    "80d6825cf1d6d1a6825953de6ec6435175ed1155b9d426398795d6334d35bf9a",
+    "4ea0926e5ea8dbba6f7a2760158d77845b591024b65d29aee8cd0ccfbf9f3719",
+    "95f85945229221b861e3f39015956e1f5c73acf1010dbc1e8fae9f0adf2162e7",
+    "5db2b93e432556025d91976f7f8d507f02e7cb9a12d07088306b90ea5da3e2ea",
+    "be7db46ea47d34329045432fac6a5e6aa0897931807e5fbde0451d6b00a71b4c",
+    "80be858c37251f796d3fd8863ca5d3d695f5c0c5689c0e0b50e135b48ef578ad",
+    "ebf87f252990568faf67d80738625c6a82141ce37c407ccc3df2114fcc387407",
+    "50c328e82e65529a16649e59fb28125cb13e207638d6185a065294fdf41a9802",
+]
 
 # json.dumps of report1.to_dict() and report2.to_dict() over the two test streams
 REPORT_JSON = {
@@ -282,3 +304,40 @@ def test_evaluation_report_matches_the_per_window_path(kind):
     net1, net2 = trained(kind)
     report1, report2 = evaluate_run(eval_pairs(), net1, net2, DetectorConfig(), kind)
     assert [json.dumps(report1.to_dict()), json.dumps(report2.to_dict())] == REPORT_JSON[kind]
+
+
+def long_eval_stream():
+    """A 120 s stream of an eval subject: 6,000 frames, 391 windows."""
+    return generate_synthetic_stream(replace(SYNTH, stream_duration_s=120.0), 2, 3)[0]
+
+
+def batched_digest(net, x) -> str:
+    h = hashlib.sha256()
+    for b in INFER_BATCHES:
+        h.update(digest(np.concatenate([_batched_proba(net, x[lo : lo + b]) for lo in range(0, len(x), b)])).encode())
+    return h.hexdigest()
+
+
+def test_image_inference_bytes_match_the_pins_at_every_batch_size():
+    """Both golden image networks give the pinned probability bytes at every
+    batch size in ``INFER_BATCHES``, so an inference refactor that claims to
+    change no byte proves it here."""
+    x = featurize_stream(long_eval_stream(), "image", DetectorConfig().stride_frames)
+    assert len(x) == max(INFER_BATCHES)
+    assert [batched_digest(net, x) for net in trained("image")] == PROBA_DIGESTS
+
+
+def test_phase2_event_probabilities_match_the_pins(monkeypatch):
+    """The bytes of each per-event phase-2 ``predict_proba`` call of ``detect``."""
+    net1, net2 = trained("image")
+    got, predict = [], net2.predict_proba
+
+    def recording(*args, **kwargs):
+        p = predict(*args, **kwargs)
+        got.append(digest(p))
+        return p
+
+    monkeypatch.setattr(net2, "predict_proba", recording)
+    for stream in [stream for stream, _ in eval_pairs()] + [long_eval_stream()]:
+        detect(stream, net1, net2, DetectorConfig(), "image")
+    assert got == PHASE2_EVENT_DIGESTS

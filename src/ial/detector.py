@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -146,13 +145,17 @@ def _check_model(model: Network, feature_kind: str, n_classes: int) -> None:
 
 
 def _batched_proba(model: Network, x: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Probabilities chunk by chunk, on at most ``threads`` workers, one per chunk and per CPU."""
+    """Probabilities chunk by chunk on one fold of the model, on at most
+    ``threads`` workers, one per chunk and per CPU."""
+    fold = model.fold()
     chunks = [x[lo : lo + PROBA_CHUNK] for lo in range(0, len(x), PROBA_CHUNK)]
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging; not needed by one worker
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.concatenate(list(pool.map(model.predict_proba, chunks)))
-    return np.concatenate([model.predict_proba(chunk) for chunk in chunks])
+            return np.concatenate(list(pool.map(lambda chunk: model.predict_proba(chunk, fold), chunks)))
+    return np.concatenate([model.predict_proba(chunk, fold) for chunk in chunks])
 
 
 def score_windows(
@@ -209,9 +212,11 @@ def detect(
     the softmax vectors of all windows whose center falls inside the interval
     (falling back to the center window when none does).  Argmax ties go to the
     lowest class index.  Events come out sorted by start and pairwise disjoint.
+    Each model is folded once per call (``Network.fold``).
     """
     scores = score_windows(stream, phase1_model, feature_kind, cfg, threads)
     _check_model(phase2_model, feature_kind, len(INTEREST_CLASSES))
+    fold = phase2_model.fold()
     stream_end = float(stream.t[-1])
     events = []
     for start, end in segment_events(scores, cfg):
@@ -219,7 +224,7 @@ def detect(
         chosen = np.flatnonzero(_centered_in(scores.centers, start, end))
         if cfg.classification_mode == "center-window" or not len(chosen):
             chosen = [int(np.argmin(np.abs(scores.centers - 0.5 * (start + end))))]
-        mean_probs = phase2_model.predict_proba(scores.x[chosen]).mean(axis=0)
+        mean_probs = phase2_model.predict_proba(scores.x[chosen], fold).mean(axis=0)
         idx = int(np.argmax(mean_probs))
         events.append(DetectedEvent(INTEREST_CLASSES[idx], start, end, float(mean_probs[idx])))
     return scores, events

@@ -7,7 +7,9 @@ dropout and a single dense output layer) for 50x8x1 image inputs, and a
 output) for 16-dim vector inputs.  Every layer's backward pass is verified
 against central finite differences by ``gradient_check``.  Every convolution
 is one GEMM of row bands and banded weights (``_row_bands``, ``_band_weights``),
-and CNN inference runs each conv, batchnorm, pool and ReLU block as one step.
+and CNN inference runs each conv, batchnorm, pool and ReLU block as one step,
+on arrays folded once per scoring pass (``Network.fold``) whose band columns
+are in pool-cell order.
 """
 
 from __future__ import annotations
@@ -163,23 +165,40 @@ def _pool_max(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)), cells
 
 
-def _folded_block(x: np.ndarray, kernels: np.ndarray, bn: BatchNorm) -> np.ndarray:
-    """Conv2D -> BatchNorm -> MaxPool2 -> ReLU at inference, as one step.
+def _fold_block(kernels: np.ndarray, bn: BatchNorm, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A Conv2D -> BatchNorm -> MaxPool2 -> ReLU block over rows of width W,
+    folded for inference: the kernels scaled by BatchNorm's s, their band with
+    its columns in pool-cell order ``(dj, wo // 2, co)`` for output column
+    wo = 2 * (wo // 2) + dj (an odd W's last column, which the pool drops, is
+    left out), and the shift."""
+    scale, shift = bn.folded()
+    scaled = kernels * scale[:, None, None, None]
+    band = _band_weights(scaled, w).reshape(-1, w, len(kernels))[:, : w - w % 2]
+    cells = band.reshape(len(band), w // 2, 2, len(kernels)).transpose(0, 2, 1, 3)
+    return scaled, cells.reshape(len(band), -1), shift
 
-    BatchNorm's scale s goes into the kernels and its shift is added after the
+
+def _folded_block(x: np.ndarray, kernels: np.ndarray, band: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """A block at inference, as one step, from its ``_fold_block`` arrays.
+
+    BatchNorm's scale s is in the kernels and its shift is added after the
     pool, followed by ReLU in place.  Pooling before the shift is exact: z ->
     fl(z + shift) never decreases as z grows, so it commutes with the max, and
     a negative s is already in the kernels.  Only the fold, conv(x, k * s) for
     conv(x, k) * s, reassociates.  The conv is the training one on the rows the
-    pool keeps, which gives the bytes of ``_conv_forward`` then ``_pool_max``.
+    pool keeps, and its pool-cell-ordered columns make each 2x2 cell one run of
+    (W // 2) * C_out contiguous values, which ``_pool_max`` takes as the
+    columns of a 2-wide image; that gives the bytes of ``_conv_forward`` then
+    ``_pool_max``.
     """
     n, h, w, _ = x.shape
     if h < 2 or w < 2:
         raise DataError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
-    scale, shift = bn.folded()
-    scaled = kernels * scale[:, None, None, None]
-    y = _row_bands(x, scaled, h - h % 2) @ _band_weights(scaled, w)
-    out, _ = _pool_max(y.reshape(n, h - h % 2, w, len(kernels)))
+    bands = _row_bands(x, kernels, h - h % 2)
+    if bands.shape[1] != len(band):
+        raise DataError(f"input width {w} does not fit the folded block")
+    out, _ = _pool_max((bands @ band).reshape(n, h - h % 2, 2, -1))
+    out = out.reshape(n, h // 2, w // 2, len(kernels))
     out += shift
     return np.maximum(out, 0.0, out=out)
 
@@ -434,15 +453,12 @@ class Network:
         layers[0].input_grad = False  # nothing reads the gradient of the network's input
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """The logits; inference runs each conv block as one ``_folded_block``."""
+        """The logits; inference runs on ``self.fold()``."""
+        if not train:
+            return _infer(self.fold(), x)
         out = np.asarray(x, dtype=np.float64)
-        layers = iter(self.layers)
-        for layer in layers:
-            if not train and isinstance(layer, Conv2D):  # _assemble follows it with BatchNorm, MaxPool2, ReLU
-                bn, _, _ = next(layers), next(layers), next(layers)
-                out = _folded_block(out, layer.kernels, bn)
-            else:
-                out = layer.forward(out, train)
+        for layer in self.layers:
+            out = layer.forward(out, True)
         return out
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -452,8 +468,24 @@ class Network:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax(self.forward(x, train=False))
+    def fold(self) -> list:
+        """The inference steps, built once per scoring pass and kept nowhere else:
+        each Conv2D -> BatchNorm -> MaxPool2 -> ReLU block (as ``_assemble`` lays
+        it out) as its ``_fold_block`` arrays, every other layer as itself."""
+        steps, w = [], self.spec.input_shape[1] if self.spec.kind == CNN_KIND else 0
+        layers = iter(self.layers)
+        for layer in layers:
+            if isinstance(layer, Conv2D):
+                bn, _, _ = next(layers), next(layers), next(layers)
+                steps.append(_fold_block(layer.kernels, bn, w))
+                w //= 2
+            else:
+                steps.append(layer)
+        return steps
+
+    def predict_proba(self, x: np.ndarray, fold: list | None = None) -> np.ndarray:
+        """Class probabilities, on ``fold`` (``self.fold()``, built here when None)."""
+        return softmax(_infer(self.fold() if fold is None else fold, x))
 
     def _named(self, kind: str, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         """Each layer's ``prefix + name`` per name in its ``kind`` tuple, named "<layer index>.<name>"."""
@@ -472,6 +504,14 @@ class Network:
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         """Parameters followed by running statistics: the contents of a checkpoint."""
         return self._named("PARAMS") + self._named("STATE")
+
+
+def _infer(fold: list, x: np.ndarray) -> np.ndarray:
+    """The logits of ``Network.fold()``'s steps."""
+    out = np.asarray(x, dtype=np.float64)
+    for step in fold:
+        out = _folded_block(out, *step) if isinstance(step, tuple) else step.forward(out, False)
+    return out
 
 
 def _assemble(spec: ModelSpec, take, seed: int) -> Network:

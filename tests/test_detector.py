@@ -1,9 +1,11 @@
+import concurrent.futures
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ial.detector
+import ial.net
 from ial.data import ActionClass, GroundTruthEvent, Stream, SyntheticConfig, generate_synthetic_stream
 from ial.detector import (
     DetectorConfig,
@@ -38,10 +40,10 @@ def constant_model(spec_kind, n_classes, probs):
         spec = image_model_spec(n_classes)
     probs = np.asarray(probs, dtype=np.float64)
 
-    def predict_proba(x):
+    def predict_proba(x, fold=None):
         return np.tile(probs, (len(x), 1))
 
-    return SimpleNamespace(spec=spec, predict_proba=predict_proba)
+    return SimpleNamespace(spec=spec, fold=lambda: None, predict_proba=predict_proba)
 
 
 def scripted_model(n_classes, rows):
@@ -49,12 +51,12 @@ def scripted_model(n_classes, rows):
     spec = vector_model_spec(n_classes)
     queue = [np.asarray(r, dtype=np.float64) for r in rows]
 
-    def predict_proba(x):
+    def predict_proba(x, fold=None):
         out = np.stack(queue[: len(x)])
         del queue[: len(x)]
         return out
 
-    return SimpleNamespace(spec=spec, predict_proba=predict_proba)
+    return SimpleNamespace(spec=spec, fold=lambda: None, predict_proba=predict_proba)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +132,46 @@ def test_batched_proba_caps_its_workers(monkeypatch, threads, cpus, pools):
     model = build_network(vector_model_spec(2), seed=0)
     x = np.random.default_rng(1).normal(0, 1, (13 * ial.detector.PROBA_CHUNK - 5, 16))  # 13 chunks
     want = _batched_proba(model, x)
-    monkeypatch.setattr(ial.detector, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(ial.detector.os, "cpu_count", lambda: cpus)
     assert _batched_proba(model, x, threads).tobytes() == want.tobytes()
     assert made == pools
+
+
+def counting_band_weights(monkeypatch) -> list:
+    """Record each ``net._band_weights`` call, which folding a conv block makes once."""
+    calls, band_weights = [], ial.net._band_weights
+
+    def counting(*args):
+        calls.append(args[1])
+        return band_weights(*args)
+
+    monkeypatch.setattr(ial.net, "_band_weights", counting)
+    return calls
+
+
+def untrained_cnn_pair():
+    return build_network(image_model_spec(2), seed=1), build_network(image_model_spec(5), seed=2)
+
+
+@pytest.mark.parametrize("threshold, n_events", [(0.3, 1), (0.5, 11), (0.55, 0)])
+def test_detect_folds_each_network_once(monkeypatch, threshold, n_events):
+    """A 391-window stream is 13 chunks; however many events phase two
+    classifies, each network's three conv blocks are folded once per call."""
+    net1, net2 = untrained_cnn_pair()
+    calls = counting_band_weights(monkeypatch)
+    _, events = detect(make_stream(n=6000), net1, net2, DetectorConfig(interest_threshold=threshold), "image")
+    assert len(events) == n_events
+    assert calls == [8, 4, 2] * 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_evaluate_run_folds_each_network_once_per_stream(monkeypatch, k):
+    net1, net2 = untrained_cnn_pair()
+    calls = counting_band_weights(monkeypatch)
+    pairs = [(make_stream(n=3000, seed=i), []) for i in range(k)]
+    evaluate_run(pairs, net1, net2, DetectorConfig(), "image")
+    assert len(calls) == 6 * k
 
 
 # ---------------------------------------------------------------------------

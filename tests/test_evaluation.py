@@ -310,7 +310,7 @@ def silent_model(kind, n_classes):
     spec = vector_model_spec(n_classes) if kind == "fc" else image_model_spec(n_classes)
     probs = np.zeros(n_classes)
     probs[0] = 1.0
-    return SimpleNamespace(spec=spec, predict_proba=lambda x: np.tile(probs, (len(x), 1)))
+    return SimpleNamespace(spec=spec, fold=lambda: None, predict_proba=lambda x, fold=None: np.tile(probs, (len(x), 1)))
 
 
 def test_evaluate_run_silent_detector():

@@ -1,6 +1,9 @@
 """Every name a module of the package imports is used in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,13 @@ def test_unused_imports_finds_each_kind_of_import():
         "    raise DataError(np.pi)\n"
     )
     assert unused_imports(source) == ["line 4: os", "line 5: dat", "line 6: ConfigError", "line 8: vector_batch"]
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    """``concurrent.futures`` (which loads ``logging``) is imported only where a
+    scoring pass starts more than one worker, so a fresh ``ial`` process at one
+    thread does not pay for it."""
+    code = "import sys, ial.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out == "[]\n"

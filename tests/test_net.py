@@ -21,6 +21,7 @@ from ial.net import (
     TrainConfig,
     _band_weights,
     _conv_forward,
+    _fold_block,
     _folded_block,
     _pool_max,
     build_network,
@@ -960,8 +961,11 @@ def test_inference_writes_no_layer_state(spec):
     y = np.arange(4) % spec.n_classes
     net, _ = train(spec, x, y, TrainConfig(epochs=1, batch_size=4, seed=6))  # one step
     before = [dict(vars(layer)) for layer in net.layers]
+    held_by_net = dict(vars(net))
     digests = {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in net.arrays()}
     net.predict_proba(x)
+    _batched_proba(net, x, threads=2)
+    assert vars(net) == held_by_net
     for layer, held in zip(net.layers, before):
         now = vars(layer)
         assert now.keys() == held.keys(), type(layer).__name__
@@ -1019,6 +1023,11 @@ def test_folded_inference_matches_the_layer_walk(seed, n):
             assert np.array_equal(p.argmax(1), reference.argmax(1)), spec
 
 
+def folded(x, kernels, bn):
+    """The folded block of ``kernels`` and ``bn`` on x, folded for x's width."""
+    return _folded_block(x, *_fold_block(kernels, bn, x.shape[2]))
+
+
 def unfused_block(x, kernels, bn):
     """The folded block as separate steps: conv with the scaled kernels, pool, shift, ReLU."""
     scale, shift = bn.folded()
@@ -1036,7 +1045,7 @@ def test_folded_block_gives_the_bytes_of_the_unfused_steps(h, w, c_in, c_out):
     bn = BatchNorm(gamma, rng.normal(0, 0.3, c_out), rng.normal(0, 0.3, c_out), rng.uniform(0.05, 0.5, c_out))
     x = rng.normal(0.5, 0.3, (400, h, w, c_in))
     for n in range(1, 401):
-        assert _folded_block(x[:n], kernels, bn).tobytes() == unfused_block(x[:n], kernels, bn).tobytes(), n
+        assert folded(x[:n], kernels, bn).tobytes() == unfused_block(x[:n], kernels, bn).tobytes(), n
 
 
 @pytest.mark.parametrize("h, w, c_in, c_out, k", [
@@ -1058,7 +1067,7 @@ def test_folded_block_column_groups_match_the_unfused_steps(h, w, c_in, c_out, k
     bn = BatchNorm(gamma, rng.normal(0, 0.3, c_out), rng.normal(0, 0.3, c_out), rng.uniform(0.05, 0.5, c_out))
     x = rng.normal(0.5, 0.3, (40, h, w, c_in))
     for n in range(1, 41):
-        got, want = _folded_block(x[:n], kernels, bn), unfused_block(x[:n], kernels, bn)
+        got, want = folded(x[:n], kernels, bn), unfused_block(x[:n], kernels, bn)
         assert got.shape == want.shape == (n, h // 2, w // 2, c_out)
         assert np.abs(got - want).max() <= 1e-12, n
         flat = softmax(got.reshape(n, -1)), softmax(want.reshape(n, -1))
@@ -1068,11 +1077,18 @@ def test_folded_block_column_groups_match_the_unfused_steps(h, w, c_in, c_out, k
 def test_folded_block_rejects_what_the_layers_reject():
     bn = BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
     with pytest.raises(DataError, match=r"^maxpool2 needs H, W >= 2, got 1x8$"):
-        _folded_block(np.zeros((2, 1, 8, 1)), np.zeros((4, 3, 3, 1)), bn)
+        folded(np.zeros((2, 1, 8, 1)), np.zeros((4, 3, 3, 1)), bn)
     with pytest.raises(DataError, match=r"^kernel expects 1 input channels, input has 2$"):
-        _folded_block(np.zeros((2, 4, 4, 2)), np.zeros((4, 3, 3, 1)), bn)
+        folded(np.zeros((2, 4, 4, 2)), np.zeros((4, 3, 3, 1)), bn)
     with pytest.raises(DataError, match=r"^same padding requires odd kernel sides$"):
-        _folded_block(np.zeros((2, 4, 4, 1)), np.zeros((4, 2, 3, 1)), bn)
+        folded(np.zeros((2, 4, 4, 1)), np.zeros((4, 2, 3, 1)), bn)
+
+
+def test_cnn_refuses_an_input_of_another_width():
+    """The fold is built for the spec's input width, so another width is refused."""
+    net = build_network(image_model_spec(2), seed=0)
+    with pytest.raises(DataError, match=r"^input width 10 does not fit the folded block$"):
+        net.predict_proba(np.zeros((2, 50, 10, 1)))
 
 
 @pytest.mark.parametrize("spec", [image_model_spec(2), vector_model_spec(5)], ids=["cnn", "fc"])

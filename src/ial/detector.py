@@ -45,10 +45,10 @@ INTEREST_IDX = 1
 # Windows per predict_proba call; with threads > 1 the chunks run in parallel.
 # Sized to the cache: at 32 windows block 2's row bands, a chunk's largest CNN
 # array, take 1.2 MB (9.4 MB at 256) against a 2 MB L2 per core.  Phase-1
-# scoring of a 391-window stream (BLAS at 1 thread, medians of 20 interleaved
-# rounds in six processes that had run `ial train`) took 31-46 ms at 16, 34-47
-# ms at 32 and 37-51 ms at 64, with byte-equal probabilities; 16 beat 32 in
-# only 8-15 of the 20 rounds.
+# scoring of a 391-window stream on one fold (BLAS at 1 thread, medians of 20
+# interleaved rounds in three processes that had trained a CNN) took 29.1-32.1
+# ms at every multiple of 8 from 8 to 40, 29.8-30.3 ms at 32, 30.5-31.9 at 48,
+# 31.8-33.0 at 64 and 33.6-34.7 at 128, with byte-equal probabilities.
 PROBA_CHUNK = 32
 
 

@@ -162,7 +162,8 @@ def _pool_cells(x: np.ndarray) -> list[np.ndarray]:
 def _pool_max(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The 2x2 max-pool of (N, H, W, C), and the four cells it took the max over."""
     c0, c1, c2, c3 = cells = _pool_cells(x)
-    return np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)), cells
+    top = np.maximum(c0, c1)
+    return np.maximum(top, np.maximum(c2, c3), out=top), cells
 
 
 def _fold_block(kernels: np.ndarray, bn: BatchNorm, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

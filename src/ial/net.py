@@ -166,39 +166,57 @@ def _pool_max(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return np.maximum(top, np.maximum(c2, c3), out=top), cells
 
 
-def _fold_block(kernels: np.ndarray, bn: BatchNorm, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fold_block(kernels: np.ndarray, bn: BatchNorm, w: int) -> tuple[np.ndarray, list, np.ndarray]:
     """A Conv2D -> BatchNorm -> MaxPool2 -> ReLU block over rows of width W,
-    folded for inference: the kernels scaled by BatchNorm's s, their band with
-    its columns in pool-cell order ``(dj, wo // 2, co)`` for output column
-    wo = 2 * (wo // 2) + dj (an odd W's last column, which the pool drops, is
-    left out), and the shift."""
+    folded for inference: the kernels scaled by BatchNorm's s, one
+    ``(i0, i1, band)`` per group of output columns, and the shift.
+
+    The output columns the pool keeps (an odd W's last one is dropped) form
+    one group over all W input columns, or two halves when W is a multiple of
+    4 and each half reads fewer than W columns.  A group's band holds only
+    the rows of its input columns i0 .. i1 - 1, so a half skips the zeros of
+    the full band, and its columns are in pool-cell order ``(dj, wo // 2,
+    co)`` for output column wo = 2 * (wo // 2) + dj.
+    """
     scale, shift = bn.folded()
     scaled = kernels * scale[:, None, None, None]
-    band = _band_weights(scaled, w).reshape(-1, w, len(kernels))[:, : w - w % 2]
-    cells = band.reshape(len(band), w // 2, 2, len(kernels)).transpose(0, 2, 1, 3)
-    return scaled, cells.reshape(len(band), -1), shift
+    c_out, kh, kw, c_in = scaled.shape
+    full, half, pw = _band_weights(scaled, w).reshape(kh, w, c_in, w, c_out), w // 2, kw // 2
+    if w % 4 or pw >= half:
+        spans = [(0, w, 0, w - w % 2)]
+    else:
+        spans = [(0, half + pw, 0, half), (half - pw, w, half, w)]
+    groups = []
+    for i0, i1, o0, o1 in spans:
+        cells = full[:, i0:i1, :, o0:o1].reshape(-1, (o1 - o0) // 2, 2, c_out).transpose(0, 2, 1, 3)
+        groups.append((i0, i1, cells.reshape(kh * (i1 - i0) * c_in, -1)))
+    return scaled, groups, shift
 
 
-def _folded_block(x: np.ndarray, kernels: np.ndarray, band: np.ndarray, shift: np.ndarray) -> np.ndarray:
+def _folded_block(x: np.ndarray, kernels: np.ndarray, groups: list, shift: np.ndarray) -> np.ndarray:
     """A block at inference, as one step, from its ``_fold_block`` arrays.
 
     BatchNorm's scale s is in the kernels and its shift is added after the
     pool, followed by ReLU in place.  Pooling before the shift is exact: z ->
     fl(z + shift) never decreases as z grows, so it commutes with the max, and
     a negative s is already in the kernels.  Only the fold, conv(x, k * s) for
-    conv(x, k) * s, reassociates.  The conv is the training one on the rows the
-    pool keeps, and its pool-cell-ordered columns make each 2x2 cell one run of
-    (W // 2) * C_out contiguous values, which ``_pool_max`` takes as the
-    columns of a 2-wide image; that gives the bytes of ``_conv_forward`` then
-    ``_pool_max``.
+    conv(x, k) * s, reassociates.  Each group runs the training conv on its
+    input columns and the rows the pool keeps; its pool-cell-ordered columns
+    make each 2x2 cell one run of contiguous values, which ``_pool_max`` takes
+    as the columns of a 2-wide image.  That gives the bytes of
+    ``_conv_forward`` then ``_pool_max``: a group only leaves out products
+    with the band's zeros.
     """
     n, h, w, _ = x.shape
     if h < 2 or w < 2:
         raise DataError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
-    bands = _row_bands(x, kernels, h - h % 2)
-    if bands.shape[1] != len(band):
+    if groups[-1][1] != w:
         raise DataError(f"input width {w} does not fit the folded block")
-    out, _ = _pool_max((bands @ band).reshape(n, h - h % 2, 2, -1))
+    pooled = []
+    for i0, i1, band in groups:
+        bands = _row_bands(x[:, :, i0:i1], kernels, h - h % 2)
+        pooled.append(_pool_max((bands @ band).reshape(n, h - h % 2, 2, -1))[0])
+    out = pooled[0] if len(pooled) == 1 else np.concatenate(pooled, axis=-1)
     out = out.reshape(n, h // 2, w // 2, len(kernels))
     out += shift
     return np.maximum(out, 0.0, out=out)

@@ -1074,6 +1074,22 @@ def test_folded_block_column_groups_match_the_unfused_steps(h, w, c_in, c_out, k
         assert np.array_equal(flat[0].argmax(1), flat[1].argmax(1)), n
 
 
+@pytest.mark.parametrize("w, k, reads", [
+    (8, 3, [(0, 5), (3, 8)]),  # block 1 of the paper's network: each half reads 5 of 8 columns
+    (4, 3, [(0, 3), (1, 4)]),  # block 2
+    (8, 1, [(0, 4), (4, 8)]),
+    (4, 5, [(0, 4)]),  # a half would read every column
+    (2, 3, [(0, 2)]),  # block 3
+    (10, 3, [(0, 10)]),  # W not a multiple of 4
+    (5, 1, [(0, 5)]),  # the dropped last column stays in the band, with zero weights
+])
+def test_fold_block_groups_read_only_the_columns_their_outputs_need(w, k, reads):
+    kernels = np.random.default_rng(w).normal(0, 0.3, (4, k, k, 2))
+    _, groups, _ = _fold_block(kernels, BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)), w)
+    assert [(i0, i1) for i0, i1, _ in groups] == reads
+    assert [band.shape for _, _, band in groups] == [(k * (i1 - i0) * 2, (w - w % 2) // len(groups) * 4) for i0, i1 in reads]
+
+
 def test_folded_block_rejects_what_the_layers_reject():
     bn = BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4))
     with pytest.raises(DataError, match=r"^maxpool2 needs H, W >= 2, got 1x8$"):

@@ -43,12 +43,14 @@ NON_INTEREST_IDX = 0
 INTEREST_IDX = 1
 
 # Windows per predict_proba call; with threads > 1 the chunks run in parallel.
-# Sized to the cache: at 32 windows block 2's row bands, a chunk's largest CNN
-# array, take 1.2 MB (9.4 MB at 256) against a 2 MB L2 per core.  Phase-1
-# scoring of a 391-window stream on one fold (BLAS at 1 thread, medians of 20
-# interleaved rounds in three processes that had trained a CNN) took 29.1-32.1
-# ms at every multiple of 8 from 8 to 40, 29.8-30.3 ms at 32, 30.5-31.9 at 48,
-# 31.8-33.0 at 64 and 33.6-34.7 at 128, with byte-equal probabilities.
+# Sized to the cache: at 32 windows a half of block 2's row bands, a chunk's
+# largest CNN array, takes 0.9 MB (7.1 MB at 256) against a 2 MB L2 per core.
+# Phase-1 scoring of a 391-window stream on one fold (BLAS at 1 thread, medians
+# of 20 interleaved rounds in three processes that had trained a CNN) took
+# 26.9-27.6 ms at 16, 27.4-28.8 at 24, 27.6-28.6 at 32, 29.3-31.0 at 8,
+# 29.5-30.8 at 40, 31.1-32.7 at 64 and 44.0-48.7 at 128, with byte-equal
+# probabilities.  16 was about 1 ms faster than 32 in each process; no
+# alternated benchmark pairs have tested it.
 PROBA_CHUNK = 32
 
 

@@ -8,8 +8,8 @@ output) for 16-dim vector inputs.  Every layer's backward pass is verified
 against central finite differences by ``gradient_check``.  Every convolution
 is one GEMM of row bands and banded weights (``_row_bands``, ``_band_weights``),
 and CNN inference runs each conv, batchnorm, pool and ReLU block as one step,
-on arrays folded once per scoring pass (``Network.fold``) whose band columns
-are in pool-cell order.
+on arrays folded once per scoring pass (``Network.fold``): bands with their
+columns in pool-cell order, in two column halves where W is a multiple of 4.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import base64
 import copy
+import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -767,7 +769,7 @@ def gradient_check(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -776,10 +778,6 @@ class _Array:
 
     shape: tuple[int, ...]
     f64le: str
-
-
-def _encode(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "f64le": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
 
 
 def _decode(entry, where: str) -> np.ndarray:
@@ -794,40 +792,110 @@ def _decode(entry, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+@dataclass(frozen=True)
+class _Payload:
+    """The file beside a version-4 header that holds its arrays, with its length and sha256."""
+
+    file: str
+    bytes: int
+    sha256: str
+
+
+@dataclass(frozen=True)
+class _Header:
+    """A version-4 checkpoint header; ``arrays`` gives each array's shape in payload order."""
+
+    version: int
+    config_hash: str | None
+    spec: ModelSpec
+    arrays: dict[str, tuple[int, ...]]
+    payload: _Payload
+    meta: dict
+
+
+def _payload_arrays(p: Path, header: _Header) -> dict[str, np.ndarray]:
+    """The arrays of a version-4 checkpoint, sliced from its payload in header order.
+
+    Every size is checked against ``payload.bytes``, and that against the file's
+    length, before a byte is read, so a header allocates nothing of the sizes it
+    names."""
+    pl = header.payload
+    if pl.file in ("", "..") or Path(pl.file).name != pl.file or "\0" in pl.file:
+        raise ValueError(f"payload.file must be a bare file name, got {pl.file!r}")
+    end = 0
+    for name, shape in header.arrays.items():
+        if min(shape, default=0) < 0:
+            raise ValueError(f"arrays.{name}: negative size in {list(shape)}")
+        end += 8 * math.prod(shape)
+        if end > pl.bytes:
+            raise ValueError(f"arrays.{name} ends past payload.bytes {pl.bytes}")
+    if end != pl.bytes:
+        raise ValueError(f"the arrays end at byte {end}, not at payload.bytes {pl.bytes}")
+    try:
+        with open(p.with_name(pl.file), "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != pl.bytes:
+                raise ValueError(f"payload {pl.file} holds {size} bytes, not payload.bytes {pl.bytes}")
+            raw = fh.read()
+    except OSError as exc:  # missing or a directory
+        raise ValueError(f"payload {pl.file}: {exc.strerror or exc}") from None
+    if hashlib.sha256(raw).hexdigest() != pl.sha256:
+        raise ValueError(f"payload {pl.file} does not match payload.sha256")
+    state, start = {}, 0
+    for name, shape in header.arrays.items():
+        n = math.prod(shape)
+        state[name] = np.frombuffer(raw, "<f8", n, start).reshape(shape).astype(np.float64)
+        start += 8 * n
+    return state
+
+
 def save_checkpoint(net: Network, path, *, config_hash: str | None = None, meta: dict | None = None) -> None:
-    """Write a JSON checkpoint: spec echo plus ``net.arrays()``, each stored exactly
-    as its shape and the base64 of its little-endian float64 bytes."""
+    """Write a version-4 checkpoint: the little-endian float64 bytes of ``net.arrays()``,
+    concatenated in order, to a payload beside ``path`` with the suffix ``.f64``; then a
+    JSON header at ``path`` with the spec echo, each array's shape and the payload's
+    file name, length and sha256.  The two files make one checkpoint."""
+    path = Path(path)
+    payload = path.with_suffix(".f64")
+    arrays = net.arrays()
+    raw = b"".join(arr.astype("<f8").tobytes() for _, arr in arrays)
+    payload.write_bytes(raw)
     doc = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "spec": asdict(net.spec),
-        "state": {name: _encode(arr) for name, arr in net.arrays()},
+        "arrays": {name: list(arr.shape) for name, arr in arrays},
+        "payload": {"file": payload.name, "bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()},
         "meta": meta or {},
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def load_checkpoint(path) -> Network:
     """Rebuild a network from a checkpoint, checking each array against the
     spec before the next layer is built, so a spec alone allocates nothing.
 
-    Reads version 3 and the older versions 2 and 1, which store each array as
-    nested lists of floats.  A version-1 conv bias b only shifts the BatchNorm
-    input it feeds: ``(y + b) - rm == y - (rm - b)``, so b is folded into the
-    running mean, equal up to rounding.
+    Reads version 4 and the older versions 3, 2 and 1, single JSON files that
+    store each array as its shape and the base64 of its little-endian float64
+    bytes (3) or as nested lists of floats (2 and 1).  A version-1 conv bias b
+    only shifts the BatchNorm input it feeds: ``(y + b) - rm == y - (rm - b)``,
+    so b is folded into the running mean, equal up to rounding.
     """
     p = Path(path)
     doc = read_json(p, DataError)
     version = doc.get("version") if isinstance(doc, dict) else None
-    if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, 2, 3, CHECKPOINT_VERSION):
         raise DataError(f"unsupported checkpoint version {version}")
     try:
-        spec = from_json(ModelSpec, doc.get("spec"), ConfigError, "spec")
-        entries = doc.get("state", {}).items()
         if version == CHECKPOINT_VERSION:
-            state = {name: _decode(entry, f"state.{name}") for name, entry in entries}
+            header = from_json(_Header, doc, ConfigError)
+            spec, state = header.spec, _payload_arrays(p, header)
         else:
-            state = {name: np.asarray(arr, dtype=np.float64) for name, arr in entries}
+            spec = from_json(ModelSpec, doc.get("spec"), ConfigError, "spec")
+            entries = doc.get("state", {}).items()
+            if version == 3:
+                state = {name: _decode(entry, f"state.{name}") for name, entry in entries}
+            else:
+                state = {name: np.asarray(arr, dtype=np.float64) for name, arr in entries}
     except (ConfigError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{p}: {exc}") from None
 

@@ -18,6 +18,7 @@ from ial.data import (
 from ial.features import image_feature, vector_feature
 from ial.signal import make_window, window_images, window_starts
 from ial.net import Dense, build_network, image_model_spec, save_checkpoint, vector_model_spec
+from v3_checkpoint import save_v3_checkpoint
 
 
 def write_config(tmp_path, **extra):
@@ -167,10 +168,11 @@ def test_full_pipeline_train_detect_eval(tmp_path, capsys):
     assert loss_lines[1] == "epoch,mean_loss"
     assert len(loss_lines) == 2 + 40  # one row per epoch
 
-    ckpt = out / "phase1_fc.json"
-    first_ckpt = ckpt.read_bytes()
+    ckpt, payload = out / "phase1_fc.json", out / "phase1_fc.f64"
+    first_ckpt, first_payload = ckpt.read_bytes(), payload.read_bytes()
     assert main(["--config", str(cfg), "train"]) == 0
     assert ckpt.read_bytes() == first_ckpt  # reproducible checkpoints
+    assert payload.read_bytes() == first_payload
 
     stream_path = out / "data" / "s01_r10.csv"
     dump = out / "features.csv"
@@ -292,7 +294,8 @@ def test_detect_refuses_a_model_declared_for_another_input_shape(tmp_path, capsy
     assert main(["--config", str(cfg), "detect", str(tmp_path / "s.csv")]) == 2
     feature_shape = spec(2).input_shape
     assert capsys.readouterr().err == f"error: {kind} features have shape {feature_shape}, the model takes {shape}\n"
-    assert sorted(p.name for p in out.iterdir()) == [f"phase1_{model}.json", f"phase2_{model}.json"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"phase1_{model}.f64", f"phase1_{model}.json", f"phase2_{model}.f64", f"phase2_{model}.json"]
 
 
 @pytest.mark.parametrize("text", ["t,ax,ay,az,gx,gy,gz\n", "# only\n# comments\n"], ids=["header-only", "comment-only"])
@@ -438,6 +441,13 @@ BAD_INPUTS = [
     *(pytest.param("state", ("7.b", entry), 2, id=f"state.7.b={name}") for name, entry in (
         ("list", [0.0, 0.0]), ("no-f64le", {"shape": [2]}), ("not-base64", {"shape": [2], "f64le": "!!!!"}),
         ("wrong-length", {"shape": [3], "f64le": "AAAAAAAAAAAAAAAAAAAAAA=="}), ("huge-shape", {"shape": [10**400], "f64le": ""}))),
+    *(pytest.param("header", kv, 2, id=f"header.{kv[0]}={name}") for name, kv in (
+        ("negative", ("arrays.7.b", [-1])), ("float", ("arrays.7.b", [2.0])), ("huge", ("arrays.7.b", [10**400])),
+        ("short", ("payload.bytes", 8)), ("long", ("payload.bytes", 10**9)),
+        ("dir-part", ("payload.file", "sub/phase1_fc.f64")), ("parent", ("payload.file", "../phase1_fc.f64")),
+        ("dotdot", ("payload.file", "..")), ("unknown", ("bogus", 1)))),
+    *(pytest.param("payload", ("phase1_fc.f64", op), 2, id=f"payload-{op}") for op in (
+        "missing", "directory", "short", "long", "flipped", "named-by-phase-2")),
     *(pytest.param("manifest", kv, 2, id=f"manifest.{kv[0]}={kv[1]!r}") for kv in (
         ("sample_rate_hz", "50"), ("sample_rate_hz", True), ("notes", "x"))),
     *(pytest.param("file", (name, b"\xff"), 2, id=f"non-utf8-{name}") for name in ("a.csv", "a.labels.txt")),
@@ -451,8 +461,9 @@ BAD_INPUTS = [
 
 @pytest.mark.parametrize("where, value, code", BAD_INPUTS)
 def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
-    # each case fails as soon as its input is read: a config value or a checkpoint
-    # spec or array in `detect` of a missing stream (a synthetic value in `synth`,
+    # each case fails as soon as its input is read: a config value, a checkpoint
+    # spec, a version-3 array, a version-4 header value or a version-4 payload in
+    # `detect` of a missing stream (a synthetic value in `synth`,
     # which checks the frame count as it makes streams), a manifest field or a stream or
     # labels file with a byte appended in `train`; or as soon as its output path is
     # written: under the regular file "blocker" or in a missing directory; or in
@@ -464,10 +475,24 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
         save_checkpoint(build_network(vector_model_spec(n_classes)), out / f"phase{phase}_fc.json")
     if where == "config":
         args += ["--set", value]
-    elif where in ("spec", "state"):
+    elif where in ("spec", "state", "header"):
+        if where == "state":
+            save_v3_checkpoint(build_network(vector_model_spec(2)), out / "phase1_fc.json")
         doc = json.loads((out / "phase1_fc.json").read_text())
-        doc[where][value[0]] = value[1]
+        *outer, key = value[0].split(".", 1) if where == "header" else (where, value[0])
+        (doc[outer[0]] if outer else doc)[key] = value[1]
         (out / "phase1_fc.json").write_text(json.dumps(doc))
+    elif where == "payload":  # phase 1's payload, changed or named by phase 2's header
+        payload, header = out / value[0], out / "phase2_fc.json"
+        data = payload.read_bytes()
+        if value[1] == "named-by-phase-2":
+            header.write_text(header.read_text().replace('"phase2_fc.f64"', json.dumps(value[0])))
+        elif value[1] in ("missing", "directory"):
+            payload.unlink()
+            if value[1] == "directory":
+                payload.mkdir()
+        else:
+            payload.write_bytes({"short": data[:-1], "long": data + b"\0", "flipped": bytes([data[0] ^ 1]) + data[1:]}[value[1]])
     elif where == "manifest":
         entry = {"subject_id": 1, "stream_id": 1, "stream_path": "a.csv", "labels_path": "a.labels.txt"}
         (out / "manifest.json").write_text(json.dumps({"streams": [entry], value[0]: value[1]}))

@@ -1,4 +1,4 @@
-"""Fuzz ``ial detect`` and ``ial eval`` with byte-level corruptions of a stream and a labels file.
+"""Fuzz ``ial detect`` and ``ial eval`` with byte-level corruptions of a stream, a labels file and a checkpoint.
 
 Whatever the bytes, the CLI must return one of its exit codes (0, 1, 2, 3) and
 let no exception escape.  The checkpoints are untrained narrow networks, so
@@ -45,7 +45,8 @@ def mutate(data: bytes, mutations) -> bytes:
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
-    """A vector+FC run: untrained checkpoints, one test stream (id 10) and its labels."""
+    """A vector+FC run: untrained checkpoints, one test stream (id 10) and its labels; the
+    original bytes of those files, each named by its path under the run's root."""
     root = tmp_path_factory.mktemp("fuzz")
     out = root / "out"
     out.mkdir()
@@ -60,7 +61,8 @@ def run_dir(tmp_path_factory):
     write_stream(stream, root / "s.csv")
     write_labels(events, root / "s.labels.txt")
     write_manifest(out / "manifest.json", [ManifestEntry(1, 10, str(root / "s.csv"), str(root / "s.labels.txt"))])
-    return root, config, {name: (root / name).read_bytes() for name in ("s.csv", "s.labels.txt")}
+    names = ["s.csv", "s.labels.txt", *(f"out/phase{phase}_fc.{ext}" for phase in (1, 2) for ext in ("json", "f64"))]
+    return root, config, {name: (root / name).read_bytes() for name in names}
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -77,6 +79,21 @@ def test_corrupted_stream_or_labels_never_escape_the_exit_codes(run_dir, command
         (root / name).write_bytes(mutate(data, mutations) if name == target else data)
     args = ["--config", str(config), command] + ([str(root / "s.csv")] if command == "detect" else [])
     assert main(args) in (0, 1, 2, 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    target=st.sampled_from([f"out/phase{phase}_fc.{ext}" for phase in (1, 2) for ext in ("json", "f64")]),
+    mutations=st.lists(MUTATION, min_size=1, max_size=3),
+)
+@example(target="out/phase1_fc.f64", mutations=[("truncate", 0.5, b"0")])
+@example(target="out/phase2_fc.json", mutations=[("insert", 0.0, b"\xef\xbb\xbf")])
+def test_corrupted_checkpoint_header_or_payload_never_escapes_detect(run_dir, target, mutations):
+    """A version-4 header or payload with bytes replaced, inserted, deleted or cut: ``detect`` exits 0 or 2."""
+    root, config, originals = run_dir
+    for name, data in originals.items():
+        (root / name).write_bytes(mutate(data, mutations) if name == target else data)
+    assert main(["--config", str(config), "detect", str(root / "s.csv")]) in (0, 2)
 
 
 @pytest.mark.parametrize("line", ["1 -inf 5.0", "2 10.0 inf"])

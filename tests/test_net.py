@@ -37,6 +37,7 @@ from ial.net import (
     train,
     vector_model_spec,
 )
+from v3_checkpoint import save_v3_checkpoint
 
 
 def central_diff(f, x, h=1e-5):
@@ -1141,7 +1142,7 @@ def test_checkpoint_round_trip(tmp_path):
     net, _ = train(vector_model_spec(2), x, y, TrainConfig(epochs=2, seed=5))
     path = tmp_path / "ckpt.json"
     save_checkpoint(net, path, config_hash="abc")
-    assert json.loads(path.read_text())["version"] == 3
+    assert json.loads(path.read_text())["version"] == 4
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.predict_proba(x), net.predict_proba(x))
     for (na, a), (nb, b) in zip(net.parameters(), loaded.parameters()):
@@ -1153,7 +1154,7 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
         load_checkpoint(tmp_path / "none.json")
     net = build_network(vector_model_spec(2), seed=1)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(net, path)
+    save_v3_checkpoint(net, path)
     good = json.loads(path.read_text())
     doc = json.loads(path.read_text())
     doc["spec"]["n_classes"] = 3  # state arrays no longer fit the spec
@@ -1163,7 +1164,7 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
     for broken, message in [
         ("{broken", r"ckpt\.json: invalid JSON \("),
         ("[]", r"^unsupported checkpoint version None$"),
-        (json.dumps({**good, "version": 4}), r"^unsupported checkpoint version 4$"),
+        (json.dumps({**good, "version": 5}), r"^unsupported checkpoint version 5$"),
         (json.dumps({**good, "version": True}), r"^unsupported checkpoint version True$"),
         (json.dumps({**good, "version": 2.0}), r"^unsupported checkpoint version 2\.0$"),
         (json.dumps({**good, "spec": {"kind": "fc"}}), r"ckpt\.json: missing field spec\.n_classes$"),
@@ -1182,7 +1183,7 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
         with pytest.raises(DataError, match=message):
             load_checkpoint(path)
     # sizes no state array fits, which must fail before anything of that size is allocated
-    save_checkpoint(build_network(image_model_spec(2), seed=1), tmp_path / "cnn.json")
+    save_v3_checkpoint(build_network(image_model_spec(2), seed=1), tmp_path / "cnn.json")
     cnn = json.loads((tmp_path / "cnn.json").read_text())
     for doc, key, value, message in [
         (good, "hidden_layers", 10**400, r"6\.w: no array where the spec needs \(128, 128\)$"),
@@ -1212,15 +1213,84 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
         load_checkpoint(path)
     path.write_text(json.dumps(good))
     assert np.array_equal(load_checkpoint(path).layers[7].b, net.layers[7].b)
+    # version 4: a header and its payload, each refused before a byte of the
+    # header's sizes is allocated; 7.b is the payload's last 16 bytes
+    v4, f64 = tmp_path / "v4.json", tmp_path / "v4.f64"
+    save_checkpoint(net, v4)
+    save_checkpoint(build_network(vector_model_spec(5), seed=2), tmp_path / "p2.json")
+    header, payload = json.loads(v4.read_text()), f64.read_bytes()
+    n = header["payload"]["bytes"]
+    flipped = bytearray(payload)
+    flipped[n // 2] ^= 1
+
+    def edited(key, value, doc=header):
+        doc = json.loads(json.dumps(doc))
+        *outer, last = key.split(".", 1)
+        (doc[outer[0]] if outer else doc)[last] = value
+        return doc
+
+    fit = r"the arrays end at byte {}, not at payload\.bytes {}$"
+    past = r"arrays\.{} ends past payload\.bytes {}$"
+    bare = r"payload\.file must be a bare file name, got "
+    for doc, data, message in [
+        (header, None, r"payload v4\.f64: No such file or directory$"),
+        (header, "dir", r"payload v4\.f64: Is a directory$"),
+        (header, payload[:-1], rf"payload v4\.f64 holds {n - 1} bytes, not payload\.bytes {n}$"),
+        (header, payload + b"\0", rf"payload v4\.f64 holds {n + 1} bytes, not payload\.bytes {n}$"),
+        (header, bytes(flipped), r"payload v4\.f64 does not match payload\.sha256$"),
+        (edited("payload.sha256", "0" * 64), payload, r"payload v4\.f64 does not match payload\.sha256$"),
+        (edited("payload.file", "v4.f64", json.loads((tmp_path / "p2.json").read_text())), payload,
+         r"payload v4\.f64 holds \d+ bytes, not payload\.bytes \d+$"),  # phase 1's payload named by phase 2's header
+        (edited("arrays.7.b", [-1]), payload, r"arrays\.7\.b: negative size in \[-1\]$"),
+        (edited("arrays.7.b", [-1, -2]), payload, r"arrays\.7\.b: negative size in \[-1, -2\]$"),
+        (edited("arrays.7.b", [2.0]), payload, r"arrays\.7\.b\[0\] must be int, got 2\.0$"),
+        (edited("arrays.7.b", [True]), payload, r"arrays\.7\.b\[0\] must be int, got True$"),
+        (edited("arrays.7.b", ["2"]), payload, r"arrays\.7\.b\[0\] must be int, got '2'$"),
+        (edited("arrays.7.b", 2), payload, r"arrays\.7\.b must be tuple\[int, \.\.\.\], got 2$"),
+        (edited("arrays.7.b", [10**400]), payload, past.format(r"7\.b", n)),
+        (edited("arrays.7.b", [3]), payload, past.format(r"7\.b", n)),
+        (edited("arrays.7.b", [10**400, 0]), payload, fit.format(n - 16, n)),
+        (edited("arrays.7.b", [1]), payload, fit.format(n - 8, n)),
+        (edited("payload.bytes", n + 8), payload, fit.format(n, n + 8)),
+        (edited("payload.bytes", -1), payload, past.format(r"0\.w", -1)),
+        (edited("payload.bytes", True), payload, r"payload\.bytes must be int, got True$"),
+        # sizes that add up, but to more than the file holds: refused before anything is read
+        (edited("payload.bytes", n - 16 + 8 * 10**11, edited("arrays.7.b", [10**11])), payload,
+         rf"payload v4\.f64 holds {n} bytes, not payload\.bytes {n - 16 + 8 * 10**11}$"),
+        (edited("payload.file", "sub/v4.f64"), payload, bare + r"'sub/v4\.f64'$"),
+        (edited("payload.file", "../v4.f64"), payload, bare + r"'\.\./v4\.f64'$"),
+        (edited("payload.file", str(f64)), payload, bare),
+        (edited("payload.file", ".."), payload, bare + r"'\.\.'$"),
+        (edited("payload.file", ""), payload, bare + r"''$"),
+        (edited("payload.file", "v4.f64\0"), payload, bare),
+        (edited("bogus", 1), payload, r"unknown key bogus$"),
+        (edited("payload.bogus", 1), payload, r"unknown key payload\.bogus$"),
+        ({k: v for k, v in header.items() if k != "arrays"}, payload, r"missing field arrays$"),
+        (edited("spec.n_classes", 3), payload, r"7\.w: shape \(2, 128\) where the spec needs \(3, 128\)$"),
+        (edited("arrays.9.w", [0]), payload, r"array 9\.w is not in the spec$"),
+    ]:
+        v4.write_text(json.dumps(doc))
+        if f64.is_dir():
+            f64.rmdir()
+        f64.unlink(missing_ok=True)
+        if data == "dir":
+            f64.mkdir()
+        elif data is not None:
+            f64.write_bytes(data)
+        with pytest.raises(DataError, match=r"v4\.json: " + message):
+            load_checkpoint(v4)
+    v4.write_text(json.dumps(header))
+    f64.write_bytes(payload)
+    assert np.array_equal(load_checkpoint(v4).layers[7].b, net.layers[7].b)
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_checkpoint_with_a_non_finite_array_is_refused(tmp_path, version, value):
     net = build_network(vector_model_spec(2), seed=1)
     net.layers[7].b[1] = value
     path = tmp_path / "ckpt.json"
-    save_checkpoint(net, path)
+    (save_checkpoint if version == 4 else save_v3_checkpoint)(net, path)
     if version == 2:
         doc = json.loads(path.read_text())
         doc["version"], doc["state"] = 2, {name: arr.tolist() for name, arr in net.arrays()}
@@ -1236,13 +1306,14 @@ def test_checkpoint_versions_2_and_3_load_to_equal_arrays(tmp_path, spec):
     for _, arr in net.arrays():  # awkward values: a full-precision draw, then -0.0, tiny, huge and subnormal
         arr[...] = rng.normal(0, 1, arr.shape)
         arr.flat[:5] = [-0.0, 5e-324, 1e300, -2.0**-1074, 0.1][: arr.size]
-    save_checkpoint(net, tmp_path / "v3.json")
+    save_v3_checkpoint(net, tmp_path / "v3.json")
+    save_checkpoint(net, tmp_path / "v4.json")
     doc = json.loads((tmp_path / "v3.json").read_text())
     doc["version"] = 2
     doc["state"] = {name: arr.tolist() for name, arr in net.arrays()}
     (tmp_path / "v2.json").write_text(json.dumps(doc))
     want = [(name, arr.dtype, arr.shape, arr.tobytes()) for name, arr in net.arrays()]
-    for version in ("v2", "v3"):
+    for version in ("v2", "v3", "v4"):
         loaded = load_checkpoint(tmp_path / f"{version}.json")
         assert [(name, arr.dtype, arr.shape, arr.tobytes()) for name, arr in loaded.arrays()] == want, version
         assert all(arr.flags.writeable and arr.flags.c_contiguous for _, arr in loaded.arrays())
@@ -1269,7 +1340,7 @@ def test_checkpoint_version_1_folds_conv_bias_into_running_mean(tmp_path):
 
     # a version-1 file is a version-2 file plus one bias per convolution
     path = tmp_path / "v1.json"
-    save_checkpoint(net, path)
+    save_v3_checkpoint(net, path)
     doc = json.loads(path.read_text())
     doc["version"] = 1
     doc["state"] = {name: arr.tolist() for name, arr in net.arrays()}

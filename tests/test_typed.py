@@ -24,7 +24,8 @@ from ial.data import (
     ManifestEntry, SyntheticConfig, generate_synthetic_stream, load_dataset, write_labels, write_manifest, write_stream,
 )
 from ial.errors import ConfigError, IalError
-from ial.net import ModelSpec, build_network, load_checkpoint, save_checkpoint
+from ial.net import ModelSpec, build_network, load_checkpoint
+from v3_checkpoint import save_v3_checkpoint
 
 CLASS_NAMES = ["swipe_left", "swipe_right", "wave", "circle_cw", "circle_ccw"]
 
@@ -170,7 +171,7 @@ SPECS = {"fc": ModelSpec("fc", 2, (16,), hidden_units=4), "cnn": ModelSpec("cnn"
 def checkpoint_doc(kind):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.json"
-        save_checkpoint(build_network(SPECS[kind]), path)
+        save_v3_checkpoint(build_network(SPECS[kind]), path)
         return json.loads(path.read_text())
 
 

@@ -793,15 +793,6 @@ def _decode(entry, where: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Payload:
-    """The file beside a version-4 header that holds its arrays, with its length and sha256."""
-
-    file: str
-    bytes: int
-    sha256: str
-
-
-@dataclass(frozen=True)
 class _Header:
     """A version-4 checkpoint header; ``arrays`` gives each array's shape in payload order."""
 
@@ -809,38 +800,35 @@ class _Header:
     config_hash: str | None
     spec: ModelSpec
     arrays: dict[str, tuple[int, ...]]
-    payload: _Payload
+    payload_sha256: str
     meta: dict
 
 
 def _payload_arrays(p: Path, header: _Header) -> dict[str, np.ndarray]:
-    """The arrays of a version-4 checkpoint, sliced from its payload in header order.
+    """The arrays of a version-4 checkpoint, sliced in header order from its payload,
+    the file beside ``p`` with the suffix ``.f64``.
 
-    Every size is checked against ``payload.bytes``, and that against the file's
-    length, before a byte is read, so a header allocates nothing of the sizes it
-    names."""
-    pl = header.payload
-    if pl.file in ("", "..") or Path(pl.file).name != pl.file or "\0" in pl.file:
-        raise ValueError(f"payload.file must be a bare file name, got {pl.file!r}")
-    end = 0
-    for name, shape in header.arrays.items():
-        if min(shape, default=0) < 0:
-            raise ValueError(f"arrays.{name}: negative size in {list(shape)}")
-        end += 8 * math.prod(shape)
-        if end > pl.bytes:
-            raise ValueError(f"arrays.{name} ends past payload.bytes {pl.bytes}")
-    if end != pl.bytes:
-        raise ValueError(f"the arrays end at byte {end}, not at payload.bytes {pl.bytes}")
+    Every size is checked against the payload's length before a byte is read, so a
+    header allocates nothing of the sizes it names; the sha256 is checked before any
+    array is made."""
+    payload = p.with_suffix(".f64")
     try:
-        with open(p.with_name(pl.file), "rb") as fh:
+        with open(payload, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            if size != pl.bytes:
-                raise ValueError(f"payload {pl.file} holds {size} bytes, not payload.bytes {pl.bytes}")
+            end = 0
+            for name, shape in header.arrays.items():
+                if min(shape, default=0) < 0:
+                    raise ValueError(f"arrays.{name}: negative size in {list(shape)}")
+                end += 8 * math.prod(shape)
+                if end > size:
+                    raise ValueError(f"arrays.{name} ends past the {size} bytes of payload {payload.name}")
+            if end != size:
+                raise ValueError(f"the arrays end at byte {end}, but payload {payload.name} holds {size}")
             raw = fh.read()
     except OSError as exc:  # missing or a directory
-        raise ValueError(f"payload {pl.file}: {exc.strerror or exc}") from None
-    if hashlib.sha256(raw).hexdigest() != pl.sha256:
-        raise ValueError(f"payload {pl.file} does not match payload.sha256")
+        raise ValueError(f"payload {payload.name}: {exc.strerror or exc}") from None
+    if hashlib.sha256(raw).hexdigest() != header.payload_sha256:
+        raise ValueError(f"payload {payload.name} does not match payload_sha256")
     state, start = {}, 0
     for name, shape in header.arrays.items():
         n = math.prod(shape)
@@ -853,9 +841,12 @@ def save_checkpoint(net: Network, path, *, config_hash: str | None = None, meta:
     """Write a version-4 checkpoint: the little-endian float64 bytes of ``net.arrays()``,
     concatenated in order, to a payload beside ``path`` with the suffix ``.f64``; then a
     JSON header at ``path`` with the spec echo, each array's shape and the payload's
-    file name, length and sha256.  The two files make one checkpoint."""
+    sha256.  The two files make one checkpoint, so two headers whose paths differ only
+    in their suffix share one payload, and each save breaks the other checkpoint."""
     path = Path(path)
     payload = path.with_suffix(".f64")
+    if payload == path:
+        raise ValueError(f"a checkpoint header may not have the payload's suffix .f64: {path}")
     arrays = net.arrays()
     raw = b"".join(arr.astype("<f8").tobytes() for _, arr in arrays)
     payload.write_bytes(raw)
@@ -864,7 +855,7 @@ def save_checkpoint(net: Network, path, *, config_hash: str | None = None, meta:
         "config_hash": config_hash,
         "spec": asdict(net.spec),
         "arrays": {name: list(arr.shape) for name, arr in arrays},
-        "payload": {"file": payload.name, "bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()},
+        "payload_sha256": hashlib.sha256(raw).hexdigest(),
         "meta": meta or {},
     }
     path.write_text(json.dumps(doc) + "\n", encoding="utf-8")

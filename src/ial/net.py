@@ -14,7 +14,6 @@ columns in pool-cell order, in two column halves where W is a multiple of 4.
 
 from __future__ import annotations
 
-import base64
 import copy
 import hashlib
 import json
@@ -78,7 +77,7 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     """Non-overlapping 2x2 max; trailing odd row/column is dropped."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 3
-    y = MaxPool2().forward(x[None] if single else x, train=False)
+    y = _pool_max(x[None] if single else x)[0]
     return y[0] if single else y
 
 
@@ -111,15 +110,23 @@ def _row_bands(x: np.ndarray, kernels: np.ndarray, rows: int) -> np.ndarray:
     return as_strided(padded, (n, rows, kh * w * c_in), (sn, sr, padded.itemsize)).reshape(-1, kh * w * c_in)
 
 
+def _band_slots(kw: int, w: int):
+    """For each output column wo of a same-padded conv over rows of width W, in
+    order: wo, the kernel columns j0 .. j1 - 1 that exist there, and the input
+    columns wo + j - pw they read."""
+    for wo in range(w):
+        j0, j1 = max(0, kw // 2 - wo), min(kw, w + kw // 2 - wo)
+        yield wo, slice(j0, j1), slice(wo + j0 - kw // 2, wo + j1 - kw // 2)
+
+
 def _band_weights(kernels: np.ndarray, w: int) -> np.ndarray:
     """The (kh * W * C_in, W * C_out) banded matrix of a same-padded conv over
     rows of width W: entry ((i, w', c), (wo, co)) is ``kernels[co, i, w' - wo + pw, c]``
     where that kernel column exists, and 0 elsewhere."""
     c_out, kh, kw, c_in = kernels.shape
     band, taps = np.zeros((kh, w, c_in, w, c_out)), kernels.transpose(1, 2, 3, 0)
-    for wo in range(w):
-        j0, j1 = max(0, kw // 2 - wo), min(kw, w + kw // 2 - wo)
-        band[:, wo + j0 - kw // 2 : wo + j1 - kw // 2, :, wo] = taps[:, j0:j1]
+    for wo, js, cols in _band_slots(kw, w):
+        band[:, cols, :, wo] = taps[:, js]
     return band.reshape(kh * w * c_in, w * c_out)
 
 
@@ -139,9 +146,8 @@ def _conv_backward(dy: np.ndarray, bands: np.ndarray, x_shape, kernels: np.ndarr
     for lo in range(GRAD_ROWS, n * h, GRAD_ROWS):
         dband += bands[lo : lo + GRAD_ROWS].T @ dy_rows[lo : lo + GRAD_ROWS]
     dband, dkernels = dband.reshape(kh, w, c_in, w, c_out), np.zeros((kh, kw, c_in, c_out))
-    for wo in range(w):  # fold the band over the output columns, in order
-        j0, j1 = max(0, kw // 2 - wo), min(kw, w + kw // 2 - wo)
-        dkernels[:, j0:j1] += dband[:, wo + j0 - kw // 2 : wo + j1 - kw // 2, :, wo]
+    for wo, js, cols in _band_slots(kw, w):  # fold the band over the output columns, in order
+        dkernels[:, js] += dband[:, cols, :, wo]
     if not input_grad:
         return None, dkernels.transpose(3, 0, 1, 2)
     # band row (b, r) covers padded rows r .. r + kh - 1: kh contiguous slab adds
@@ -773,26 +779,6 @@ CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
-class _Array:
-    """A version-3 checkpoint array: its shape and the base64 of its little-endian float64 bytes."""
-
-    shape: tuple[int, ...]
-    f64le: str
-
-
-def _decode(entry, where: str) -> np.ndarray:
-    """The array of a version-3 entry; ConfigError, naming ``where``, if it is malformed."""
-    arr = from_json(_Array, entry, ConfigError, where)
-    try:
-        raw = base64.b64decode(arr.f64le, validate=True)  # a binascii.Error is a ValueError
-        if min(arr.shape, default=0) < 0 or len(raw) != 8 * math.prod(arr.shape):
-            raise ValueError(f"{len(raw)} bytes do not fit shape {list(arr.shape)}")
-        return np.frombuffer(raw, "<f8").reshape(arr.shape).astype(np.float64)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-@dataclass(frozen=True)
 class _Header:
     """A version-4 checkpoint header; ``arrays`` gives each array's shape in payload order."""
 
@@ -862,32 +848,20 @@ def save_checkpoint(net: Network, path, *, config_hash: str | None = None, meta:
 
 
 def load_checkpoint(path) -> Network:
-    """Rebuild a network from a checkpoint, checking each array against the
-    spec before the next layer is built, so a spec alone allocates nothing.
-
-    Reads version 4 and the older versions 3, 2 and 1, single JSON files that
-    store each array as its shape and the base64 of its little-endian float64
-    bytes (3) or as nested lists of floats (2 and 1).  A version-1 conv bias b
-    only shifts the BatchNorm input it feeds: ``(y + b) - rm == y - (rm - b)``,
-    so b is folded into the running mean, equal up to rounding.
+    """Rebuild a network from a version-4 checkpoint header and its payload,
+    checking each array against the spec before the next layer is built, so a
+    spec alone allocates nothing.  Any other version is refused: ``ial train``
+    writes a fresh checkpoint from the config and the manifest.
     """
     p = Path(path)
     doc = read_json(p, DataError)
     version = doc.get("version") if isinstance(doc, dict) else None
-    if type(version) is not int or version not in (1, 2, 3, CHECKPOINT_VERSION):
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     try:
-        if version == CHECKPOINT_VERSION:
-            header = from_json(_Header, doc, ConfigError)
-            spec, state = header.spec, _payload_arrays(p, header)
-        else:
-            spec = from_json(ModelSpec, doc.get("spec"), ConfigError, "spec")
-            entries = doc.get("state", {}).items()
-            if version == 3:
-                state = {name: _decode(entry, f"state.{name}") for name, entry in entries}
-            else:
-                state = {name: np.asarray(arr, dtype=np.float64) for name, arr in entries}
-    except (ConfigError, TypeError, ValueError, AttributeError) as exc:
+        header = from_json(_Header, doc, ConfigError)
+        state = _payload_arrays(p, header)
+    except (ConfigError, ValueError) as exc:
         raise DataError(f"{p}: {exc}") from None
 
     def take(i: int, name: str, shape: tuple, fill: float | None) -> np.ndarray:
@@ -895,13 +869,11 @@ def load_checkpoint(path) -> Network:
         if arr is None or arr.shape != shape:
             found = "no array" if arr is None else f"shape {arr.shape}"
             raise DataError(f"{p}: {i}.{name}: {found} where the spec needs {shape}")
-        if version == 1 and name == "running_mean":
-            arr = arr - take(i - 1, "bias", shape, None)
         if not np.isfinite(arr).all():
             raise DataError(f"{p}: {i}.{name}: non-finite values")
         return arr
 
-    net = _assemble(spec, take, seed=0)
+    net = _assemble(header.spec, take, seed=0)
     if state:
         raise DataError(f"{p}: array {next(iter(state))} is not in the spec")
     return net

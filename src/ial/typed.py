@@ -1,9 +1,8 @@
 """JSON documents read into dataclasses, each value checked against its field annotation.
 
-The run config, the manifest, the checkpoint spec and the version-4
-checkpoint header are all read here, so one set of rules holds for every
-JSON input.  A mismatch raises the caller's error, naming the dotted path of
-the value.
+The run config, the manifest and the version-4 checkpoint header, its spec
+included, are all read here, so one set of rules holds for every JSON input.
+A mismatch raises the caller's error, naming the dotted path of the value.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from ial.data import (
 from ial.features import image_feature, vector_feature
 from ial.signal import make_window, window_images, window_starts
 from ial.net import Dense, build_network, image_model_spec, save_checkpoint, vector_model_spec
-from v3_checkpoint import save_v3_checkpoint
 
 
 def write_config(tmp_path, **extra):
@@ -439,9 +438,7 @@ BAD_INPUTS = [
     *(pytest.param("spec", kv, 2, id=f"spec.{kv[0]}={kv[1]!r}") for kv in (
         ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]),
         ("bn_eps", -1.0))),
-    *(pytest.param("state", ("7.b", entry), 2, id=f"state.7.b={name}") for name, entry in (
-        ("list", [0.0, 0.0]), ("no-f64le", {"shape": [2]}), ("not-base64", {"shape": [2], "f64le": "!!!!"}),
-        ("wrong-length", {"shape": [3], "f64le": "AAAAAAAAAAAAAAAAAAAAAA=="}), ("huge-shape", {"shape": [10**400], "f64le": ""}))),
+    pytest.param("version", ("version", 3), 2, id="version-3-document"),
     *(pytest.param("header", kv, 2, id=f"header.{kv[0]}={name}") for name, kv in (
         ("negative", ("arrays.7.b", [-1])), ("float", ("arrays.7.b", [2.0])), ("huge", ("arrays.7.b", [10**400])),
         ("too-many", ("arrays.7.b", [3])), ("unknown", ("bogus", 1)))),
@@ -462,7 +459,7 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("where, value, code", BAD_INPUTS)
 def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
     # each case fails as soon as its input is read: a config value, a checkpoint
-    # spec, a version-3 array, a version-4 header value or a version-4 payload in
+    # spec, a version-3 document, a header value or a payload in
     # `detect` of a missing stream (a synthetic value in `synth`,
     # which checks the frame count as it makes streams), a manifest field or a stream or
     # labels file with a byte appended in `train`; or as soon as its output path is
@@ -475,9 +472,12 @@ def test_bad_input_exits_with_one_line(tmp_path, capsys, where, value, code):
         save_checkpoint(build_network(vector_model_spec(n_classes)), out / f"phase{phase}_fc.json")
     if where == "config":
         args += ["--set", value]
-    elif where in ("spec", "state", "header"):
-        if where == "state":
-            save_v3_checkpoint(build_network(vector_model_spec(2)), out / "phase1_fc.json")
+    elif where == "version":  # a version-3 file: one JSON document, each array base64 under "state"
+        doc = json.loads((out / "phase1_fc.json").read_text())
+        doc = {**{k: doc[k] for k in ("config_hash", "spec", "meta")}, "version": 3,
+               "state": {"7.b": {"shape": [2], "f64le": "AAAAAAAAAAAAAAAAAAAAAA=="}}}
+        (out / "phase1_fc.json").write_text(json.dumps(doc))
+    elif where in ("spec", "header"):
         doc = json.loads((out / "phase1_fc.json").read_text())
         *outer, key = value[0].split(".", 1) if where == "header" else (where, value[0])
         (doc[outer[0]] if outer else doc)[key] = value[1]

@@ -37,7 +37,6 @@ from ial.net import (
     train,
     vector_model_spec,
 )
-from v3_checkpoint import save_v3_checkpoint
 
 
 def central_diff(f, x, h=1e-5):
@@ -1153,23 +1152,21 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
     with pytest.raises(DataError, match=r"none\.json$"):
         load_checkpoint(tmp_path / "none.json")
     net = build_network(vector_model_spec(2), seed=1)
-    path = tmp_path / "ckpt.json"
-    save_v3_checkpoint(net, path)
+    path = tmp_path / "ckpt.json"  # a version-4 header; its payload ckpt.f64 stays beside it
+    save_checkpoint(net, path)
     good = json.loads(path.read_text())
-    doc = json.loads(path.read_text())
-    doc["spec"]["n_classes"] = 3  # state arrays no longer fit the spec
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=r"ckpt\.json: 7\.w: shape \(2, 128\) where the spec needs \(3, 128\)$"):
-        load_checkpoint(path)
+    # versions 1-3 were single JSON files with the arrays under "state", no longer read
+    legacy = {k: v for k, v in good.items() if k not in ("arrays", "payload_sha256")}
+    legacy["state"] = {"7.b": {"shape": [2], "f64le": "AAAAAAAAAAAAAAAAAAAAAA=="}}
     for broken, message in [
         ("{broken", r"ckpt\.json: invalid JSON \("),
         ("[]", r"^unsupported checkpoint version None$"),
         (json.dumps({**good, "version": 5}), r"^unsupported checkpoint version 5$"),
         (json.dumps({**good, "version": True}), r"^unsupported checkpoint version True$"),
         (json.dumps({**good, "version": 2.0}), r"^unsupported checkpoint version 2\.0$"),
+        (json.dumps({**good, "version": 4.0}), r"^unsupported checkpoint version 4\.0$"),
+        *((json.dumps({**legacy, "version": v}), rf"^unsupported checkpoint version {v}$") for v in (1, 2, 3)),
         (json.dumps({**good, "spec": {"kind": "fc"}}), r"ckpt\.json: missing field spec\.n_classes$"),
-        (json.dumps({**good, "state": {**good["state"], "9.w": good["state"]["7.b"]}}),  # unused array
-         r"ckpt\.json: array 9\.w is not in the spec$"),
     ]:
         path.write_text(broken)
         with pytest.raises(DataError, match=message):
@@ -1182,8 +1179,8 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
         path.write_text(json.dumps({**good, "spec": {**good["spec"], key: value}}))
         with pytest.raises(DataError, match=message):
             load_checkpoint(path)
-    # sizes no state array fits, which must fail before anything of that size is allocated
-    save_v3_checkpoint(build_network(image_model_spec(2), seed=1), tmp_path / "cnn.json")
+    # sizes no stored array fits, which must fail before anything of that size is allocated
+    save_checkpoint(build_network(image_model_spec(2), seed=1), tmp_path / "cnn.json")
     cnn = json.loads((tmp_path / "cnn.json").read_text())
     for doc, key, value, message in [
         (good, "hidden_layers", 10**400, r"6\.w: no array where the spec needs \(128, 128\)$"),
@@ -1193,28 +1190,12 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
         (cnn, "input_shape", [10**9, 8, 1], r"14\.w: shape \(2, 384\) where the spec needs \(2, 8000000000\)$"),
         (cnn, "input_shape", [50, 10**9, 1], r"14\.w: shape \(2, 384\) where the spec needs \(2, 48000000000\)$"),
     ]:
-        path.write_text(json.dumps({**doc, "spec": {**doc["spec"], key: value}}))
-        with pytest.raises(DataError, match=r"ckpt\.json: " + message):
-            load_checkpoint(path)
-    # malformed version-3 arrays; 7.b holds 2 floats, 16 bytes
-    b16 = good["state"]["7.b"]["f64le"]
-    for entry in [[0.0, 0.0], b16, None, {"shape": [2]}, {"f64le": b16}, {"shape": [2], "f64le": b16, "dtype": "<f8"},
-                  {"shape": [2], "f64le": 16}, {"shape": [2], "f64le": [b16]}, {"shape": [2], "f64le": "!" + b16},
-                  {"shape": [2], "f64le": b16[:-2]}, {"shape": [2], "f64le": b16[:8] + " " + b16[8:]},
-                  {"shape": [2], "f64le": "é" + b16[1:]}, {"shape": [3], "f64le": b16}, {"shape": [2], "f64le": b16[:12]},
-                  {"shape": [1], "f64le": b16}, {"shape": [2.0], "f64le": b16},
-                  {"shape": [True, 2], "f64le": b16}, {"shape": ["2"], "f64le": b16}, {"shape": 2, "f64le": b16},
-                  {"shape": [10**400], "f64le": b16}, {"shape": [10**400, 0], "f64le": ""}]:
-        path.write_text(json.dumps({**good, "state": {**good["state"], "7.b": entry}}))
-        with pytest.raises(DataError, match=r"ckpt\.json: (.* )?state\.7\.b"):
-            load_checkpoint(path)
-    path.write_text(json.dumps({**good, "state": {**good["state"], "7.b": {"shape": [-1, -2], "f64le": b16}}}))
-    with pytest.raises(DataError, match=r"ckpt\.json: state\.7\.b: 16 bytes do not fit shape \[-1, -2\]$"):
-        load_checkpoint(path)
-    path.write_text(json.dumps(good))
-    assert np.array_equal(load_checkpoint(path).layers[7].b, net.layers[7].b)
-    # version 4: a header and its payload, each refused before a byte of the
-    # header's sizes is allocated; 7.b is the payload's last 16 bytes
+        header = path if doc is good else tmp_path / "cnn.json"  # each beside its own payload
+        header.write_text(json.dumps({**doc, "spec": {**doc["spec"], key: value}}))
+        with pytest.raises(DataError, match=rf"{header.stem}\.json: " + message):
+            load_checkpoint(header)
+    # a header and its payload, each refused before a byte of the header's
+    # sizes is allocated; 7.b is the payload's last 16 bytes
     v4, f64 = tmp_path / "v4.json", tmp_path / "v4.f64"
     save_checkpoint(net, v4)
     save_checkpoint(build_network(vector_model_spec(5), seed=2), tmp_path / "p2.json")
@@ -1276,74 +1257,25 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
     assert np.array_equal(load_checkpoint(v4).layers[7].b, net.layers[7].b)
 
 
-@pytest.mark.parametrize("version", [2, 3, 4])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_checkpoint_with_a_non_finite_array_is_refused(tmp_path, version, value):
+def test_checkpoint_with_a_non_finite_array_is_refused(tmp_path, value):
     net = build_network(vector_model_spec(2), seed=1)
     net.layers[7].b[1] = value
     path = tmp_path / "ckpt.json"
-    (save_checkpoint if version == 4 else save_v3_checkpoint)(net, path)
-    if version == 2:
-        doc = json.loads(path.read_text())
-        doc["version"], doc["state"] = 2, {name: arr.tolist() for name, arr in net.arrays()}
-        path.write_text(json.dumps(doc))
+    save_checkpoint(net, path)
     with pytest.raises(DataError, match=r"ckpt\.json: 7\.b: non-finite values$"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("spec", [image_model_spec(3), vector_model_spec(5)], ids=["cnn", "fc"])
-def test_checkpoint_versions_2_and_3_load_to_equal_arrays(tmp_path, spec):
+def test_checkpoint_round_trip_keeps_every_array_byte(tmp_path, spec):
     net = build_network(spec, seed=3)
     rng = np.random.default_rng(27)
     for _, arr in net.arrays():  # awkward values: a full-precision draw, then -0.0, tiny, huge and subnormal
         arr[...] = rng.normal(0, 1, arr.shape)
         arr.flat[:5] = [-0.0, 5e-324, 1e300, -2.0**-1074, 0.1][: arr.size]
-    save_v3_checkpoint(net, tmp_path / "v3.json")
-    save_checkpoint(net, tmp_path / "v4.json")
-    doc = json.loads((tmp_path / "v3.json").read_text())
-    doc["version"] = 2
-    doc["state"] = {name: arr.tolist() for name, arr in net.arrays()}
-    (tmp_path / "v2.json").write_text(json.dumps(doc))
+    save_checkpoint(net, tmp_path / "ckpt.json")
+    loaded = load_checkpoint(tmp_path / "ckpt.json")
     want = [(name, arr.dtype, arr.shape, arr.tobytes()) for name, arr in net.arrays()]
-    for version in ("v2", "v3", "v4"):
-        loaded = load_checkpoint(tmp_path / f"{version}.json")
-        assert [(name, arr.dtype, arr.shape, arr.tobytes()) for name, arr in loaded.arrays()] == want, version
-        assert all(arr.flags.writeable and arr.flags.c_contiguous for _, arr in loaded.arrays())
-
-
-def test_checkpoint_version_1_folds_conv_bias_into_running_mean(tmp_path):
-    rng = np.random.default_rng(23)
-    net = build_network(image_model_spec(3), seed=16)
-    biases = {}
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Conv2D):
-            biases[i] = rng.normal(0, 0.5, layer.kernels.shape[0])
-        elif isinstance(layer, BatchNorm):
-            layer.gamma[...] = rng.normal(1, 0.2, layer.gamma.shape)
-            layer.beta[...] = rng.normal(0, 0.2, layer.beta.shape)
-            layer.running_mean = rng.normal(0, 0.5, layer.running_mean.shape)
-            layer.running_var = rng.uniform(0.5, 2.0, layer.running_var.shape)
-    x = rng.normal(0.5, 0.2, (5, 50, 8, 1))
-    out = x
-    for i, layer in enumerate(net.layers):  # the version-1 forward pass: conv plus bias
-        out = conv2d(out, layer.kernels, biases[i]) if i in biases else layer.forward(out, train=False)
-    reference = softmax(out)
-    assert np.abs(net.predict_proba(x) - reference).max() > 1e-3  # the biases matter
-
-    # a version-1 file is a version-2 file plus one bias per convolution
-    path = tmp_path / "v1.json"
-    save_v3_checkpoint(net, path)
-    doc = json.loads(path.read_text())
-    doc["version"] = 1
-    doc["state"] = {name: arr.tolist() for name, arr in net.arrays()}
-    doc["state"].update({f"{i}.bias": b.tolist() for i, b in biases.items()})
-    path.write_text(json.dumps(doc))
-    loaded = load_checkpoint(path)
-    assert np.abs(loaded.predict_proba(x) - reference).max() <= 1e-12
-    for i in biases:
-        assert np.array_equal(loaded.layers[i + 1].running_mean, net.layers[i + 1].running_mean - biases[i])
-
-    del doc["state"]["4.bias"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=r"v1\.json: 4\.bias: no array where the spec needs \(32,\)$"):
-        load_checkpoint(path)
+    assert [(name, arr.dtype, arr.shape, arr.tobytes()) for name, arr in loaded.arrays()] == want
+    assert all(arr.flags.writeable and arr.flags.c_contiguous for _, arr in loaded.arrays())

@@ -1,11 +1,10 @@
-"""The typed JSON reader behind the run config, the manifest and the checkpoint spec.
+"""The typed JSON reader behind the run config, the manifest and the checkpoint header.
 
 The property tests feed each reader random JSON values: a reader either
 returns dataclasses whose every field has its annotated type, or raises an
 IalError subclass.
 """
 
-import base64
 import dataclasses
 import functools
 import json
@@ -24,8 +23,7 @@ from ial.data import (
     ManifestEntry, SyntheticConfig, generate_synthetic_stream, load_dataset, write_labels, write_manifest, write_stream,
 )
 from ial.errors import ConfigError, IalError
-from ial.net import ModelSpec, build_network, load_checkpoint
-from v3_checkpoint import save_v3_checkpoint
+from ial.net import ModelSpec, build_network, load_checkpoint, save_checkpoint
 
 CLASS_NAMES = ["swipe_left", "swipe_right", "wave", "circle_cw", "circle_ccw"]
 
@@ -168,45 +166,42 @@ SPECS = {"fc": ModelSpec("fc", 2, (16,), hidden_units=4), "cnn": ModelSpec("cnn"
 
 
 @functools.cache
-def checkpoint_doc(kind):
+def checkpoint_files(kind):
+    """A version-4 header, as a JSON object, and its payload bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ckpt.json"
-        save_v3_checkpoint(build_network(SPECS[kind]), path)
-        return json.loads(path.read_text())
+        save_checkpoint(build_network(SPECS[kind]), path)
+        return json.loads(path.read_text()), path.with_suffix(".f64").read_bytes()
 
 
-def array_values():
-    """JSON values, shapes and base64 text for a field of a checkpoint array entry."""
-    b64 = st.binary(max_size=40).map(lambda b: base64.b64encode(b).decode("ascii"))
-    shapes = st.lists(st.integers(-2, 6) | st.just(10**400), max_size=3)
-    return json_values() | shapes | b64 | b64.map(lambda s: s[:-1]) | st.just("DELETE")
-
-
-# an array mutation: which entry, which field (None replaces the whole entry) and the new value
-ARRAY_MUTATIONS = st.tuples(st.integers(0, 20), st.sampled_from(["shape", "f64le", "bogus", None]), array_values())
+# an array mutation: which entry of the header's ``arrays``, whether it gets a new
+# shape, is deleted or is renamed, and the new shape or name
+ARRAY_MUTATIONS = st.tuples(
+    st.integers(0, 20),
+    st.sampled_from(["shape", "delete", "rename"]),
+    json_values() | st.lists(st.integers(-2, 6) | st.just(10**400), max_size=3) | st.sampled_from(["0.w", "14.w", "bogus"]),
+)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(sorted(SPECS)), key=st.sampled_from(SPEC_KEYS), value=json_values(),
        array=st.none() | ARRAY_MUTATIONS)
 def test_mutated_checkpoint_spec_raises_only_ial_errors(tmp_path, kind, key, value, array):
-    """Mutate one spec value or, if ``array`` is drawn, one entry of the stored arrays."""
-    doc = checkpoint_doc(kind)
+    """Mutate one spec value or, if ``array`` is drawn, one entry of the header's
+    ``arrays``; the payload beside the header is left as it was written."""
+    header, payload = checkpoint_files(kind)
     if array is None:
-        doc = {**doc, "spec": {**doc["spec"], key: value}}
+        header = {**header, "spec": {**header["spec"], key: value}}
     else:
-        i, field, new = array
-        name = sorted(doc["state"])[i % len(doc["state"])]
-        entry = dict(doc["state"][name])
-        if field is None:
-            entry = new
-        elif new == "DELETE":
-            entry.pop(field, None)
-        else:
-            entry[field] = new
-        doc = {**doc, "state": {**doc["state"], name: entry}}
+        i, op, new = array
+        items = list(header["arrays"].items())
+        name, shape = items.pop(i % len(items))
+        if op != "delete":
+            items.insert(i % (len(items) + 1), (name, new) if op == "shape" else (str(new), shape))
+        header = {**header, "arrays": dict(items)}
     path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(header))
+    path.with_suffix(".f64").write_bytes(payload)
     try:
         net = load_checkpoint(path)
     except IalError:

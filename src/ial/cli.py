@@ -54,9 +54,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ial", description=__doc__)
     parser.add_argument("--config", help=f"JSON config path (or ${ENV_CONFIG})")
     parser.add_argument("--seed", type=int, help="override the global seed")
-    parser.add_argument(
-        "--threads", type=int, help="worker threads, at most one per window chunk and per CPU; 1 = bit-reproducible"
-    )
+    parser.add_argument("--threads", type=int, help="worker threads, at most one per window chunk and per CPU; "
+                        "every output is byte-identical at any count, apart from the config hash it embeds")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
@@ -121,18 +120,6 @@ def _load_split(cfg: RunConfig, test: bool) -> list:
     return dat.load_entries(path.parent, dat.split_dataset(entries)[1 if test else 0], rate, cfg.schema)
 
 
-def _train_both(cfg: RunConfig, pairs) -> tuple[net.Network, net.Network, list, list]:
-    if not pairs:
-        raise DataError("no training streams in the manifest")
-    x1, y1 = det.build_phase1_dataset(pairs, cfg.feature_kind, cfg.detector, seed=cfg.train.seed)
-    x2, y2 = det.build_phase2_dataset(pairs, cfg.feature_kind, cfg.detector)
-    spec = net.image_model_spec if cfg.feature_kind == det.IMAGE_KIND else net.vector_model_spec
-    # net.train sets the spec's dropout rate from cfg.train
-    net1, losses1 = net.train(spec(2), x1, y1, cfg.train)
-    net2, losses2 = net.train(spec(len(dat.INTEREST_CLASSES)), x2, y2, cfg.train)
-    return net1, net2, losses1, losses2
-
-
 def _write_loss_csv(path: Path, losses: list, chash: str) -> None:
     rows = [f"{i},{float(loss)!r}" for i, loss in enumerate(losses, start=1)]
     dat.write_lines(path, ["epoch,mean_loss", *rows], [f"config_hash={chash}"])
@@ -143,7 +130,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_pairs = _load_split(cfg, test=False)
-    net1, net2, losses1, losses2 = _train_both(cfg, train_pairs)
+    if not train_pairs:
+        raise DataError("no training streams in the manifest")
+    net1, net2, losses1, losses2 = det.train_detector(train_pairs, cfg.feature_kind, cfg.detector, cfg.train)
     meta = {"seed": cfg.train.seed, "feature_kind": cfg.feature_kind}
     net.save_checkpoint(net1, _checkpoint_path(cfg, 1), config_hash=chash, meta=meta)
     net.save_checkpoint(net2, _checkpoint_path(cfg, 2), config_hash=chash, meta=meta)

@@ -4,9 +4,8 @@ Each stream is windowed and featurized once into one window table
 (``WindowScores``).  Phase one scores every sliding window with a binary
 interest model; runs of positive windows become candidate intervals.  Phase
 two classifies each interval with a 5-class model on the same window features.
-``detect`` runs both phases and returns the table with the events.  This
-module also assembles the per-window training sets for both phases from
-labeled streams.
+``detect`` runs both phases and returns the table with the events, and
+``train_detector`` trains both phases' models on labeled streams.
 
 The window rules, each written once: a window spans ``WINDOW_FRAMES`` samples
 (``_window_times``); its centre is its start plus half that span
@@ -30,13 +29,17 @@ import numpy as np
 from .data import INTEREST_CLASSES, ActionClass, GroundTruthEvent, Stream, write_lines
 from .errors import ConfigError, DataError
 from .features import vector_batch
-from .net import CNN_KIND, FC_KIND, Network, image_model_spec, vector_model_spec
+from . import net  # net.train is looked up at call time, so a wrapper installed on it sees the calls
+from .net import CNN_KIND, FC_KIND, ModelSpec, Network, TrainConfig, image_model_spec, vector_model_spec
 from .signal import WINDOW_FRAMES, window_images, window_starts
 
 IMAGE_KIND = "image"
 VECTOR_KIND = "vector"
 
 MODEL_FOR_FEATURE = {IMAGE_KIND: CNN_KIND, VECTOR_KIND: FC_KIND}
+
+# (stream, truth events) pairs, as training takes them
+LabeledStreams = Sequence[tuple[Stream, Sequence[GroundTruthEvent]]]
 
 # phase-1 class indices
 NON_INTEREST_IDX = 0
@@ -133,17 +136,23 @@ def featurize_stream(stream: Stream, feature_kind: str, stride_frames: int) -> n
     return images[..., None] if feature_kind == IMAGE_KIND else vector_batch(images)
 
 
-def _check_model(model: Network, feature_kind: str, n_classes: int) -> None:
-    want_kind = MODEL_FOR_FEATURE.get(feature_kind)
-    if want_kind is None:
+def phase_spec(feature_kind: str, phase: int) -> ModelSpec:
+    """The spec a phase's model is trained with and checked against: 2 classes
+    for phase one, one per interest class for phase two, input by feature kind."""
+    if feature_kind not in MODEL_FOR_FEATURE:
         raise ConfigError(f"unknown feature kind {feature_kind!r}")
-    if model.spec.kind != want_kind:
-        raise DataError(f"{feature_kind} features need a {want_kind} model, got {model.spec.kind}")
-    if model.spec.n_classes != n_classes:
-        raise DataError(f"expected a {n_classes}-class model, got {model.spec.n_classes}")
-    want_shape = (image_model_spec if feature_kind == IMAGE_KIND else vector_model_spec)(n_classes).input_shape
-    if model.spec.input_shape != want_shape:
-        raise DataError(f"{feature_kind} features have shape {want_shape}, the model takes {model.spec.input_shape}")
+    spec = image_model_spec if feature_kind == IMAGE_KIND else vector_model_spec
+    return spec(2 if phase == 1 else len(INTEREST_CLASSES))
+
+
+def _check_model(model: Network, feature_kind: str, phase: int) -> None:
+    have, want = model.spec, phase_spec(feature_kind, phase)
+    if have.kind != want.kind:
+        raise DataError(f"{feature_kind} features need a {want.kind} model, got {have.kind}")
+    if have.n_classes != want.n_classes:
+        raise DataError(f"expected a {want.n_classes}-class model, got {have.n_classes}")
+    if have.input_shape != want.input_shape:
+        raise DataError(f"{feature_kind} features have shape {want.input_shape}, the model takes {have.input_shape}")
 
 
 def _batched_proba(model: Network, x: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -168,7 +177,7 @@ def score_windows(
     threads: int = 1,
 ) -> WindowScores:
     """The stream's window table: one interest probability per sliding window."""
-    _check_model(phase1_model, feature_kind, 2)
+    _check_model(phase1_model, feature_kind, 1)
     x = featurize_stream(stream, feature_kind, cfg.stride_frames)
     probs = _batched_proba(phase1_model, x, threads)
     start_t, window_s = _window_times(stream, cfg.stride_frames)
@@ -217,7 +226,7 @@ def detect(
     Each model is folded once per call (``Network.fold``).
     """
     scores = score_windows(stream, phase1_model, feature_kind, cfg, threads)
-    _check_model(phase2_model, feature_kind, len(INTEREST_CLASSES))
+    _check_model(phase2_model, feature_kind, 2)
     fold = phase2_model.fold()
     stream_end = float(stream.t[-1])
     events = []
@@ -250,10 +259,7 @@ def window_labels(
 
 
 def build_phase1_dataset(
-    pairs: Sequence[tuple[Stream, Sequence[GroundTruthEvent]]],
-    feature_kind: str,
-    cfg: DetectorConfig,
-    seed: int = 0,
+    pairs: LabeledStreams, feature_kind: str, cfg: DetectorConfig, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Window features labeled interest (1) / non-interest (0).
 
@@ -287,9 +293,7 @@ def build_phase1_dataset(
 
 
 def build_phase2_dataset(
-    pairs: Sequence[tuple[Stream, Sequence[GroundTruthEvent]]],
-    feature_kind: str,
-    cfg: DetectorConfig,
+    pairs: LabeledStreams, feature_kind: str, cfg: DetectorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Windows centered inside a truth interval, labeled by the interval's class."""
     feats, labels = [], []
@@ -306,6 +310,18 @@ def build_phase2_dataset(
             labels.extend(label[chosen].tolist())
     x = np.concatenate(feats) if feats else np.empty((0,))
     return x, np.array(labels)
+
+
+def train_detector(
+    pairs: LabeledStreams, feature_kind: str, cfg: DetectorConfig, train_cfg: TrainConfig
+) -> tuple[Network, Network, list[float], list[float]]:
+    """Both phases' models and per-epoch mean losses, trained by ``train_cfg``;
+    its seed also undersamples phase one's negatives, its rate sets dropout."""
+    x1, y1 = build_phase1_dataset(pairs, feature_kind, cfg, seed=train_cfg.seed)
+    x2, y2 = build_phase2_dataset(pairs, feature_kind, cfg)
+    net1, losses1 = net.train(phase_spec(feature_kind, 1), x1, y1, train_cfg)
+    net2, losses2 = net.train(phase_spec(feature_kind, 2), x2, y2, train_cfg)
+    return net1, net2, losses1, losses2
 
 
 # ---------------------------------------------------------------------------

@@ -397,8 +397,6 @@ class BatchNorm(Layer):
 
 class Dropout(Layer):
     def __init__(self, rate: float, rng: np.random.Generator):
-        if not 0.0 <= rate < 1.0:
-            raise DataError(f"dropout rate {rate} outside [0, 1)")
         self.rate = rate
         self.rng = rng
 
@@ -459,6 +457,8 @@ class ModelSpec:
             raise ConfigError("input_shape, conv_filters and hidden_units must be >= 1")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError("kernel must be odd and >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError("dropout_rate must be in [0, 1)")
         if not self.bn_eps > 0:
             raise ConfigError("bn_eps must be > 0")
 

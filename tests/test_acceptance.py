@@ -17,7 +17,7 @@ from ial.data import (
     generate_synthetic_stream,
     split_dataset,
 )
-from ial.detector import DetectedEvent, DetectorConfig, build_phase1_dataset, build_phase2_dataset
+from ial.detector import DetectedEvent, DetectorConfig, train_detector
 from ial.evaluation import evaluate_run, f1_score, match_events
 from ial.features import vector_feature, image_feature
 from ial.net import (
@@ -29,7 +29,6 @@ from ial.net import (
     maxpool2,
     relu,
     softmax,
-    train,
     vector_model_spec,
 )
 from ial.signal import make_window, median_downsample
@@ -308,12 +307,7 @@ def e2e_results():
 
     results = {}
     for kind in ("image", "vector"):
-        x1, y1 = build_phase1_dataset(train_pairs, kind, det_cfg, seed=E2E_SEED)
-        x2, y2 = build_phase2_dataset(train_pairs, kind, det_cfg)
-        spec1 = image_model_spec(2) if kind == "image" else vector_model_spec(2)
-        spec2 = image_model_spec(5) if kind == "image" else vector_model_spec(5)
-        net1, _ = train(spec1, x1, y1, tcfg)
-        net2, _ = train(spec2, x2, y2, tcfg)
+        net1, net2, _, _ = train_detector(train_pairs, kind, det_cfg, tcfg)
         rep1, rep2 = evaluate_run(test_pairs, net1, net2, det_cfg, kind)
         results[kind] = (rep1, rep2)
     results["elapsed"] = time.time() - t0
@@ -359,10 +353,7 @@ def test_criterion_7_real_data_informational():
     test_pairs = [(s, t) for s, t in pairs if (s.subject_id, s.stream_id) not in train_keys]
     det_cfg = DetectorConfig()
     tcfg = TrainConfig(seed=E2E_SEED)
-    x1, y1 = build_phase1_dataset(train_pairs, "image", det_cfg, seed=E2E_SEED)
-    x2, y2 = build_phase2_dataset(train_pairs, "image", det_cfg)
-    net1, _ = train(image_model_spec(2), x1, y1, tcfg)
-    net2, _ = train(image_model_spec(5), x2, y2, tcfg)
+    net1, net2, _, _ = train_detector(train_pairs, "image", det_cfg, tcfg)
     _, rep2 = evaluate_run(test_pairs, net1, net2, det_cfg, "image")
     gap = abs(rep2.f1 - 0.511)
     report(

@@ -13,8 +13,10 @@ import ial.detector
 from ial.cli import main
 from ial.config import config_hash, load_run_config
 from ial.data import (
-    ManifestEntry, SyntheticConfig, generate_synthetic_stream, ingest_stream, write_labels, write_manifest, write_stream,
+    ManifestEntry, SyntheticConfig, generate_synthetic_stream, ingest_stream, load_entries, load_manifest,
+    split_dataset, write_labels, write_manifest, write_stream,
 )
+from ial.detector import train_detector
 from ial.features import image_feature, vector_feature
 from ial.signal import make_window, window_images, window_starts
 from ial.net import Dense, build_network, image_model_spec, save_checkpoint, vector_model_spec
@@ -204,6 +206,31 @@ def test_full_pipeline_train_detect_eval(tmp_path, capsys):
     assert report["config"]["feature_kind"] == "vector"
     assert set(report["phase_one"]["counts"]) == {"tp", "fp", "fn", "tn"}
     assert (out / "report.txt").read_text().startswith("# config_hash=")
+
+
+def test_train_writes_what_train_detector_returns_at_any_thread_count(tmp_path):
+    """``ial train`` writes the same payloads and losses at 1 and 2 threads, and
+    they are those ``train_detector`` returns on the manifest's train split."""
+    args = ["--config", str(write_config(tmp_path)), "--set", "train.epochs=3"]
+    out = tmp_path / "out"
+    assert main([*args, "synth"]) == 0
+    runs = []
+    for threads in ("1", "2"):
+        assert main([*args, "--threads", threads, "train"]) == 0
+        payloads = {p.name: p.read_bytes() for p in out.glob("*.f64")}
+        losses = {p.name: p.read_text().splitlines()[1:] for p in out.glob("loss_*.csv")}  # after the config hash
+        runs.append((payloads, losses))
+    assert runs[0] == runs[1]
+
+    cfg = load_run_config(tmp_path / "config.json", {"train.epochs": 3})
+    entries, rate = load_manifest(out / "manifest.json")
+    pairs = load_entries(out, split_dataset(entries)[0], rate)
+    net1, net2, losses1, losses2 = train_detector(pairs, "vector", cfg.detector, cfg.train)
+    payloads, losses = runs[0]
+    for phase, network, phase_losses in ((1, net1, losses1), (2, net2, losses2)):
+        assert payloads[f"phase{phase}_fc.f64"] == b"".join(a.astype("<f8").tobytes() for _, a in network.arrays())
+        rows = [f"{i},{loss!r}" for i, loss in enumerate(phase_losses, start=1)]
+        assert losses[f"loss_phase{phase}.csv"] == ["epoch,mean_loss", *rows]
 
 
 def test_eval_without_a_test_stream_exits_two(tmp_path, capsys):
@@ -437,7 +464,7 @@ BAD_INPUTS = [
         "synthetic.sample_rate_hz=1e-300", "synthetic.sample_rate_hz=1")),
     *(pytest.param("spec", kv, 2, id=f"spec.{kv[0]}={kv[1]!r}") for kv in (
         ("n_classes", 2.5), ("hidden_units", 2.0), ("dropout_rate", "x"), ("hidden_units", -1), ("input_shape", [-1]),
-        ("bn_eps", -1.0))),
+        ("bn_eps", -1.0), ("dropout_rate", 1.5))),
     pytest.param("version", ("version", 3), 2, id="version-3-document"),
     *(pytest.param("header", kv, 2, id=f"header.{kv[0]}={name}") for name, kv in (
         ("negative", ("arrays.7.b", [-1])), ("float", ("arrays.7.b", [2.0])), ("huge", ("arrays.7.b", [10**400])),

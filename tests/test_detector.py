@@ -17,13 +17,14 @@ from ial.detector import (
     featurize_stream,
     score_windows,
     segment_events,
+    train_detector,
     window_labels,
     write_events_json,
     write_events_tsv,
 )
 from ial.errors import ConfigError, DataError
 from ial.evaluation import evaluate_run
-from ial.net import TrainConfig, build_network, image_model_spec, train, vector_model_spec
+from ial.net import TrainConfig, build_network, image_model_spec, vector_model_spec
 
 
 def make_stream(n=400, rate=50.0, seed=0):
@@ -349,11 +350,8 @@ def synth_cfg(seed, **kw):
 def trained_fc_models(train_streams=4, seed=100):
     pairs = [generate_synthetic_stream(synth_cfg(seed), 1, i + 1) for i in range(train_streams)]
     det_cfg = DetectorConfig()
-    x1, y1 = build_phase1_dataset(pairs, "vector", det_cfg, seed=7)
-    x2, y2 = build_phase2_dataset(pairs, "vector", det_cfg)
     tcfg = TrainConfig(learning_rate=0.02, epochs=300, seed=7, dropout_rate=0.0)
-    net1, _ = train(vector_model_spec(2), x1, y1, tcfg)
-    net2, _ = train(vector_model_spec(5), x2, y2, tcfg)
+    net1, net2, _, _ = train_detector(pairs, "vector", det_cfg, tcfg)
     return net1, net2, det_cfg
 
 

@@ -61,9 +61,10 @@ from ial.detector import (
     build_phase2_dataset,
     detect,
     featurize_stream,
+    train_detector,
 )
 from ial.evaluation import evaluate_run
-from ial.net import TrainConfig, image_model_spec, load_checkpoint, save_checkpoint, softmax, train, vector_model_spec
+from ial.net import TrainConfig, load_checkpoint, save_checkpoint, softmax
 
 SYNTH = SyntheticConfig(
     seed=11,
@@ -215,12 +216,8 @@ def test_dataset_bytes_match_the_per_window_path(kind):
 @lru_cache(maxsize=None)
 def trained(kind):
     """The phase-1 and phase-2 networks of a short seeded training."""
-    x1, y1, x2, y2 = datasets(kind)
-    spec = image_model_spec if kind == "image" else vector_model_spec
     tcfg = TrainConfig(learning_rate=0.02, epochs=TRAIN_EPOCHS[kind], seed=5, dropout_rate=0.0)
-    net1, _ = train(spec(2, 0.0), x1, y1, tcfg)
-    net2, _ = train(spec(5, 0.0), x2, y2, tcfg)
-    return net1, net2
+    return train_detector(train_pairs(), kind, DetectorConfig(), tcfg)[:2]
 
 
 def arrays_digest(net) -> str:

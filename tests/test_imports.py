@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package, or a test module, imports is used in that module."""
 
 import ast
 import os
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ial"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ial"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,7 +27,8 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1]) if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

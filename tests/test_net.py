@@ -611,10 +611,10 @@ def test_dropout_infer_identity():
 
 
 def test_dropout_invalid_rate():
-    with pytest.raises(DataError, match=r"^dropout rate 1\.0 outside \[0, 1\)$"):
-        dropout(np.zeros(3), 1.0, train=True)
-    with pytest.raises(DataError, match=r"^dropout rate -0\.1 outside \[0, 1\)$"):
-        dropout(np.zeros(3), -0.1, train=True)
+    # the spec holds the rate, so a network is never assembled with a bad one
+    for rate in (1.0, -0.1):
+        with pytest.raises(ConfigError, match=r"^dropout_rate must be in \[0, 1\)$"):
+            vector_model_spec(2, dropout_rate=rate)
 
 
 def test_dropout_monte_carlo():
@@ -1171,11 +1171,13 @@ def test_checkpoint_missing_and_mismatch(tmp_path):
         path.write_text(broken)
         with pytest.raises(DataError, match=message):
             load_checkpoint(path)
-    # sizes that cannot build a network
+    # spec values that cannot build a network
     sizes = r"ckpt\.json: input_shape, conv_filters and hidden_units must be >= 1$"
     kernel = r"ckpt\.json: kernel must be odd and >= 1$"
+    rate = r"ckpt\.json: dropout_rate must be in \[0, 1\)$"
     for key, value, message in [("hidden_units", -1, sizes), ("input_shape", [-1], sizes), ("input_shape", [0], sizes),
-                                ("conv_filters", [16, 0, 64], sizes), ("kernel", 2, kernel), ("kernel", -1, kernel)]:
+                                ("conv_filters", [16, 0, 64], sizes), ("kernel", 2, kernel), ("kernel", -1, kernel),
+                                ("dropout_rate", 1.5, rate)]:
         path.write_text(json.dumps({**good, "spec": {**good["spec"], key: value}}))
         with pytest.raises(DataError, match=message):
             load_checkpoint(path)

@@ -5,11 +5,19 @@ ax, ay, az, |a|, gx, gy, gz, |g|; each channel is min-max normalized over the
 window, so a later median downsample by 3 gives the 50x8 image fed to the
 models.  ``window_images`` computes every window of a stream in one pass;
 ``make_window`` cuts a single window and is its per-window reference.
+
+The pass computes the stream-wide parts once (the eight channels, every
+window's per-channel extrema, the median of 3 at every frame), then gathers
+and normalizes the images a chunk of windows at a time, at the caller's chunk
+size.  At the detector's 32 windows a chunk's images (102 KB) stay under
+glibc's default 128 KiB mmap threshold and in L2, and no whole-stream image
+temporary is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,12 +35,13 @@ class SignalWindow:
     frames: np.ndarray
 
 
-def _unit_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Min-max scale ``x`` by per-channel extrema (broadcast against it); a
-    channel whose span hi - lo is not positive is constant and maps to 0.5."""
+def _unit_scale(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Min-max scale ``x`` by per-channel extrema (broadcast against it) into
+    ``out`` (a new array by default; ``x`` itself scales in place); a channel
+    whose span hi - lo is not positive is constant and maps to 0.5."""
     span = hi - lo
     constant = ~(span > 0)  # a NaN span too
-    out = x - lo
+    out = np.subtract(x, lo, out=out)
     out /= np.where(constant, 1.0, span)
     if constant.any():
         np.copyto(out, 0.5, where=constant)
@@ -83,12 +92,21 @@ def window_starts(n_frames: int, stride_frames: int) -> range:
     return range(0, n_frames - WINDOW_FRAMES + 1, stride_frames)
 
 
-def window_images(stream: Stream, stride_frames: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every window's start frame and its normalized 50x8 image, in one pass.
+def window_images(
+    stream: Stream,
+    stride_frames: int,
+    chunk: int,
+    reduce: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every window's start frame and its normalized 50x8 image, in one pass,
+    ``chunk`` windows at a time.
 
     Windows start at frames 0, s, 2s, ...; count = floor((L-150)/s) + 1.
     Returns ``(start_frames, images)`` with images of shape (count, 50, 8),
-    equal to ``image_feature(make_window(stream, start))`` for every start.
+    equal to ``image_feature(make_window(stream, start))`` for every start;
+    each chunk is written into its rows in place.  With ``reduce``, each
+    chunk's (c, 50, 8) images are passed to it instead, and its (c, d) rows are
+    returned in window order, so no whole-stream image array is made.
 
     The median of the frame triple at every frame is taken once on the raw
     channels, by comparison, and each window gathers its 50 rows from it.  That
@@ -97,6 +115,8 @@ def window_images(stream: Stream, stride_frames: int) -> tuple[np.ndarray, np.nd
     middle, and a median of 3 commutes with the per-window min-max.  Each
     window's per-channel min and max are read from a contiguous channel-major
     copy of the stream, which is exact too: a min or max does not round.
+    Every element sees the same operations at any chunk size, so the bytes do
+    not depend on it.
     """
     starts = np.asarray(window_starts(len(stream), stride_frames))
     channels = eight_channels(stream.values[: starts[-1] + WINDOW_FRAMES])
@@ -105,8 +125,22 @@ def window_images(stream: Stream, stride_frames: int) -> tuple[np.ndarray, np.nd
     spans = sliding_window_view(np.ascontiguousarray(channels.T), WINDOW_FRAMES, axis=1)[:, ::stride_frames]
     lo = spans.min(axis=2).T[:, None, :]
     hi = spans.max(axis=2).T[:, None, :]
+    del spans  # each whole-stream copy goes as soon as it is used, before the image rows are made
     a, b, c = channels[:-2], channels[1:-1], channels[2:]
-    # + 0.0 turns a -0.0 median into 0.0, as np.median's mean of one value does
-    triple_medians = np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c)) + 0.0
-    rows = starts[:, None] + DOWNSAMPLE_FACTOR * np.arange(WINDOW_FRAMES // DOWNSAMPLE_FACTOR)
-    return starts, _unit_scale(triple_medians[rows], lo, hi)
+    medians = np.maximum(a, b)  # max(min(a, b), min(max(a, b), c)), in place
+    np.minimum(medians, c, out=medians)
+    np.maximum(medians, np.minimum(a, b), out=medians)
+    medians += 0.0  # turns a -0.0 median into 0.0, as np.median's mean of one value does
+    del channels, a, b, c
+    offsets = DOWNSAMPLE_FACTOR * np.arange(WINDOW_FRAMES // DOWNSAMPLE_FACTOR)
+    images = np.empty((len(starts), len(offsets), medians.shape[1])) if reduce is None else None
+    rows = []
+    for first in range(0, len(starts), chunk):
+        part = slice(first, first + chunk)
+        out = None if images is None else images[part]
+        # every index is in range; "clip" lets take write into ``out`` without a buffered copy
+        out = np.take(medians, starts[part, None] + offsets, axis=0, out=out, mode="clip")
+        _unit_scale(out, lo[part], hi[part], out=out)
+        if reduce is not None:
+            rows.append(reduce(out))
+    return starts, images if reduce is None else np.concatenate(rows)

@@ -233,6 +233,19 @@ def test_train_writes_what_train_detector_returns_at_any_thread_count(tmp_path):
         assert losses[f"loss_phase{phase}.csv"] == ["epoch,mean_loss", *rows]
 
 
+def test_train_of_zero_epochs_exits_zero_with_header_only_losses(tmp_path, capsys):
+    # TrainConfig accepts epochs >= 0; the untrained models are written, and no traceback ends the run
+    args = ["--config", str(write_config(tmp_path)), "--set", "train.epochs=0"]
+    assert main([*args, "synth"]) == 0
+    capsys.readouterr()
+    assert main([*args, "train"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "final losses none / none" in out
+    for phase in (1, 2):
+        assert (tmp_path / "out" / f"phase{phase}_fc.f64").is_file()
+        assert (tmp_path / "out" / f"loss_phase{phase}.csv").read_text().splitlines()[1:] == ["epoch,mean_loss"]
+
+
 def test_eval_without_a_test_stream_exits_two(tmp_path, capsys):
     args = ["--config", str(write_config(tmp_path)), "--set", "synthetic.n_streams=9"]
     assert main([*args, "synth"]) == 0

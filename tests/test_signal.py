@@ -245,7 +245,7 @@ def equivalence_streams():
     return streams
 
 
-@pytest.mark.parametrize("stride, chunk", [(1, 32), (7, 5), (15, 1), (40, 32)])
+@pytest.mark.parametrize("stride, chunk", [(1, 32), (7, 5), (15, 1), (40, 32)], ids=["1", "7", "15", "40"])
 def test_window_images_equal_the_per_window_reference(stride, chunk):
     for stream in equivalence_streams():
         starts, images = window_images(stream, stride, chunk)
@@ -281,7 +281,7 @@ def edge_span_streams():
     return [*equivalence_streams(), make_stream(tiny), make_stream(huge)]
 
 
-@pytest.mark.parametrize("stride, chunk", [(1, 32), (7, 3), (15, 32)])
+@pytest.mark.parametrize("stride, chunk", [(1, 32), (7, 3), (15, 32)], ids=["1", "7", "15"])
 def test_window_images_keep_the_masked_division_byte_for_byte(stride, chunk):
     # the per-window reference above runs both sides through the same min-max
     # code, so this one writes the rule out independently of ial.signal

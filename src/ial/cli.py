@@ -54,8 +54,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ial", description=__doc__)
     parser.add_argument("--config", help=f"JSON config path (or ${ENV_CONFIG})")
     parser.add_argument("--seed", type=int, help="override the global seed")
-    parser.add_argument("--threads", type=int, help="worker threads, at most one per window chunk (detect, eval) or "
-                        "training phase (train) and per CPU; "
+    parser.add_argument("--threads", type=int, help="worker threads, at most one per window chunk and per CPU; "
                         "every output is byte-identical at any count, apart from the config hash it embeds")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument(
@@ -133,9 +132,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     train_pairs = _load_split(cfg, test=False)
     if not train_pairs:
         raise DataError("no training streams in the manifest")
-    net1, net2, losses1, losses2 = det.train_detector(
-        train_pairs, cfg.feature_kind, cfg.detector, cfg.train, cfg.threads
-    )
+    net1, net2, losses1, losses2 = det.train_detector(train_pairs, cfg.feature_kind, cfg.detector, cfg.train)
     meta = {"seed": cfg.train.seed, "feature_kind": cfg.feature_kind}
     net.save_checkpoint(net1, _checkpoint_path(cfg, 1), config_hash=chash, meta=meta)
     net.save_checkpoint(net2, _checkpoint_path(cfg, 2), config_hash=chash, meta=meta)
@@ -161,10 +158,7 @@ def cmd_detect(cfg: RunConfig, args) -> int:
     if args.dump_features:  # first, so a dump that fails leaves no event files behind
         from .features import vector_batch, write_vector_csv
 
-        if cfg.feature_kind == det.VECTOR_KIND:
-            vectors = scores.x
-        else:  # chunk by chunk, as window_images reduces them
-            vectors = np.concatenate([vector_batch(images[..., 0]) for images in det.in_chunks(scores.x)])
+        vectors = scores.x if cfg.feature_kind == det.VECTOR_KIND else vector_batch(scores.x[..., 0])
         write_vector_csv(scores.start_t, vectors, args.dump_features, [f"config_hash={chash}"])
     det.write_events_tsv(events, out / f"{stem}.events.tsv", [f"config_hash={chash}"])
     det.write_events_json(events, out / f"{stem}.events.json", chash)

@@ -31,7 +31,7 @@ from .errors import ConfigError, DataError
 from .features import vector_batch
 from . import net  # net.train is looked up at call time, so a wrapper installed on it sees the calls
 from .net import CNN_KIND, FC_KIND, ModelSpec, Network, TrainConfig, image_model_spec, vector_model_spec
-from .signal import WINDOW_FRAMES, window_images, window_starts
+from .signal import CHUNK, WINDOW_FRAMES, window_images, window_starts
 
 IMAGE_KIND = "image"
 VECTOR_KIND = "vector"
@@ -45,18 +45,18 @@ LabeledStreams = Sequence[tuple[Stream, Sequence[GroundTruthEvent]]]
 NON_INTEREST_IDX = 0
 INTEREST_IDX = 1
 
-# Windows per predict_proba call and per featurizing step (``window_images``);
-# with threads > 1 the scoring chunks run in parallel.  Sized to the cache: a
-# chunk's images (32 x 50 x 8 float64, 102 KB) stay under glibc's default
-# 128 KiB mmap threshold and in L2, and half of block 2's row bands, a chunk's
-# largest CNN array, takes 0.9 MB (7.1 MB at 256) against a 2 MB L2 per core.
+# Windows per predict_proba call, as per featurizing step (``signal.CHUNK``);
+# with threads > 1 the chunks run in parallel.  Sized to the cache: a chunk's
+# images stay in L2 (see ``signal.CHUNK``), and at 32 windows a half of block
+# 2's row bands, a chunk's largest CNN array, takes 0.9 MB (7.1 MB at 256)
+# against a 2 MB L2 per core.
 # Phase-1 scoring of a 391-window stream on one fold (BLAS at 1 thread, medians
 # of 20 interleaved rounds in three processes that had trained a CNN) took
 # 26.9-27.6 ms at 16, 27.4-28.8 at 24, 27.6-28.6 at 32, 29.3-31.0 at 8,
 # 29.5-30.8 at 40, 31.1-32.7 at 64 and 44.0-48.7 at 128, with byte-equal
 # probabilities.  16 was about 1 ms faster than 32 in each process; no
 # alternated benchmark pairs have tested it.
-PROBA_CHUNK = 32
+PROBA_CHUNK = CHUNK
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +135,8 @@ def featurize_stream(stream: Stream, feature_kind: str, stride_frames: int) -> n
     if feature_kind not in MODEL_FOR_FEATURE:
         raise ConfigError(f"unknown feature kind {feature_kind!r}")
     if feature_kind == IMAGE_KIND:
-        return window_images(stream, stride_frames, PROBA_CHUNK)[1][..., None]
-    return window_images(stream, stride_frames, PROBA_CHUNK, vector_batch)[1]
+        return window_images(stream, stride_frames)[1][..., None]
+    return window_images(stream, stride_frames, vector_batch)[1]
 
 
 def phase_spec(feature_kind: str, phase: int) -> ModelSpec:
@@ -158,16 +158,11 @@ def _check_model(model: Network, feature_kind: str, phase: int) -> None:
         raise DataError(f"{feature_kind} features have shape {want.input_shape}, the model takes {have.input_shape}")
 
 
-def in_chunks(x: np.ndarray) -> list[np.ndarray]:
-    """``x`` as consecutive views of ``PROBA_CHUNK`` rows (the last may be shorter)."""
-    return [x[lo : lo + PROBA_CHUNK] for lo in range(0, len(x), PROBA_CHUNK)]
-
-
 def _batched_proba(model: Network, x: np.ndarray, threads: int = 1) -> np.ndarray:
     """Probabilities chunk by chunk on one fold of the model, on at most
     ``threads`` workers, one per chunk and per CPU."""
     fold = model.fold()
-    chunks = in_chunks(x)
+    chunks = [x[lo : lo + PROBA_CHUNK] for lo in range(0, len(x), PROBA_CHUNK)]
     workers = min(threads, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging; not needed by one worker
@@ -321,29 +316,14 @@ def build_phase2_dataset(
 
 
 def train_detector(
-    pairs: LabeledStreams, feature_kind: str, cfg: DetectorConfig, train_cfg: TrainConfig, threads: int = 1
+    pairs: LabeledStreams, feature_kind: str, cfg: DetectorConfig, train_cfg: TrainConfig
 ) -> tuple[Network, Network, list[float], list[float]]:
     """Both phases' models and per-epoch mean losses, trained by ``train_cfg``;
-    its seed also undersamples phase one's negatives, its rate sets dropout.
-
-    With ``threads`` >= 2 and at least two CPUs, phase two trains on a second
-    thread while phase one trains on this one.  The two trainings share no
-    array, network or RNG, and each gives the same bits at any BLAS thread
-    count, so the models and losses do not depend on ``threads``.
-    """
+    its seed also undersamples phase one's negatives, its rate sets dropout."""
     x1, y1 = build_phase1_dataset(pairs, feature_kind, cfg, seed=train_cfg.seed)
     x2, y2 = build_phase2_dataset(pairs, feature_kind, cfg)
-    spec1, spec2 = phase_spec(feature_kind, 1), phase_spec(feature_kind, 2)
-    if min(threads, os.cpu_count() or 1) < 2:
-        net1, losses1 = net.train(spec1, x1, y1, train_cfg)
-        net2, losses2 = net.train(spec2, x2, y2, train_cfg)
-        return net1, net2, losses1, losses2
-    from concurrent.futures import ThreadPoolExecutor  # loads logging; not needed by one worker
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        phase2 = pool.submit(net.train, spec2, x2, y2, train_cfg)
-        net1, losses1 = net.train(spec1, x1, y1, train_cfg)
-        net2, losses2 = phase2.result()
+    net1, losses1 = net.train(phase_spec(feature_kind, 1), x1, y1, train_cfg)
+    net2, losses2 = net.train(phase_spec(feature_kind, 2), x2, y2, train_cfg)
     return net1, net2, losses1, losses2
 
 

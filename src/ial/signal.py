@@ -8,10 +8,8 @@ models.  ``window_images`` computes every window of a stream in one pass;
 
 The pass computes the stream-wide parts once (the eight channels, every
 window's per-channel extrema, the median of 3 at every frame), then gathers
-and normalizes the images a chunk of windows at a time, at the caller's chunk
-size.  At the detector's 32 windows a chunk's images (102 KB) stay under
-glibc's default 128 KiB mmap threshold and in L2, and no whole-stream image
-temporary is made.
+and normalizes the images ``CHUNK`` windows at a time, so no whole-stream
+image temporary is made.
 """
 
 from __future__ import annotations
@@ -26,6 +24,11 @@ from .data import WINDOW_FRAMES, Stream
 from .errors import DataError
 
 DOWNSAMPLE_FACTOR = 3
+
+# Windows per featurizing step; the detector scores in chunks of the same size.
+# A chunk's images (32 x 50 x 8 float64, 102 KB) stay under glibc's default
+# 128 KiB mmap threshold and in L2.
+CHUNK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +98,10 @@ def window_starts(n_frames: int, stride_frames: int) -> range:
 def window_images(
     stream: Stream,
     stride_frames: int,
-    chunk: int,
     reduce: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every window's start frame and its normalized 50x8 image, in one pass,
-    ``chunk`` windows at a time.
+    ``CHUNK`` windows at a time.
 
     Windows start at frames 0, s, 2s, ...; count = floor((L-150)/s) + 1.
     Returns ``(start_frames, images)`` with images of shape (count, 50, 8),
@@ -135,8 +137,8 @@ def window_images(
     offsets = DOWNSAMPLE_FACTOR * np.arange(WINDOW_FRAMES // DOWNSAMPLE_FACTOR)
     images = np.empty((len(starts), len(offsets), medians.shape[1])) if reduce is None else None
     rows = []
-    for first in range(0, len(starts), chunk):
-        part = slice(first, first + chunk)
+    for first in range(0, len(starts), CHUNK):
+        part = slice(first, first + CHUNK)
         out = None if images is None else images[part]
         # every index is in range; "clip" lets take write into ``out`` without a buffered copy
         out = np.take(medians, starts[part, None] + offsets, axis=0, out=out, mode="clip")

@@ -1,5 +1,4 @@
 import concurrent.futures
-import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -8,9 +7,9 @@ import pytest
 
 import ial.detector
 import ial.net
+import ial.signal
 from ial.data import ActionClass, GroundTruthEvent, Stream, SyntheticConfig, generate_synthetic_stream
 from ial.detector import (
-    PROBA_CHUNK,
     DetectorConfig,
     _batched_proba,
     WindowScores,
@@ -360,28 +359,6 @@ def trained_fc_models(train_streams=4, seed=100):
     return net1, net2, det_cfg
 
 
-def test_train_detector_trains_phase_two_on_a_second_thread_to_the_same_bytes(monkeypatch):
-    monkeypatch.setattr(ial.detector.os, "cpu_count", lambda: 2)  # the second worker runs on one CPU too
-    trained_on = []
-    real = ial.net.train
-
-    def recording(spec, *args):
-        trained_on.append((spec.n_classes, threading.current_thread()))
-        return real(spec, *args)
-
-    monkeypatch.setattr(ial.net, "train", recording)
-    pairs = [generate_synthetic_stream(synth_cfg(100, stream_duration_s=20.0, events_per_stream=2), 1, i) for i in (1, 2)]
-    tcfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=2, seed=7)
-    runs = {threads: train_detector(pairs, "image", DetectorConfig(), tcfg, threads) for threads in (1, 2)}
-    main = threading.main_thread()
-    on_main = [(n, thread is main) for n, thread in trained_on]
-    assert on_main[:2] == [(2, True), (5, True)] and sorted(on_main[2:]) == [(2, True), (5, False)]
-    (net1, net2, losses1, losses2), (par1, par2, par_losses1, par_losses2) = runs[1], runs[2]
-    assert losses1 == par_losses1 and losses2 == par_losses2 and len(losses1) == 2
-    for seq, par in ((net1, par1), (net2, par2)):
-        assert [(name, a.tobytes()) for name, a in seq.arrays()] == [(name, a.tobytes()) for name, a in par.arrays()]
-
-
 def test_detect_empty_when_phase1_negative():
     stream = make_stream(n=400)
     phase1 = constant_model("fc", 2, [1.0, 0.0])
@@ -465,7 +442,7 @@ def test_featurize_unknown_kind():
 
 
 @pytest.mark.parametrize("count", [1, 31, 32, 33, 64, 65, 391])
-def test_featurize_stream_keeps_the_bytes_at_every_chunk_edge(count):
+def test_featurize_stream_keeps_the_bytes_at_every_chunk_edge(count, monkeypatch):
     """Window counts below, at and just past one and two chunks, and a 120 s
     stream's: the chunked features equal the per-window reference and the
     whole stream featurized as one chunk, byte for byte."""
@@ -474,8 +451,10 @@ def test_featurize_stream_keeps_the_bytes_at_every_chunk_edge(count):
     stream.values[100:700, 4] = -1.5  # and one constant in some windows only
     starts = window_starts(len(stream), 15)
     reference = np.stack([image_feature(make_window(stream, start)).pixels for start in starts])
-    _, whole = window_images(stream, 15, count)  # the whole stream as one chunk
-    _, chunked = window_images(stream, 15, PROBA_CHUNK)
+    _, chunked = window_images(stream, 15)
+    monkeypatch.setattr(ial.signal, "CHUNK", count)
+    _, whole = window_images(stream, 15)  # the whole stream as one chunk
+    monkeypatch.undo()
     assert chunked.shape == whole.shape == (count, 50, 8)
     assert chunked.tobytes() == whole.tobytes() == reference.tobytes()
     images, vectors = featurize_stream(stream, "image", 15), featurize_stream(stream, "vector", 15)

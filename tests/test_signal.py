@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import ial.signal
 from ial.data import Stream
-from ial.detector import PROBA_CHUNK
 from ial.errors import DataError
 from ial.features import image_feature, vector_batch, vector_feature
 from ial.signal import (
@@ -81,21 +81,21 @@ def ax_stream(column):
 def test_minmax_basic():
     stream = ax_stream([2.0, 4.0, 6.0])
     assert list(make_window(stream, 0).frames[:3, 0]) == [0.0, 0.5, 1.0]
-    _, images = window_images(stream, 1, PROBA_CHUNK)
+    _, images = window_images(stream, 1)
     assert np.all(images[0, :, 0] == 0.5)  # the median of each (2, 4, 6) triple
 
 
 def test_minmax_constant_channel():
     stream = ax_stream([5.0])
     assert np.all(make_window(stream, 0).frames == 0.5)
-    _, images = window_images(stream, 1, PROBA_CHUNK)
+    _, images = window_images(stream, 1)
     assert np.all(images == 0.5)
 
 
 def test_minmax_full_span():
     stream = ax_stream([0.0, 10.0, 10.0])
     assert list(make_window(stream, 0).frames[:3, 0]) == [0.0, 1.0, 1.0]
-    _, images = window_images(stream, 1, PROBA_CHUNK)
+    _, images = window_images(stream, 1)
     assert np.all(images[0, :, 0] == 1.0)
 
 
@@ -199,7 +199,7 @@ def test_make_window_deterministic():
 
 def test_slide_single_window():
     stream = make_stream(np.zeros((150, 6)))
-    starts, images = window_images(stream, 40, PROBA_CHUNK)
+    starts, images = window_images(stream, 40)
     assert list(starts) == [0] and images.shape == (1, 50, 8)
 
 
@@ -210,7 +210,7 @@ def test_slide_count_6000_stride_15():
 def test_slide_too_short():
     stream = make_stream(np.zeros((149, 6)))
     with pytest.raises(DataError, match=r"^149 frames < 150$"):
-        window_images(stream, 15, PROBA_CHUNK)
+        window_images(stream, 15)
 
 
 def test_window_starts_refuse_a_stride_below_one():
@@ -221,7 +221,7 @@ def test_window_starts_refuse_a_stride_below_one():
 def test_slide_start_times():
     rng = np.random.default_rng(2)
     stream = random_stream(rng, n=320)
-    starts, images = window_images(stream, 50, PROBA_CHUNK)
+    starts, images = window_images(stream, 50)
     assert list(stream.t[starts]) == [0.0, 1.0, 2.0, 3.0]
     assert images.shape == (4, WINDOW_FRAMES // 3, 8)
 
@@ -246,16 +246,17 @@ def equivalence_streams():
 
 
 @pytest.mark.parametrize("stride, chunk", [(1, 32), (7, 5), (15, 1), (40, 32)], ids=["1", "7", "15", "40"])
-def test_window_images_equal_the_per_window_reference(stride, chunk):
+def test_window_images_equal_the_per_window_reference(stride, chunk, monkeypatch):
+    monkeypatch.setattr(ial.signal, "CHUNK", chunk)
     for stream in equivalence_streams():
-        starts, images = window_images(stream, stride, chunk)
+        starts, images = window_images(stream, stride)
         assert list(starts) == list(window_starts(len(stream), stride))
         reference = [image_feature(make_window(stream, int(s))) for s in starts]
         assert np.array_equal(images, np.stack([img.pixels for img in reference]))
         assert images.tobytes() == np.stack([img.pixels for img in reference]).tobytes()  # zeros' signs too
         vectors = [vector_feature(img).values for img in reference]
         assert np.array_equal(vector_batch(images), np.stack(vectors))
-        assert window_images(stream, stride, chunk, vector_batch)[1].tobytes() == vector_batch(images).tobytes()
+        assert window_images(stream, stride, vector_batch)[1].tobytes() == vector_batch(images).tobytes()
 
 
 def masked_unit_scale(x, lo, hi):
@@ -282,11 +283,12 @@ def edge_span_streams():
 
 
 @pytest.mark.parametrize("stride, chunk", [(1, 32), (7, 3), (15, 32)], ids=["1", "7", "15"])
-def test_window_images_keep_the_masked_division_byte_for_byte(stride, chunk):
+def test_window_images_keep_the_masked_division_byte_for_byte(stride, chunk, monkeypatch):
+    monkeypatch.setattr(ial.signal, "CHUNK", chunk)
     # the per-window reference above runs both sides through the same min-max
     # code, so this one writes the rule out independently of ial.signal
     for stream in edge_span_streams():
-        starts, images = window_images(stream, stride, chunk)
+        starts, images = window_images(stream, stride)
         for start, image in zip(starts, images):
             raw = eight_channels(stream.values[start : start + WINDOW_FRAMES])
             expected = masked_unit_scale(median_downsample(raw), raw.min(axis=0), raw.max(axis=0))

@@ -54,8 +54,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ial", description=__doc__)
     parser.add_argument("--config", help=f"JSON config path (or ${ENV_CONFIG})")
     parser.add_argument("--seed", type=int, help="override the global seed")
-    parser.add_argument("--threads", type=int, help="worker threads, at most one per window chunk and per CPU; "
-                        "every output is byte-identical at any count, apart from the config hash it embeds")
+    parser.add_argument("--threads", type=int, help="reserved: every command runs on one thread, and the count "
+                        "changes only the config hash that outputs embed")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
@@ -151,7 +151,7 @@ def cmd_detect(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     phase1, phase2 = _load_models(cfg)
     stream = dat.ingest_stream(args.stream, cfg.schema, sample_rate_hz=cfg.synthetic.sample_rate_hz)
-    scores, events = det.detect(stream, phase1, phase2, cfg.detector, cfg.feature_kind, cfg.threads)
+    scores, events = det.detect(stream, phase1, phase2, cfg.detector, cfg.feature_kind)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.stream).stem
@@ -174,7 +174,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     phase1, phase2 = _load_models(cfg)
     report1, report2 = ev.evaluate_run(
         test_pairs, phase1, phase2, cfg.detector, cfg.feature_kind,
-        rule=cfg.eval.match_rule, iou_threshold=cfg.eval.iou_threshold, threads=cfg.threads,
+        rule=cfg.eval.match_rule, iou_threshold=cfg.eval.iou_threshold,
     )
     model_name = "Convolution Neural Network" if cfg.model == net.CNN_KIND else "Fully Connected Neural Network"
     text = ev.render_report(report1, report2, model_name)

@@ -38,7 +38,7 @@ class RunConfig:
     feature_kind: str = IMAGE_KIND
     model: str = CNN_KIND
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # reserved, read by no command; kept so config hashes and --threads stay valid
     schema: dict[str, int] | None = None  # stream-CSV column mapping; None = t,ax,ay,az,gx,gy,gz
     train: TrainConfig = field(default_factory=TrainConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)

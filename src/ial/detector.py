@@ -18,7 +18,6 @@ least half of it overlaps a truth event (``window_labels``).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -45,11 +44,10 @@ LabeledStreams = Sequence[tuple[Stream, Sequence[GroundTruthEvent]]]
 NON_INTEREST_IDX = 0
 INTEREST_IDX = 1
 
-# Windows per predict_proba call, as per featurizing step (``signal.CHUNK``);
-# with threads > 1 the chunks run in parallel.  Sized to the cache: a chunk's
-# images stay in L2 (see ``signal.CHUNK``), and at 32 windows a half of block
-# 2's row bands, a chunk's largest CNN array, takes 0.9 MB (7.1 MB at 256)
-# against a 2 MB L2 per core.
+# Windows per predict_proba call, as per featurizing step (``signal.CHUNK``).
+# Sized to the cache: a chunk's images stay in L2 (see ``signal.CHUNK``), and
+# at 32 windows a half of block 2's row bands, a chunk's largest CNN array,
+# takes 0.9 MB (7.1 MB at 256) against a 2 MB L2 per core.
 # Phase-1 scoring of a 391-window stream on one fold (BLAS at 1 thread, medians
 # of 20 interleaved rounds in three processes that had trained a CNN) took
 # 26.9-27.6 ms at 16, 27.4-28.8 at 24, 27.6-28.6 at 32, 29.3-31.0 at 8,
@@ -158,18 +156,11 @@ def _check_model(model: Network, feature_kind: str, phase: int) -> None:
         raise DataError(f"{feature_kind} features have shape {want.input_shape}, the model takes {have.input_shape}")
 
 
-def _batched_proba(model: Network, x: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Probabilities chunk by chunk on one fold of the model, on at most
-    ``threads`` workers, one per chunk and per CPU."""
+def _batched_proba(model: Network, x: np.ndarray) -> np.ndarray:
+    """Probabilities chunk by chunk on one fold of the model."""
     fold = model.fold()
-    chunks = [x[lo : lo + PROBA_CHUNK] for lo in range(0, len(x), PROBA_CHUNK)]
-    workers = min(threads, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # loads logging; not needed by one worker
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.concatenate(list(pool.map(lambda chunk: model.predict_proba(chunk, fold), chunks)))
-    return np.concatenate([model.predict_proba(chunk, fold) for chunk in chunks])
+    starts = range(0, len(x), PROBA_CHUNK)
+    return np.concatenate([model.predict_proba(x[lo : lo + PROBA_CHUNK], fold) for lo in starts])
 
 
 def score_windows(
@@ -177,12 +168,11 @@ def score_windows(
     phase1_model: Network,
     feature_kind: str,
     cfg: DetectorConfig,
-    threads: int = 1,
 ) -> WindowScores:
     """The stream's window table: one interest probability per sliding window."""
     _check_model(phase1_model, feature_kind, 1)
     x = featurize_stream(stream, feature_kind, cfg.stride_frames)
-    probs = _batched_proba(phase1_model, x, threads)
+    probs = _batched_proba(phase1_model, x)
     start_t, window_s = _window_times(stream, cfg.stride_frames)
     return WindowScores(start_t, probs[:, INTEREST_IDX], x, window_s)
 
@@ -215,7 +205,6 @@ def detect(
     phase2_model: Network,
     cfg: DetectorConfig,
     feature_kind: str,
-    threads: int = 1,
 ) -> tuple[WindowScores, list[DetectedEvent]]:
     """Full two-phase pass over one stream: its window table and its events.
 
@@ -228,7 +217,7 @@ def detect(
     lowest class index.  Events come out sorted by start and pairwise disjoint.
     Each model is folded once per call (``Network.fold``).
     """
-    scores = score_windows(stream, phase1_model, feature_kind, cfg, threads)
+    scores = score_windows(stream, phase1_model, feature_kind, cfg)
     _check_model(phase2_model, feature_kind, 2)
     fold = phase2_model.fold()
     stream_end = float(stream.t[-1])

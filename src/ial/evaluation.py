@@ -199,13 +199,12 @@ def evaluate_run(
     *,
     rule: str = MIDPOINT_RULE,
     iou_threshold: float = 0.5,
-    threads: int = 1,
 ) -> tuple[MetricsReport, MetricsReport]:
     """Detect on every test stream and micro-average the event counts."""
     detections, truths = [], []
     window_counts = ConfusionCounts()
     for stream, truth in pairs:
-        scores, events = detect(stream, phase1_model, phase2_model, cfg, feature_kind, threads)
+        scores, events = detect(stream, phase1_model, phase2_model, cfg, feature_kind)
         detections.append(events)
         truths.append(list(truth))
         window_counts += _window_diagnostics(truth, scores, cfg)

@@ -233,6 +233,40 @@ def test_train_writes_what_train_detector_returns_at_any_thread_count(tmp_path):
         assert losses[f"loss_phase{phase}.csv"] == ["epoch,mean_loss", *rows]
 
 
+@pytest.mark.parametrize("kind, model", [("vector", "fc"), ("image", "cnn")])
+def test_eval_writes_the_same_reports_at_any_thread_count(tmp_path, capsys, kind, model):
+    """``ial eval`` writes the same reports at 1 and 2 threads, apart from the
+    config hash and the ``threads`` echo.  Test streams shorter than one window
+    exit 2 with the first one's message at both counts."""
+    args = ["--config", str(write_config(tmp_path, feature_kind=kind, model=model)),
+            "--set", "synthetic.n_subjects=3", "--set", "train.epochs=3"]
+    out = tmp_path / "out"
+    assert main([*args, "synth"]) == 0
+    assert main([*args, "train"]) == 0
+    runs = []
+    for threads in (1, 2):
+        assert main([*args, "--threads", str(threads), "eval"]) == 0
+        chash = config_hash(load_run_config(tmp_path / "config.json", {
+            "synthetic.n_subjects": 3, "train.epochs": 3, "threads": threads}))
+        txt, doc = (out / "report.txt").read_bytes(), (out / "report.json").read_bytes()
+        assert json.loads(doc)["config"]["threads"] == threads and chash.encode() in txt
+        runs.append((txt.replace(chash.encode(), b"HASH"),
+                     doc.replace(chash.encode(), b"HASH").replace(f'"threads": {threads}'.encode(), b"THREADS")))
+    assert runs[0] == runs[1]
+    assert json.loads((out / "report.json").read_text())["phase_one"]["counts"]["tp"] > 0
+
+    # the test streams of subjects 2 and 3 keep 100 and 120 of their frames
+    for subject, frames in ((2, 100), (3, 120)):
+        path = out / "data" / f"s{subject:02d}_r10.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[: 2 + frames]) + "\n")
+    capsys.readouterr()
+    errors = []
+    for threads in ("1", "2"):
+        assert main([*args, "--threads", threads, "eval"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: 100 frames < 150\n"] * 2
+
+
 def test_train_of_zero_epochs_exits_zero_with_header_only_losses(tmp_path, capsys):
     # TrainConfig accepts epochs >= 0; the untrained models are written, and no traceback ends the run
     args = ["--config", str(write_config(tmp_path)), "--set", "train.epochs=0"]

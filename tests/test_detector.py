@@ -1,4 +1,3 @@
-import concurrent.futures
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,7 +10,6 @@ import ial.signal
 from ial.data import ActionClass, GroundTruthEvent, Stream, SyntheticConfig, generate_synthetic_stream
 from ial.detector import (
     DetectorConfig,
-    _batched_proba,
     WindowScores,
     build_phase1_dataset,
     build_phase2_dataset,
@@ -98,49 +96,6 @@ def test_score_windows_feature_mismatch():
 def test_score_windows_unknown_kind():
     with pytest.raises(ConfigError, match="unknown feature kind 'bogus'"):
         score_windows(make_stream(n=200), build_network(vector_model_spec(2), seed=0), "bogus", DetectorConfig())
-
-
-def test_score_windows_threads_match_sequential():
-    stream = make_stream(n=3000)
-    model = build_network(image_model_spec(2), seed=1)
-    seq = score_windows(stream, model, "image", DetectorConfig(), threads=1)
-    par = score_windows(stream, model, "image", DetectorConfig(), threads=4)
-    assert np.array_equal(seq.start_t, par.start_t)
-    assert np.array_equal(seq.interest_prob, par.interest_prob)
-
-
-@pytest.mark.parametrize("threads, cpus, pools", [
-    (10**6, 3, [3]),  # one worker per CPU
-    (10**6, 64, [13]),  # one worker per chunk
-    (2, 8, [2]),
-    (10**6, None, []),  # an unknown CPU count is one CPU: the caller's loop, no pool
-])
-def test_batched_proba_caps_its_workers(monkeypatch, threads, cpus, pools):
-    """``--threads`` asks for at most that many workers; the pool gets no more
-    than one per chunk and per CPU.  The stand-in pool maps in the caller, so
-    this test starts no thread."""
-    made = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    model = build_network(vector_model_spec(2), seed=0)
-    x = np.random.default_rng(1).normal(0, 1, (13 * ial.detector.PROBA_CHUNK - 5, 16))  # 13 chunks
-    want = _batched_proba(model, x)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(ial.detector.os, "cpu_count", lambda: cpus)
-    assert _batched_proba(model, x, threads).tobytes() == want.tobytes()
-    assert made == pools
 
 
 def counting_band_weights(monkeypatch) -> list:

@@ -49,10 +49,10 @@ def test_unused_imports_finds_each_kind_of_import():
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    """``concurrent.futures`` (which loads ``logging``) is imported only where a
-    scoring pass starts more than one worker, so a fresh ``ial`` process at one
-    thread does not pay for it.  Nor is ``base64`` loaded: a checkpoint's arrays
-    are raw float64 bytes, so nothing on the ``ial detect`` path decodes text."""
+    """No command starts worker threads, so nothing imports ``concurrent.futures``
+    (which loads ``logging``) and a fresh ``ial`` process does not pay for it.
+    Nor is ``base64`` loaded: a checkpoint's arrays are raw float64 bytes, so
+    nothing on the ``ial detect`` path decodes text."""
     code = "import sys, ial.cli; print(sorted({'base64', 'concurrent.futures', 'logging'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout

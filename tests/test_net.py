@@ -964,7 +964,7 @@ def test_inference_writes_no_layer_state(spec):
     held_by_net = dict(vars(net))
     digests = {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in net.arrays()}
     net.predict_proba(x)
-    _batched_proba(net, x, threads=2)
+    _batched_proba(net, x)
     assert vars(net) == held_by_net
     for layer, held in zip(net.layers, before):
         now = vars(layer)
@@ -1018,7 +1018,7 @@ def test_folded_inference_matches_the_layer_walk(seed, n):
         x = np.random.default_rng([seed, n]).normal(0.5, 0.3, (n, *spec.input_shape))
         reference = softmax(layer_walk(net, x))
         assert reference.min() > 1e-3, spec  # no class is saturated, so a wrong block shows in p
-        for p in (net.predict_proba(x), _batched_proba(net, x, threads=2)):
+        for p in (net.predict_proba(x), _batched_proba(net, x)):
             assert np.abs(p - reference).max() <= 1e-12, spec
             assert np.array_equal(p.argmax(1), reference.argmax(1)), spec
 

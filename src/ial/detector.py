@@ -157,10 +157,10 @@ def _check_model(model: Network, feature_kind: str, phase: int) -> None:
 
 
 def _batched_proba(model: Network, x: np.ndarray) -> np.ndarray:
-    """Probabilities chunk by chunk on one fold of the model."""
+    """Probabilities chunk by chunk on one fold of the model (``Network.fold``)."""
     fold = model.fold()
     starts = range(0, len(x), PROBA_CHUNK)
-    return np.concatenate([model.predict_proba(x[lo : lo + PROBA_CHUNK], fold) for lo in starts])
+    return np.concatenate([fold.predict_proba(x[lo : lo + PROBA_CHUNK]) for lo in starts])
 
 
 def score_windows(
@@ -215,7 +215,8 @@ def detect(
     the softmax vectors of all windows whose center falls inside the interval
     (falling back to the center window when none does).  Argmax ties go to the
     lowest class index.  Events come out sorted by start and pairwise disjoint.
-    Each model is folded once per call (``Network.fold``).
+    Each model is folded once per call (``Network.fold``), and each fold
+    scores every chunk or event of the call.
     """
     scores = score_windows(stream, phase1_model, feature_kind, cfg)
     _check_model(phase2_model, feature_kind, 2)
@@ -227,7 +228,7 @@ def detect(
         chosen = np.flatnonzero(_centered_in(scores.centers, start, end))
         if cfg.classification_mode == "center-window" or not len(chosen):
             chosen = [int(np.argmin(np.abs(scores.centers - 0.5 * (start + end))))]
-        mean_probs = phase2_model.predict_proba(scores.x[chosen], fold).mean(axis=0)
+        mean_probs = fold.predict_proba(scores.x[chosen]).mean(axis=0)
         idx = int(np.argmax(mean_probs))
         events.append(DetectedEvent(INTEREST_CLASSES[idx], start, end, float(mean_probs[idx])))
     return scores, events

@@ -6,10 +6,11 @@ dropout and a single dense output layer) for 50x8x1 image inputs, and a
 4-layer dense network (three 128-unit hidden layers with ReLU, dropout, dense
 output) for 16-dim vector inputs.  Every layer's backward pass is verified
 against central finite differences by ``gradient_check``.  Every convolution
-is one GEMM of row bands and banded weights (``_row_bands``, ``_band_weights``),
-and CNN inference runs each conv, batchnorm, pool and ReLU block as one step,
-on arrays folded once per scoring pass (``Network.fold``): bands with their
-columns in pool-cell order, in two column halves where W is a multiple of 4.
+is one GEMM of row bands and banded weights (``_row_bands``, ``_band_weights``).
+``Network.fold`` gives the network for inference, built once per scoring pass:
+each conv, batchnorm, pool and ReLU block becomes one ``FoldedBlock`` layer,
+whose bands have their columns in pool-cell order, in two column halves where
+W is a multiple of 4.
 """
 
 from __future__ import annotations
@@ -172,62 +173,6 @@ def _pool_max(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     c0, c1, c2, c3 = cells = _pool_cells(x)
     top = np.maximum(c0, c1)
     return np.maximum(top, np.maximum(c2, c3), out=top), cells
-
-
-def _fold_block(kernels: np.ndarray, bn: BatchNorm, w: int) -> tuple[np.ndarray, list, np.ndarray]:
-    """A Conv2D -> BatchNorm -> MaxPool2 -> ReLU block over rows of width W,
-    folded for inference: the kernels scaled by BatchNorm's s, one
-    ``(i0, i1, band)`` per group of output columns, and the shift.
-
-    The output columns the pool keeps (an odd W's last one is dropped) form
-    one group over all W input columns, or two halves when W is a multiple of
-    4 and each half reads fewer than W columns.  A group's band holds only
-    the rows of its input columns i0 .. i1 - 1, so a half skips the zeros of
-    the full band, and its columns are in pool-cell order ``(dj, wo // 2,
-    co)`` for output column wo = 2 * (wo // 2) + dj.
-    """
-    scale, shift = bn.folded()
-    scaled = kernels * scale[:, None, None, None]
-    c_out, kh, kw, c_in = scaled.shape
-    full, half, pw = _band_weights(scaled, w).reshape(kh, w, c_in, w, c_out), w // 2, kw // 2
-    if w % 4 or pw >= half:
-        spans = [(0, w, 0, w - w % 2)]
-    else:
-        spans = [(0, half + pw, 0, half), (half - pw, w, half, w)]
-    groups = []
-    for i0, i1, o0, o1 in spans:
-        cells = full[:, i0:i1, :, o0:o1].reshape(-1, (o1 - o0) // 2, 2, c_out).transpose(0, 2, 1, 3)
-        groups.append((i0, i1, cells.reshape(kh * (i1 - i0) * c_in, -1)))
-    return scaled, groups, shift
-
-
-def _folded_block(x: np.ndarray, kernels: np.ndarray, groups: list, shift: np.ndarray) -> np.ndarray:
-    """A block at inference, as one step, from its ``_fold_block`` arrays.
-
-    BatchNorm's scale s is in the kernels and its shift is added after the
-    pool, followed by ReLU in place.  Pooling before the shift is exact: z ->
-    fl(z + shift) never decreases as z grows, so it commutes with the max, and
-    a negative s is already in the kernels.  Only the fold, conv(x, k * s) for
-    conv(x, k) * s, reassociates.  Each group runs the training conv on its
-    input columns and the rows the pool keeps; its pool-cell-ordered columns
-    make each 2x2 cell one run of contiguous values, which ``_pool_max`` takes
-    as the columns of a 2-wide image.  That gives the bytes of
-    ``_conv_forward`` then ``_pool_max``: a group only leaves out products
-    with the band's zeros.
-    """
-    n, h, w, _ = x.shape
-    if h < 2 or w < 2:
-        raise DataError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
-    if groups[-1][1] != w:
-        raise DataError(f"input width {w} does not fit the folded block")
-    pooled = []
-    for i0, i1, band in groups:
-        bands = _row_bands(x[:, :, i0:i1], kernels, h - h % 2)
-        pooled.append(_pool_max((bands @ band).reshape(n, h - h % 2, 2, -1))[0])
-    out = pooled[0] if len(pooled) == 1 else np.concatenate(pooled, axis=-1)
-    out = out.reshape(n, h // 2, w // 2, len(kernels))
-    out += shift
-    return np.maximum(out, 0.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +366,64 @@ class Flatten(Layer):
         return dy.reshape(self._shape)
 
 
+class FoldedBlock(Layer):
+    """A Conv2D -> BatchNorm -> MaxPool2 -> ReLU block over rows of width W,
+    folded for inference, which is all it runs: ``train`` is ignored and it
+    has no backward.
+
+    It holds the kernels scaled by BatchNorm's s, one ``(i0, i1, band)`` per
+    group of output columns, and the shift.  The output columns the pool keeps
+    (an odd W's last one is dropped) form one group over all W input columns,
+    or two halves when W is a multiple of 4 and each half reads fewer than W
+    columns.  A group's band holds only the rows of its input columns
+    i0 .. i1 - 1, so a half skips the zeros of the full band, and its columns
+    are in pool-cell order ``(dj, wo // 2, co)`` for output column
+    wo = 2 * (wo // 2) + dj.
+    """
+
+    def __init__(self, conv: Conv2D, bn: BatchNorm, w: int):
+        scale, self.shift = bn.folded()
+        self.kernels = conv.kernels * scale[:, None, None, None]
+        c_out, kh, kw, c_in = self.kernels.shape
+        full, half, pw = _band_weights(self.kernels, w).reshape(kh, w, c_in, w, c_out), w // 2, kw // 2
+        if w % 4 or pw >= half:
+            spans = [(0, w, 0, w - w % 2)]
+        else:
+            spans = [(0, half + pw, 0, half), (half - pw, w, half, w)]
+        self.groups = []
+        for i0, i1, o0, o1 in spans:
+            cells = full[:, i0:i1, :, o0:o1].reshape(-1, (o1 - o0) // 2, 2, c_out).transpose(0, 2, 1, 3)
+            self.groups.append((i0, i1, cells.reshape(kh * (i1 - i0) * c_in, -1)))
+
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        """The block as one step.
+
+        BatchNorm's scale s is in the kernels and its shift is added after the
+        pool, followed by ReLU in place.  Pooling before the shift is exact: z ->
+        fl(z + shift) never decreases as z grows, so it commutes with the max, and
+        a negative s is already in the kernels.  Only the fold, conv(x, k * s) for
+        conv(x, k) * s, reassociates.  Each group runs the training conv on its
+        input columns and the rows the pool keeps; its pool-cell-ordered columns
+        make each 2x2 cell one run of contiguous values, which ``_pool_max`` takes
+        as the columns of a 2-wide image.  That gives the bytes of
+        ``_conv_forward`` then ``_pool_max``: a group only leaves out products
+        with the band's zeros.
+        """
+        n, h, w, _ = x.shape
+        if h < 2 or w < 2:
+            raise DataError(f"maxpool2 needs H, W >= 2, got {h}x{w}")
+        if self.groups[-1][1] != w:
+            raise DataError(f"input width {w} does not fit the folded block")
+        pooled = []
+        for i0, i1, band in self.groups:
+            bands = _row_bands(x[:, :, i0:i1], self.kernels, h - h % 2)
+            pooled.append(_pool_max((bands @ band).reshape(n, h - h % 2, 2, -1))[0])
+        out = pooled[0] if len(pooled) == 1 else np.concatenate(pooled, axis=-1)
+        out = out.reshape(n, h // 2, w // 2, len(self.kernels))
+        out += self.shift
+        return np.maximum(out, 0.0, out=out)
+
+
 # ---------------------------------------------------------------------------
 # model assembly
 # ---------------------------------------------------------------------------
@@ -463,12 +466,12 @@ class ModelSpec:
             raise ConfigError("bn_eps must be > 0")
 
 
-def image_model_spec(n_classes: int, dropout_rate: float = 0.5) -> ModelSpec:
-    return ModelSpec(CNN_KIND, n_classes, (50, 8, 1), dropout_rate=dropout_rate)
+def image_model_spec(n_classes: int) -> ModelSpec:
+    return ModelSpec(CNN_KIND, n_classes, (50, 8, 1))
 
 
-def vector_model_spec(n_classes: int, dropout_rate: float = 0.5) -> ModelSpec:
-    return ModelSpec(FC_KIND, n_classes, (16,), dropout_rate=dropout_rate)
+def vector_model_spec(n_classes: int) -> ModelSpec:
+    return ModelSpec(FC_KIND, n_classes, (16,))
 
 
 class Network:
@@ -480,12 +483,10 @@ class Network:
         layers[0].input_grad = False  # nothing reads the gradient of the network's input
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """The logits; inference runs on ``self.fold()``."""
-        if not train:
-            return _infer(self.fold(), x)
+        """The logits: each layer's own forward, in order."""
         out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
-            out = layer.forward(out, True)
+            out = layer.forward(out, train)
         return out
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -495,24 +496,28 @@ class Network:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
 
-    def fold(self) -> list:
-        """The inference steps, built once per scoring pass and kept nowhere else:
-        each Conv2D -> BatchNorm -> MaxPool2 -> ReLU block (as ``_assemble`` lays
-        it out) as its ``_fold_block`` arrays, every other layer as itself."""
-        steps, w = [], self.spec.input_shape[1] if self.spec.kind == CNN_KIND else 0
-        layers = iter(self.layers)
-        for layer in layers:
+    def fold(self) -> Network:
+        """The network for inference, built once per scoring pass and kept nowhere
+        else: each Conv2D -> BatchNorm -> MaxPool2 -> ReLU block (as ``_assemble``
+        lays it out) as one FoldedBlock, every other layer as the same object.
+        A fold holds no Conv2D, so folding it again gives the same layers."""
+        layers, w = [], self.spec.input_shape[1] if self.spec.kind == CNN_KIND else 0
+        it = iter(self.layers)
+        for layer in it:
             if isinstance(layer, Conv2D):
-                bn, _, _ = next(layers), next(layers), next(layers)
-                steps.append(_fold_block(layer.kernels, bn, w))
+                bn, _, _ = next(it), next(it), next(it)
+                layers.append(FoldedBlock(layer, bn, w))
                 w //= 2
             else:
-                steps.append(layer)
-        return steps
+                layers.append(layer)
+        return Network(self.spec, layers)
 
-    def predict_proba(self, x: np.ndarray, fold: list | None = None) -> np.ndarray:
-        """Class probabilities, on ``fold`` (``self.fold()``, built here when None)."""
-        return softmax(_infer(self.fold() if fold is None else fold, x))
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities: the softmax of the inference logits.  On an
+        unfolded network each layer runs its own inference forward; that is the
+        reference ``fold().predict_proba``, which the detector calls, matches to
+        within 1e-12."""
+        return softmax(self.forward(x))
 
     def _named(self, kind: str, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         """Each layer's ``prefix + name`` per name in its ``kind`` tuple, named "<layer index>.<name>"."""
@@ -531,14 +536,6 @@ class Network:
     def arrays(self) -> list[tuple[str, np.ndarray]]:
         """Parameters followed by running statistics: the contents of a checkpoint."""
         return self._named("PARAMS") + self._named("STATE")
-
-
-def _infer(fold: list, x: np.ndarray) -> np.ndarray:
-    """The logits of ``Network.fold()``'s steps."""
-    out = np.asarray(x, dtype=np.float64)
-    for step in fold:
-        out = _folded_block(out, *step) if isinstance(step, tuple) else step.forward(out, False)
-    return out
 
 
 def _assemble(spec: ModelSpec, take, seed: int) -> Network:

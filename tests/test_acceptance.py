@@ -75,8 +75,8 @@ def test_criterion_2_gradient_suite():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for name, spec, shape in [
-        ("fc", vector_model_spec(5, dropout_rate=0.5), (4, 16)),
-        ("cnn", image_model_spec(5, dropout_rate=0.5), (4, 50, 8, 1)),
+        ("fc", vector_model_spec(5), (4, 16)),
+        ("cnn", image_model_spec(5), (4, 50, 8, 1)),
     ]:
         net = build_network(spec, seed=2024)
         x = rng.normal(0.5, 0.2, shape)

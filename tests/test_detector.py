@@ -43,10 +43,8 @@ def constant_model(spec_kind, n_classes, probs):
         spec = image_model_spec(n_classes)
     probs = np.asarray(probs, dtype=np.float64)
 
-    def predict_proba(x, fold=None):
-        return np.tile(probs, (len(x), 1))
-
-    return SimpleNamespace(spec=spec, fold=lambda: None, predict_proba=predict_proba)
+    model = SimpleNamespace(spec=spec, fold=lambda: model, predict_proba=lambda x: np.tile(probs, (len(x), 1)))
+    return model
 
 
 def scripted_model(n_classes, rows):
@@ -54,12 +52,13 @@ def scripted_model(n_classes, rows):
     spec = vector_model_spec(n_classes)
     queue = [np.asarray(r, dtype=np.float64) for r in rows]
 
-    def predict_proba(x, fold=None):
+    def predict_proba(x):
         out = np.stack(queue[: len(x)])
         del queue[: len(x)]
         return out
 
-    return SimpleNamespace(spec=spec, fold=lambda: None, predict_proba=predict_proba)
+    model = SimpleNamespace(spec=spec, fold=lambda: model, predict_proba=predict_proba)
+    return model
 
 
 # ---------------------------------------------------------------------------

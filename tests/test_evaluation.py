@@ -310,7 +310,8 @@ def silent_model(kind, n_classes):
     spec = vector_model_spec(n_classes) if kind == "fc" else image_model_spec(n_classes)
     probs = np.zeros(n_classes)
     probs[0] = 1.0
-    return SimpleNamespace(spec=spec, fold=lambda: None, predict_proba=lambda x, fold=None: np.tile(probs, (len(x), 1)))
+    model = SimpleNamespace(spec=spec, fold=lambda: model, predict_proba=lambda x: np.tile(probs, (len(x), 1)))
+    return model
 
 
 def test_evaluate_run_silent_detector():

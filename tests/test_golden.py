@@ -10,7 +10,7 @@ cancels, were removed: the bias gradients were rounding noise of about 1e-16,
 so training moved in the last digits; labels and intervals stayed identical
 and every confidence moved by less than 1e-15.  They were recaptured again
 when CNN inference began to fold each BatchNorm into the kernels of its
-convolution (``net._folded_block``), which reassociates the products: labels
+convolution (now ``net.FoldedBlock``), which reassociates the products: labels
 and intervals stayed identical and the largest confidence move was 5.6e-17,
 one confidence in its last digit.  The image event and array pins were
 recaptured once more when BatchNorm's training reductions became BLAS
@@ -269,10 +269,8 @@ def test_folded_inference_matches_the_layer_walk():
     for net in trained("image"):
         for stream, _ in eval_pairs():
             x = featurize_stream(stream, "image", DetectorConfig().stride_frames)
-            logits = x
-            for layer in net.layers:  # each layer's own inference forward
-                logits = layer.forward(logits, False)
-            assert np.abs(net.predict_proba(x) - softmax(logits)).max() <= 1e-12
+            logits = net.forward(x)  # each layer's own inference forward
+            assert np.abs(net.fold().predict_proba(x) - softmax(logits)).max() <= 1e-12
 
 
 def test_phase1_probabilities_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -325,16 +323,24 @@ def test_image_inference_bytes_match_the_pins_at_every_batch_size():
 
 
 def test_phase2_event_probabilities_match_the_pins(monkeypatch):
-    """The bytes of each per-event phase-2 ``predict_proba`` call of ``detect``."""
+    """The bytes of each per-event phase-2 ``predict_proba`` call of ``detect``,
+    which runs on the fold of the phase-2 network."""
     net1, net2 = trained("image")
-    got, predict = [], net2.predict_proba
+    got, fold = [], net2.fold
 
-    def recording(*args, **kwargs):
-        p = predict(*args, **kwargs)
-        got.append(digest(p))
-        return p
+    def recording_fold():
+        folded = fold()
+        predict = folded.predict_proba
 
-    monkeypatch.setattr(net2, "predict_proba", recording)
+        def recording(x):
+            p = predict(x)
+            got.append(digest(p))
+            return p
+
+        folded.predict_proba = recording
+        return folded
+
+    monkeypatch.setattr(net2, "fold", recording_fold)
     for stream in [stream for stream, _ in eval_pairs()] + [long_eval_stream()]:
         detect(stream, net1, net2, DetectorConfig(), "image")
     assert got == PHASE2_EVENT_DIGESTS

@@ -1,4 +1,5 @@
-"""Every name a module of the package, or a test module, imports is used in that module."""
+"""Every name a module of the package, or a test module, imports is used in
+that module, and every private helper of the package is used in the package."""
 
 import ast
 import os
@@ -46,6 +47,31 @@ def test_unused_imports_finds_each_kind_of_import():
         "    raise DataError(np.pi)\n"
     )
     assert unused_imports(source) == ["line 4: os", "line 5: dat", "line 6: ConfigError", "line 8: vector_batch"]
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes named ``_*`` in ``sources`` (module
+    name -> source) that no module reads by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return [f"{module}: {name}" for module, name in defined if name not in used]
+
+
+def test_package_uses_every_private_helper_it_defines():
+    """A helper that only tests call is dead code the tests keep alive."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unused_private_definitions(sources) == []
+
+
+def test_unused_private_definitions_finds_a_helper_nothing_reads():
+    sources = {
+        "a.py": "def _used():\n    pass\nclass _Kept:\n    pass\ndef _dead():\n    return _used()\n",
+        "b.py": "from . import a\nx = a._Kept\n",
+    }
+    assert unused_private_definitions(sources) == ["a.py: _dead"]
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():

@@ -15,14 +15,14 @@ from ial.net import (
     Conv2D,
     Dense,
     Dropout,
+    Flatten,
+    FoldedBlock,
     MaxPool2,
     ModelSpec,
     ReLU,
     TrainConfig,
     _band_weights,
     _conv_forward,
-    _fold_block,
-    _folded_block,
     _pool_max,
     build_network,
     conv2d,
@@ -614,7 +614,7 @@ def test_dropout_invalid_rate():
     # the spec holds the rate, so a network is never assembled with a bad one
     for rate in (1.0, -0.1):
         with pytest.raises(ConfigError, match=r"^dropout_rate must be in \[0, 1\)$"):
-            vector_model_spec(2, dropout_rate=rate)
+            replace(vector_model_spec(2), dropout_rate=rate)
 
 
 def test_dropout_monte_carlo():
@@ -695,7 +695,7 @@ def separable_vector_dataset(rng, n=120):
 def test_train_tiny_learning_rate_keeps_parameters():
     rng = np.random.default_rng(14)
     x, y = separable_vector_dataset(rng, n=40)
-    spec = vector_model_spec(2, dropout_rate=0.0)
+    spec = replace(vector_model_spec(2), dropout_rate=0.0)
     cfg = TrainConfig(learning_rate=1e-30, momentum=0.0, epochs=3, seed=3, dropout_rate=0.0)
     net, losses = train(spec, x, y, cfg)
     fresh = build_network(spec, seed=3)
@@ -789,7 +789,7 @@ def test_train_config_validation():
 
 def test_gradient_check_fc():
     rng = np.random.default_rng(17)
-    net = build_network(vector_model_spec(5, dropout_rate=0.5), seed=11)
+    net = build_network(vector_model_spec(5), seed=11)
     x = rng.normal(0.5, 0.2, (4, 16))
     y = rng.integers(0, 5, 4)
     assert gradient_check(net, x, y, seed=11) < 1e-4
@@ -797,7 +797,7 @@ def test_gradient_check_fc():
 
 def test_gradient_check_cnn():
     rng = np.random.default_rng(18)
-    net = build_network(image_model_spec(5, dropout_rate=0.5), seed=12)
+    net = build_network(image_model_spec(5), seed=12)
     x = rng.normal(0.5, 0.2, (3, 50, 8, 1))
     y = rng.integers(0, 5, 3)
     assert gradient_check(net, x, y, max_per_param=60, seed=12) < 1e-4
@@ -815,7 +815,7 @@ def test_gradient_check_linear_model_is_exact():
 
 def test_gradient_check_detects_corruption():
     rng = np.random.default_rng(20)
-    net = build_network(vector_model_spec(3, dropout_rate=0.0), seed=14)
+    net = build_network(replace(vector_model_spec(3), dropout_rate=0.0), seed=14)
     x = rng.normal(0, 1, (4, 16))
     y = rng.integers(0, 3, 4)
     original = Dense.backward
@@ -834,7 +834,7 @@ def test_gradient_check_detects_corruption():
 
 def test_gradient_check_detects_corrupted_conv_backward(monkeypatch):
     rng = np.random.default_rng(22)
-    net = build_network(image_model_spec(3, dropout_rate=0.0), seed=15)
+    net = build_network(replace(image_model_spec(3), dropout_rate=0.0), seed=15)
     x = rng.normal(0.5, 0.2, (3, 50, 8, 1))
     y = rng.integers(0, 3, 3)
     original = Conv2D.backward
@@ -973,14 +973,6 @@ def test_inference_writes_no_layer_state(spec):
     assert {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in net.arrays()} == digests
 
 
-def layer_walk(net, x):
-    """Unfolded inference logits: each layer's own ``forward(x, False)``, in order."""
-    out = np.asarray(x, dtype=np.float64)
-    for layer in net.layers:
-        out = layer.forward(out, False)
-    return out
-
-
 def awkward_cnn(seed, spec):
     """A CNN whose every BatchNorm has a negative gamma (channel 0), a zero running
     variance, so only eps is left (channel 1), and |beta| = 20 (channels 2, 3); the
@@ -998,7 +990,7 @@ def awkward_cnn(seed, spec):
             layer.running_var = rng.uniform(0.05, 0.5, c)
             layer.running_var[1] = 0.0
     x = rng.normal(0.5, 0.3, (256, *spec.input_shape))
-    logits = layer_walk(net, x)
+    logits = net.forward(x)
     net.layers[-1].w *= 1.5 / np.abs(logits - logits.mean(1, keepdims=True)).max()
     return net
 
@@ -1016,16 +1008,16 @@ def test_folded_inference_matches_the_layer_walk(seed, n):
     for spec in FOLDED_SPECS:
         net = awkward_cnn(seed, spec)
         x = np.random.default_rng([seed, n]).normal(0.5, 0.3, (n, *spec.input_shape))
-        reference = softmax(layer_walk(net, x))
+        reference = net.predict_proba(x)  # each layer's own inference forward
         assert reference.min() > 1e-3, spec  # no class is saturated, so a wrong block shows in p
-        for p in (net.predict_proba(x), _batched_proba(net, x)):
+        for p in (net.fold().predict_proba(x), _batched_proba(net, x)):
             assert np.abs(p - reference).max() <= 1e-12, spec
             assert np.array_equal(p.argmax(1), reference.argmax(1)), spec
 
 
 def folded(x, kernels, bn):
     """The folded block of ``kernels`` and ``bn`` on x, folded for x's width."""
-    return _folded_block(x, *_fold_block(kernels, bn, x.shape[2]))
+    return FoldedBlock(Conv2D(kernels), bn, x.shape[2]).forward(x, False)
 
 
 def unfused_block(x, kernels, bn):
@@ -1085,7 +1077,7 @@ def test_folded_block_column_groups_match_the_unfused_steps(h, w, c_in, c_out, k
 ])
 def test_fold_block_groups_read_only_the_columns_their_outputs_need(w, k, reads):
     kernels = np.random.default_rng(w).normal(0, 0.3, (4, k, k, 2))
-    _, groups, _ = _fold_block(kernels, BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)), w)
+    groups = FoldedBlock(Conv2D(kernels), BatchNorm(np.ones(4), np.zeros(4), np.zeros(4), np.ones(4)), w).groups
     assert [(i0, i1) for i0, i1, _ in groups] == reads
     assert [band.shape for _, _, band in groups] == [(k * (i1 - i0) * 2, (w - w % 2) // len(groups) * 4) for i0, i1 in reads]
 
@@ -1104,7 +1096,26 @@ def test_cnn_refuses_an_input_of_another_width():
     """The fold is built for the spec's input width, so another width is refused."""
     net = build_network(image_model_spec(2), seed=0)
     with pytest.raises(DataError, match=r"^input width 10 does not fit the folded block$"):
-        net.predict_proba(np.zeros((2, 50, 10, 1)))
+        net.fold().predict_proba(np.zeros((2, 50, 10, 1)))
+
+
+def test_fold_is_a_network_of_folded_blocks(monkeypatch):
+    """A CNN folds each conv block into one FoldedBlock and keeps its other
+    layers as the same objects; an FC keeps them all, and so does a fold."""
+    cnn, fc = build_network(image_model_spec(2), seed=0), build_network(vector_model_spec(5), seed=0)
+    fold = cnn.fold()
+    assert fold.spec == cnn.spec
+    assert [type(layer) for layer in fold.layers] == [FoldedBlock] * 3 + [Flatten, Dropout, Dense]
+    assert all(a is b for a, b in zip(fold.layers[3:], cnn.layers[12:], strict=True))
+    assert all(a is b for a, b in zip(fc.fold().layers, fc.layers, strict=True))
+    x = np.random.default_rng(0).normal(0.5, 0.3, (5, 50, 8, 1))
+    want = fold.predict_proba(x).tobytes()
+    bands = []
+    monkeypatch.setattr(net_module, "_band_weights", lambda *args: bands.append(args))
+    refolded = fold.fold()
+    assert bands == []
+    assert all(a is b for a, b in zip(refolded.layers, fold.layers, strict=True))
+    assert refolded.predict_proba(x).tobytes() == want
 
 
 @pytest.mark.parametrize("spec", [image_model_spec(2), vector_model_spec(5)], ids=["cnn", "fc"])

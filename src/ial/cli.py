@@ -21,6 +21,8 @@ from . import evaluation as ev
 from . import net
 from .config import RunConfig, config_hash, load_run_config
 from .errors import ConfigError, DataError, IalError
+from .features import vector_batch, write_vector_csv
+from .signal import by_chunk
 
 ENV_CONFIG = "IAL_CONFIG"
 
@@ -147,6 +149,14 @@ def _load_models(cfg: RunConfig) -> tuple[net.Network, net.Network]:
     return net.load_checkpoint(_checkpoint_path(cfg, 1)), net.load_checkpoint(_checkpoint_path(cfg, 2))
 
 
+def _window_vectors(x: np.ndarray, feature_kind: str) -> np.ndarray:
+    """The (n, 16) mean/variance vector of every window of a model input batch:
+    the rows themselves for the vector kind, and for the image kind its images
+    reduced a chunk at a time (``signal.by_chunk``), so no whole-stream
+    temporary is made."""
+    return x if feature_kind == det.VECTOR_KIND else by_chunk(vector_batch, x[..., 0])
+
+
 def cmd_detect(cfg: RunConfig, args) -> int:
     chash = config_hash(cfg)
     phase1, phase2 = _load_models(cfg)
@@ -156,10 +166,8 @@ def cmd_detect(cfg: RunConfig, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.stream).stem
     if args.dump_features:  # first, so a dump that fails leaves no event files behind
-        from .features import vector_batch, write_vector_csv
-
-        vectors = scores.x if cfg.feature_kind == det.VECTOR_KIND else vector_batch(scores.x[..., 0])
-        write_vector_csv(scores.start_t, vectors, args.dump_features, [f"config_hash={chash}"])
+        write_vector_csv(scores.start_t, _window_vectors(scores.x, cfg.feature_kind), args.dump_features,
+                         [f"config_hash={chash}"])
     det.write_events_tsv(events, out / f"{stem}.events.tsv", [f"config_hash={chash}"])
     det.write_events_json(events, out / f"{stem}.events.json", chash)
     print(f"{len(events)} events -> {out / (stem + '.events.tsv')} (config {chash})")

@@ -1,8 +1,9 @@
 """Declarative run configuration: JSON file plus flat CLI overrides.
 
-The feature kind fixes the model family (image -> cnn, vector -> fc); any
-other pairing is rejected.  ``config_hash`` of the fully resolved
-configuration is embedded in every output file.
+The feature kind fixes the model family (image -> cnn, vector -> fc), so
+``RunConfig.model`` is derived from it and is not a key of the file.
+``config_hash`` of the fully resolved configuration is embedded in every
+output file.
 """
 
 from __future__ import annotations
@@ -15,17 +16,18 @@ from pathlib import Path
 from .data import SyntheticConfig
 from .detector import IMAGE_KIND, MODEL_FOR_FEATURE, DetectorConfig
 from .errors import ConfigError
-from .net import CNN_KIND, FC_KIND, TrainConfig
+from .evaluation import IOU_RULE, MIDPOINT_RULE
+from .net import TrainConfig
 from .typed import from_json, read_json
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    match_rule: str = "midpoint"
+    match_rule: str = MIDPOINT_RULE
     iou_threshold: float = 0.5
 
     def __post_init__(self):
-        if self.match_rule not in ("midpoint", "iou"):
+        if self.match_rule not in (MIDPOINT_RULE, IOU_RULE):
             raise ConfigError(f"unknown match_rule {self.match_rule!r}")
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ConfigError("iou_threshold must be in (0, 1]")
@@ -36,7 +38,6 @@ class RunConfig:
     manifest: str | None = None
     out_dir: str = "out"
     feature_kind: str = IMAGE_KIND
-    model: str = CNN_KIND
     seed: int = 0
     threads: int = 1  # reserved, read by no command; kept so config hashes and --threads stay valid
     schema: dict[str, int] | None = None  # stream-CSV column mapping; None = t,ax,ay,az,gx,gy,gz
@@ -48,17 +49,15 @@ class RunConfig:
     def __post_init__(self):
         if self.feature_kind not in MODEL_FOR_FEATURE:
             raise ConfigError(f"unknown feature_kind {self.feature_kind!r}")
-        if self.model not in (CNN_KIND, FC_KIND):
-            raise ConfigError(f"unknown model {self.model!r}")
-        if MODEL_FOR_FEATURE[self.feature_kind] != self.model:
-            raise ConfigError(
-                f"{self.feature_kind} features pair with the "
-                f"{MODEL_FOR_FEATURE[self.feature_kind]} model, not {self.model}"
-            )
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+
+    @property
+    def model(self) -> str:
+        """The model family the feature kind pairs with: ``cnn`` or ``fc``."""
+        return MODEL_FOR_FEATURE[self.feature_kind]
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -71,8 +70,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
 
     Override keys are flat: top-level names ("seed") or dotted section paths
     ("train.epochs").  Values keep their JSON types.  The top-level seed seeds
-    ``train`` and ``synthetic`` unless they set their own, and ``model``
-    defaults to the one ``feature_kind`` pairs with.
+    ``train`` and ``synthetic`` unless they set their own.
     """
     doc: dict = {}
     if path is not None:
@@ -92,7 +90,4 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         section = doc.get(name, {})
         if "seed" in doc and type(section) is dict:
             doc[name] = {"seed": doc["seed"], **section}
-    kind = doc.get("feature_kind")
-    if type(kind) is str:
-        doc.setdefault("model", MODEL_FOR_FEATURE.get(kind, CNN_KIND))
     return from_json(RunConfig, doc, ConfigError)

@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError
 from .features import vector_batch
 from . import net  # net.train is looked up at call time, so a wrapper installed on it sees the calls
 from .net import CNN_KIND, FC_KIND, ModelSpec, Network, TrainConfig, image_model_spec, vector_model_spec
-from .signal import CHUNK, WINDOW_FRAMES, window_images, window_starts
+from .signal import WINDOW_FRAMES, by_chunk, window_images, window_starts
 
 IMAGE_KIND = "image"
 VECTOR_KIND = "vector"
@@ -43,18 +43,6 @@ LabeledStreams = Sequence[tuple[Stream, Sequence[GroundTruthEvent]]]
 # phase-1 class indices
 NON_INTEREST_IDX = 0
 INTEREST_IDX = 1
-
-# Windows per predict_proba call, as per featurizing step (``signal.CHUNK``).
-# Sized to the cache: a chunk's images stay in L2 (see ``signal.CHUNK``), and
-# at 32 windows a half of block 2's row bands, a chunk's largest CNN array,
-# takes 0.9 MB (7.1 MB at 256) against a 2 MB L2 per core.
-# Phase-1 scoring of a 391-window stream on one fold (BLAS at 1 thread, medians
-# of 20 interleaved rounds in three processes that had trained a CNN) took
-# 26.9-27.6 ms at 16, 27.4-28.8 at 24, 27.6-28.6 at 32, 29.3-31.0 at 8,
-# 29.5-30.8 at 40, 31.1-32.7 at 64 and 44.0-48.7 at 128, with byte-equal
-# probabilities.  16 was about 1 ms faster than 32 in each process; no
-# alternated benchmark pairs have tested it.
-PROBA_CHUNK = CHUNK
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +146,7 @@ def _check_model(model: Network, feature_kind: str, phase: int) -> None:
 
 def _batched_proba(model: Network, x: np.ndarray) -> np.ndarray:
     """Probabilities chunk by chunk on one fold of the model (``Network.fold``)."""
-    fold = model.fold()
-    starts = range(0, len(x), PROBA_CHUNK)
-    return np.concatenate([fold.predict_proba(x[lo : lo + PROBA_CHUNK]) for lo in starts])
+    return by_chunk(model.fold().predict_proba, x)
 
 
 def score_windows(

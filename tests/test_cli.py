@@ -26,7 +26,6 @@ def write_config(tmp_path, **extra):
     doc = {
         "out_dir": str(tmp_path / "out"),
         "feature_kind": "vector",
-        "model": "fc",
         "seed": 7,
         "synthetic": {
             "n_subjects": 1,
@@ -102,9 +101,14 @@ def test_missing_config_file_exits_one_like_an_unreadable_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: {path}: invalid JSON (")
 
 
-def test_feature_model_conflict_exits_one(tmp_path):
-    cfg = write_config(tmp_path, feature_kind="image", model="fc")
-    assert main(["--config", str(cfg), "train"]) == 1
+def test_config_that_names_the_model_exits_one(tmp_path, capsys):
+    """The feature kind fixes the model family, so ``model`` is no config key."""
+    cfg = write_config(tmp_path, feature_kind="image", model="cnn")
+    assert main(["--config", str(cfg), "synth"]) == 1
+    assert capsys.readouterr().err == "config error: unknown key model\n"
+    assert main(["--out", str(tmp_path / "out"), "--set", "model=cnn", "synth"]) == 1
+    assert capsys.readouterr().err == "config error: unknown key model\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_writes_streams_and_manifest(tmp_path, capsys):
@@ -238,11 +242,12 @@ def test_eval_writes_the_same_reports_at_any_thread_count(tmp_path, capsys, kind
     """``ial eval`` writes the same reports at 1 and 2 threads, apart from the
     config hash and the ``threads`` echo.  Test streams shorter than one window
     exit 2 with the first one's message at both counts."""
-    args = ["--config", str(write_config(tmp_path, feature_kind=kind, model=model)),
+    args = ["--config", str(write_config(tmp_path, feature_kind=kind)),
             "--set", "synthetic.n_subjects=3", "--set", "train.epochs=3"]
     out = tmp_path / "out"
     assert main([*args, "synth"]) == 0
     assert main([*args, "train"]) == 0
+    assert (out / f"phase1_{model}.json").is_file()  # named by the model the feature kind pairs with
     runs = []
     for threads in (1, 2):
         assert main([*args, "--threads", str(threads), "eval"]) == 0
@@ -321,7 +326,7 @@ def test_detect_dump_windows_the_stream_once(tmp_path, monkeypatch):
         (tmp_path / kind / "out").mkdir(parents=True)
         for phase, n_classes in ((1, 2), (2, 5)):
             save_checkpoint(build_network(spec(n_classes), seed=phase), tmp_path / kind / "out" / f"phase{phase}_{model}.json")
-        cfg = write_config(tmp_path / kind, feature_kind=kind, model=model)
+        cfg = write_config(tmp_path / kind, feature_kind=kind)
         calls.clear()
         assert main(["--config", str(cfg), "detect", str(tmp_path / "s.csv"), "--dump-features", str(tmp_path / kind / "d.csv")]) == 0
         assert len(calls) == 1, kind
@@ -362,7 +367,7 @@ def test_detect_refuses_a_model_declared_for_another_input_shape(tmp_path, capsy
     for phase, n_classes in ((1, 2), (2, 5)):
         declared = replace(spec(n_classes), input_shape=shape)
         save_checkpoint(build_network(declared, seed=phase), out / f"phase{phase}_{model}.json")
-    cfg = write_config(tmp_path, feature_kind=kind, model=model)
+    cfg = write_config(tmp_path, feature_kind=kind)
     capsys.readouterr()
     assert main(["--config", str(cfg), "detect", str(tmp_path / "s.csv")]) == 2
     feature_shape = spec(2).input_shape
@@ -642,5 +647,5 @@ def test_seed_flag_changes_config_hash(tmp_path):
 
 def test_config_hash_is_stable():
     # every output file embeds this hash; validating the config must not move it
-    assert config_hash(load_run_config()) == "86733bd0b5c7"
-    assert config_hash(load_run_config(overrides={"feature_kind": "vector"})) == "088ce0ff1bb1"
+    assert config_hash(load_run_config()) == "2bbcb0a427a0"
+    assert config_hash(load_run_config(overrides={"feature_kind": "vector"})) == "9d6226424afd"

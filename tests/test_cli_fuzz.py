@@ -51,7 +51,7 @@ def run_dir(tmp_path_factory):
     out = root / "out"
     out.mkdir()
     config = root / "config.json"
-    config.write_text(json.dumps({"out_dir": str(out), "feature_kind": "vector", "model": "fc"}))
+    config.write_text(json.dumps({"out_dir": str(out), "feature_kind": "vector"}))
     for phase, n_classes in ((1, 2), (2, 5)):
         spec = ModelSpec("fc", n_classes, (16,), hidden_units=4)
         save_checkpoint(build_network(spec, seed=phase), out / f"phase{phase}_fc.json")

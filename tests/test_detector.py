@@ -7,6 +7,7 @@ import pytest
 import ial.detector
 import ial.net
 import ial.signal
+from ial.cli import _window_vectors
 from ial.data import ActionClass, GroundTruthEvent, Stream, SyntheticConfig, generate_synthetic_stream
 from ial.detector import (
     DetectorConfig,
@@ -431,6 +432,24 @@ def test_featurize_stream_of_30_minutes_makes_no_whole_stream_image_temporaries(
     finally:
         tracemalloc.stop()
     assert peak <= bound * batch, peak / batch
+
+
+def test_image_dump_vectors_of_30_minutes_make_no_whole_stream_temporary():
+    """``ial detect --dump-features`` reduces an image window table to vectors
+    ``CHUNK`` windows at a time: past the table itself, its traced peak is a
+    small share of one (n, 50, 8) float64 batch.  One ``vector_batch`` call
+    over the table makes a whole-stream deviations array and reads over 1.0.
+    The bytes equal that call's, since ``vector_batch`` works per window."""
+    stream, _ = generate_synthetic_stream(SyntheticConfig(stream_duration_s=1800.0), 1, 1)
+    x = featurize_stream(stream, "image", 15)
+    tracemalloc.start()
+    try:
+        vectors = _window_vectors(x, "image")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * x.nbytes, peak / x.nbytes
+    assert vectors.tobytes() == vector_batch(x[..., 0]).tobytes()
 
 
 # ---------------------------------------------------------------------------

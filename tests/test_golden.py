@@ -53,7 +53,7 @@ import numpy as np
 import pytest
 
 from ial.data import ActionClass, SyntheticConfig, generate_synthetic_stream
-from ial import detector
+from ial import signal
 from ial.detector import (
     DetectorConfig,
     _batched_proba,
@@ -274,7 +274,7 @@ def test_folded_inference_matches_the_layer_walk():
 
 
 def test_phase1_probabilities_do_not_depend_on_the_chunk_size(monkeypatch):
-    """Phase one scores a stream in chunks of ``PROBA_CHUNK`` windows; the
+    """Phase one scores a stream in chunks of ``signal.CHUNK`` windows; the
     golden phase-1 network gives the same bytes at that size and at 256,
     where each eval stream is one chunk.
 
@@ -288,9 +288,9 @@ def test_phase1_probabilities_do_not_depend_on_the_chunk_size(monkeypatch):
     """
     net1, _ = trained("image")
     xs = [featurize_stream(stream, "image", DetectorConfig().stride_frames) for stream, _ in eval_pairs()]
-    assert all(len(x) > detector.PROBA_CHUNK for x in xs)
+    assert all(len(x) > signal.CHUNK for x in xs)
     got = [_batched_proba(net1, x).tobytes() for x in xs]
-    monkeypatch.setattr(detector, "PROBA_CHUNK", 256)
+    monkeypatch.setattr(signal, "CHUNK", 256)
     assert got == [_batched_proba(net1, x).tobytes() for x in xs]
 
 

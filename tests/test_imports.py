@@ -1,7 +1,9 @@
 """Every name a module of the package, or a test module, imports is used in
-that module, and every private helper of the package is used in the package."""
+that module, every private helper of the package is used in the package, and
+every package name the benchmark's workloads read is defined."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ial"
+WORKLOADS = TESTS.parent / "perfbench" / "workloads.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -83,3 +86,53 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
     assert out == "[]\n"
+
+
+def package_names_read(source: str) -> list[str]:
+    """The dotted ``ial`` names that ``source`` reads: each name imported by
+    ``from ial.<module> import``, and each attribute read off a module that
+    ``from ial import <module>`` binds."""
+    tree = ast.parse(source)
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ial":
+            modules.update({alias.asname or alias.name: f"ial.{alias.name}" for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ial."):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    names.update(f"{modules[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules)
+    return sorted(names)
+
+
+def missing_names(dotted: list[str]) -> list[str]:
+    """The names in ``dotted`` that their module does not define."""
+    missing = []
+    for name in dotted:
+        module, attr = name.rsplit(".", 1)
+        if not hasattr(importlib.import_module(module), attr):
+            missing.append(name)
+    return missing
+
+
+def test_package_defines_every_name_the_benchmark_reads():
+    """The benchmark's workloads call into the package by name; a refactor
+    that renames one of those names fails here and not in a benchmark run."""
+    names = package_names_read(WORKLOADS.read_text(encoding="utf-8"))
+    assert {"ial.cli.main", "ial.config.load_run_config", "ial.detector.build_phase1_dataset",
+            "ial.evaluation.evaluate_run", "ial.net.train"} <= set(names)
+    assert missing_names(names) == []
+
+
+def test_missing_names_finds_an_attribute_the_package_lacks():
+    source = (
+        "from ial import net\n"
+        "from ial import detector as det\n"
+        "from ial.config import load_run_config, no_such_loader\n"
+        "import numpy as np\n"
+        "def run():\n"
+        "    return net.train, det.no_such_builder, np.zeros\n"
+    )
+    names = package_names_read(source)
+    assert names == ["ial.config.load_run_config", "ial.config.no_such_loader",
+                     "ial.detector.no_such_builder", "ial.net.train"]
+    assert missing_names(names) == ["ial.config.no_such_loader", "ial.detector.no_such_builder"]

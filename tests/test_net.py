@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import ial.net as net_module
-from ial.detector import PROBA_CHUNK, _batched_proba
+from ial.detector import _batched_proba
 from ial.errors import ConfigError, DataError
 from ial.net import (
     SGD,
@@ -37,6 +37,7 @@ from ial.net import (
     train,
     vector_model_spec,
 )
+from ial.signal import CHUNK
 
 
 def central_diff(f, x, h=1e-5):
@@ -1002,8 +1003,8 @@ FOLDED_SPECS = [image_model_spec(3), *(replace(image_model_spec(3), **kw) for kw
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-# PROBA_CHUNK + 1 ends in a one-window chunk; 257 spans several chunks and a ragged tail
-@pytest.mark.parametrize("n", [1, 2, PROBA_CHUNK + 1, 257])
+# CHUNK + 1 ends in a one-window chunk; 257 spans several chunks and a ragged tail
+@pytest.mark.parametrize("n", [1, 2, CHUNK + 1, 257])
 def test_folded_inference_matches_the_layer_walk(seed, n):
     for spec in FOLDED_SPECS:
         net = awkward_cnn(seed, spec)

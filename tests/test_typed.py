@@ -108,10 +108,10 @@ def test_bad_values_name_their_dotted_path():
     ("eval.match_rule", "nearest", "unknown match_rule 'nearest'"),
     ("eval.iou_threshold", 0.0, "iou_threshold must be in"),
     ("feature_kind", "spectrogram", "unknown feature_kind 'spectrogram'"),
-    ("model", "rnn", "unknown model 'rnn'"),
     ("threads", 0, "threads must be >= 1"),
     ("synthetic.seed", -1, "seed must be non-negative"),
     ("synthetic.stream_duration_s", 0.0, "duration and sample rate must be positive"),
+    ("synthetic.sample_rate_hz", 0.0, "duration and sample rate must be positive"),
     ("synthetic.event_duration_range", [2.0, 1.0], "event_duration_range must satisfy"),
     ("synthetic.amplitude_range.wave", [0.0, 1.0], "amplitude range for wave"),
     ("synthetic.n_streams", 0, "n_subjects and n_streams must be >= 1"),
